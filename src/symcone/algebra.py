@@ -17,16 +17,21 @@ With these choices the trace form <a, b> = tr(a o b) is diagonal in
 coordinates: the identity Gram matrix for matrix families, and 2 * identity
 for spin factors (the unit there has <u, u> = rank = 2).
 
-The Jordan product itself is precomputed once per descriptor as a structure
-tensor T with T[i, j, :] = coords(b_i o b_j), so products, multiplication
-operators and the quadratic representation are small tensor contractions.
+The Jordan product is precomputed once per descriptor as sparse structure
+constants: the nonzero coefficients V[t] in b_I[t] o b_J[t] = ... + V[t]
+b_K[t] + ..., kept as coordinate arrays (I, J, K, V) sorted by (K, J, I).
+Only basis pairs that share a matrix index are multiplied, so the build and
+the constants grow with the number of nonzeros (about n^3 for n x n matrix
+families) instead of dim^3. Products, multiplication operators and the
+quadratic representation all go through one kernel that gathers
+x[I] * y[J] * V and sums the runs of equal K (or of equal (K, J) for
+operators) with ``np.add.reduceat``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +53,6 @@ __all__ = [
     "norm",
     "quadratic_representation",
     "random_element",
-    "check_jordan_identity",
     "check_formal_reality",
     "to_matrix",
     "from_matrix",
@@ -70,9 +74,6 @@ class Family(str, Enum):
     SPIN = "spin"
     ALBERT = "albert"
     SUM = "sum"
-
-
-_MATRIX_FAMILIES = (Family.REAL_SYM, Family.COMPLEX_HERM, Family.QUAT_HERM)
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def _require_same_algebra(a: Element, b: Element) -> None:
 
 # ---------------------------------------------------------------------------
 # Representation converters. Matrix reps use '...' batch semantics so pools
-# and structure-tensor builds can run vectorized.
+# and structure-constant builds can run vectorized.
 # ---------------------------------------------------------------------------
 
 
@@ -301,14 +302,113 @@ def _albert_from_rep(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cached per-descriptor context: structure tensor, Gram diagonal, unit.
+# Sparse structure constants and the one product kernel.
+# ---------------------------------------------------------------------------
+
+# Gathered terms the kernel holds at once: a batch is cut into row chunks of
+# at most this many terms (one row at the least), so the temporaries stay
+# about a megabyte and in cache.
+KERNEL_CHUNK_TERMS = 1 << 17
+
+
+@dataclass(frozen=True)
+class _Constants:
+    """Structure constants b_i o b_j = sum of V[t] b_K[t] over I[t] = i, J[t] = j.
+
+    Entries are sorted by (K, J, I), so entries of equal K are contiguous runs
+    (one per coordinate of a product) and entries of equal (K, J) are
+    contiguous runs (one per entry of a multiplication operator).
+    """
+
+    dim: int
+    I: np.ndarray
+    J: np.ndarray
+    K: np.ndarray
+    V: np.ndarray
+    out_starts: np.ndarray  # first entry of each run of equal K
+    out_keys: np.ndarray    # its K
+    op_starts: np.ndarray   # first entry of each run of equal (K, J)
+    op_keys: np.ndarray     # its K * dim + J
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.diff(keys, prepend=-1))
+
+
+def _make_constants(
+    dim: int, I: np.ndarray, J: np.ndarray, K: np.ndarray, V: np.ndarray
+) -> _Constants:
+    """Sort coordinate-form constants, find their runs, and freeze them."""
+    order = np.lexsort((I, J, K))
+    I, J, K = (np.asarray(a, dtype=np.intp)[order] for a in (I, J, K))
+    V = np.asarray(V, dtype=float)[order]
+    out_starts = _run_starts(K)
+    op = K * dim + J
+    op_starts = _run_starts(op)
+    arrays = (I, J, K, V, out_starts, K[out_starts], op_starts, op[op_starts])
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _Constants(dim, *arrays)
+
+
+def _constants_from_dense(table: np.ndarray) -> _Constants:
+    """Constants of a dense (dim, dim, dim) table: its exact nonzeros."""
+    I, J, K = np.nonzero(table)
+    return _make_constants(table.shape[0], I, J, K, table[I, J, K])
+
+
+def _contract(sc: _Constants, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
+    """The product kernel, batched over rows.
+
+    With ``ys``: the products xs o ys, shape (n, dim). Without: the
+    multiplication operators L_x flattened to (n, dim * dim), with
+    L_x[k, j] = sum_i x_i T[i, j, k] at column k * dim + j.
+    """
+    if ys is None:
+        starts, keys, width = sc.op_starts, sc.op_keys, sc.dim * sc.dim
+    else:
+        starts, keys, width = sc.out_starts, sc.out_keys, sc.dim
+    n = xs.shape[0]
+    out = np.zeros((n, width))
+    if sc.V.size == 0:
+        return out
+    step = max(1, KERNEL_CHUNK_TERMS // sc.V.size)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        terms = xs[rows, sc.I]
+        if ys is not None:
+            terms *= ys[rows, sc.J]
+        terms *= sc.V
+        out[rows, keys] = np.add.reduceat(terms, starts, axis=1)
+    return out
+
+
+def _product_batch(sc: _Constants, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    return _contract(sc, xs, ys)
+
+
+def _product_coords(sc: _Constants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _contract(sc, x[None, :], y[None, :])[0]
+
+
+def _left_mult_batch(sc: _Constants, xs: np.ndarray) -> np.ndarray:
+    """Stack of multiplication operators L_x, shape (n, dim, dim)."""
+    return _contract(sc, xs).reshape(-1, sc.dim, sc.dim)
+
+
+def _left_mult_matrix(sc: _Constants, x: np.ndarray) -> np.ndarray:
+    return _left_mult_batch(sc, x[None, :])[0]
+
+
+# ---------------------------------------------------------------------------
+# Cached per-descriptor context: structure constants, Gram diagonal, unit.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Context:
     descriptor: AlgebraDescriptor
-    table: np.ndarray          # (dim, dim, dim) structure tensor
+    constants: _Constants
     gram: np.ndarray           # (dim,) diagonal of the trace-form Gram matrix
     unit_coords: np.ndarray    # (dim,)
     block_slices: tuple[slice, ...] = ()
@@ -316,54 +416,96 @@ class _Context:
 
 _CONTEXT_CACHE: dict[AlgebraDescriptor, _Context] = {}
 
+# Real coordinates per off-diagonal matrix entry.
+_ENTRY_WIDTH = {
+    Family.REAL_SYM: 1,
+    Family.COMPLEX_HERM: 2,
+    Family.QUAT_HERM: 4,
+    Family.ALBERT: 8,
+}
 
-def _pairwise_sym(products: np.ndarray) -> np.ndarray:
-    """Symmetrize a (dim, dim, ...) array of basis products in its pair axes."""
-    return 0.5 * (products + np.swapaxes(products, 0, 1))
 
-
-def _build_table(desc: AlgebraDescriptor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dim = desc.dim
-    eye = np.eye(dim)
+def _sym_product_rep(desc: AlgebraDescriptor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Coordinates of (x y + y x) / 2, computed row by row in the matrix
+    representation (quaternionic through its complex embedding)."""
+    n = desc.size
     if desc.family is Family.REAL_SYM:
-        basis = _real_to_rep(eye, desc.size)
-        prods = np.einsum("aik,bkj->abij", basis, basis)
-        table = _real_from_rep(_pairwise_sym(prods), desc.size)
-        gram = np.ones(dim)
-        unit_coords = _real_from_rep(np.eye(desc.size), desc.size)
-    elif desc.family is Family.COMPLEX_HERM:
-        basis = _complex_to_rep(eye, desc.size)
-        prods = np.einsum("aik,bkj->abij", basis, basis)
-        table = _complex_from_rep(_pairwise_sym(prods), desc.size)
-        gram = np.ones(dim)
-        unit_coords = _complex_from_rep(np.eye(desc.size, dtype=complex), desc.size)
-    elif desc.family is Family.QUAT_HERM:
-        basis = hc.embed_quat_matrix(_quat_to_rep(eye, desc.size))
-        prods = np.einsum("aik,bkj->abij", basis, basis)
-        sym = hc.extract_quat_matrix(_pairwise_sym(prods))
-        table = _quat_from_rep(sym, desc.size)
-        gram = np.ones(dim)
-        unit_coords = np.concatenate(
-            [np.ones(desc.size), np.zeros(dim - desc.size)]
-        )
-    elif desc.family is Family.SPIN:
-        table = np.zeros((dim, dim, dim))
-        table[0, :, :] = np.eye(dim)
-        table[:, 0, :] = np.eye(dim)
-        for i in range(1, dim):
-            table[i, i, 0] = 1.0
+        a, b = _real_to_rep(xs, n), _real_to_rep(ys, n)
+        return _real_from_rep(0.5 * (a @ b + b @ a), n)
+    if desc.family is Family.COMPLEX_HERM:
+        a, b = _complex_to_rep(xs, n), _complex_to_rep(ys, n)
+        return _complex_from_rep(0.5 * (a @ b + b @ a), n)
+    if desc.family is Family.QUAT_HERM:
+        a = hc.embed_quat_matrix(_quat_to_rep(xs, n))
+        b = hc.embed_quat_matrix(_quat_to_rep(ys, n))
+        return _quat_from_rep(hc.extract_quat_matrix(0.5 * (a @ b + b @ a)), n)
+    a, b = _albert_to_rep(xs), _albert_to_rep(ys)
+    return _albert_from_rep(
+        0.5 * (hc.oct_matrix_multiply(a, b) + hc.oct_matrix_multiply(b, a))
+    )
+
+
+def _matrix_constants(desc: AlgebraDescriptor) -> _Constants:
+    """Constants of a matrix or octonionic family, multiplying only the basis
+    pairs that share a matrix index (all other products vanish)."""
+    dim, n = desc.dim, desc.size
+    diag = np.repeat(np.arange(n)[:, None], 2, axis=1)
+    off = np.repeat(
+        np.stack(np.triu_indices(n, k=1), axis=1), _ENTRY_WIDTH[desc.family], axis=0
+    )
+    touches = np.zeros((dim, n), dtype=bool)
+    touches[np.arange(dim)[:, None], np.concatenate([diag, off])] = True
+    left, right = np.nonzero(np.triu(touches @ touches.T))
+    eye = np.eye(dim)
+    step = max(1, KERNEL_CHUNK_TERMS // dim)
+    parts = []
+    for lo in range(0, left.size, step):
+        a, b = left[lo : lo + step], right[lo : lo + step]
+        coords = _sym_product_rep(desc, eye[a], eye[b])
+        pair, k = np.nonzero(coords)
+        parts.append((a[pair], b[pair], k, coords[pair, k]))
+    I, J, K, V = (np.concatenate(arrays) for arrays in zip(*parts))
+    mirror = I != J
+    return _make_constants(
+        dim,
+        np.concatenate([I, J[mirror]]),
+        np.concatenate([J, I[mirror]]),
+        np.concatenate([K, K[mirror]]),
+        np.concatenate([V, V[mirror]]),
+    )
+
+
+def _spin_constants(dim: int) -> _Constants:
+    """(s, x) o (t, y) = (s t + x . y, s y + t x) on R + R^(dim - 1)."""
+    idx = np.arange(dim)
+    vec = idx[1:]
+    zeros = np.zeros(dim - 1, dtype=np.intp)
+    return _make_constants(
+        dim,
+        np.concatenate([np.zeros(dim, dtype=np.intp), vec, vec]),
+        np.concatenate([idx, zeros, vec]),
+        np.concatenate([idx, vec, zeros]),
+        np.ones(3 * dim - 2),
+    )
+
+
+def _build_constants(desc: AlgebraDescriptor) -> tuple[_Constants, np.ndarray, np.ndarray]:
+    dim = desc.dim
+    if desc.family is Family.SPIN:
+        constants = _spin_constants(dim)
         gram = np.full(dim, 2.0)
         unit_coords = np.zeros(dim)
         unit_coords[0] = 1.0
-    elif desc.family is Family.ALBERT:
-        basis = _albert_to_rep(eye)
-        prods = hc.oct_matrix_multiply(basis[:, None], basis[None, :])
-        table = _albert_from_rep(_pairwise_sym(prods))
-        gram = np.ones(dim)
-        unit_coords = np.concatenate([np.ones(3), np.zeros(24)])
+        return constants, gram, unit_coords
+    if desc.family not in _ENTRY_WIDTH:
+        raise ValueError(f"no direct structure constants for family {desc.family}")
+    if desc.family is Family.REAL_SYM:
+        unit_coords = _real_from_rep(np.eye(desc.size), desc.size)
+    elif desc.family is Family.COMPLEX_HERM:
+        unit_coords = _complex_from_rep(np.eye(desc.size, dtype=complex), desc.size)
     else:
-        raise ValueError(f"no direct table for family {desc.family}")
-    return table, gram, unit_coords
+        unit_coords = np.concatenate([np.ones(desc.size), np.zeros(dim - desc.size)])
+    return _matrix_constants(desc), np.ones(dim), unit_coords
 
 
 def _context(desc: AlgebraDescriptor) -> _Context:
@@ -372,24 +514,28 @@ def _context(desc: AlgebraDescriptor) -> _Context:
         return ctx
     if desc.family is Family.SUM:
         parts = [_context(s) for s in desc.summands]
-        dim = desc.dim
-        table = np.zeros((dim, dim, dim))
-        gram = np.zeros(dim)
-        unit_coords = np.zeros(dim)
         slices = []
         start = 0
         for part in parts:
-            d = part.descriptor.dim
-            sl = slice(start, start + d)
-            table[sl, sl, sl] = part.table
-            gram[sl] = part.gram
-            unit_coords[sl] = part.unit_coords
-            slices.append(sl)
-            start += d
-        ctx = _Context(desc, table, gram, unit_coords, tuple(slices))
+            slices.append(slice(start, start + part.descriptor.dim))
+            start += part.descriptor.dim
+        I, J, K = (
+            np.concatenate(
+                [getattr(p.constants, name) + sl.start for p, sl in zip(parts, slices)]
+            )
+            for name in "IJK"
+        )
+        V = np.concatenate([p.constants.V for p in parts])
+        constants = _make_constants(desc.dim, I, J, K, V)
+        gram = np.concatenate([p.gram for p in parts])
+        unit_coords = np.concatenate([p.unit_coords for p in parts])
+        block_slices = tuple(slices)
     else:
-        table, gram, unit_coords = _build_table(desc)
-        ctx = _Context(desc, table, gram, unit_coords)
+        constants, gram, unit_coords = _build_constants(desc)
+        block_slices = ()
+    gram.flags.writeable = False
+    unit_coords.flags.writeable = False
+    ctx = _Context(desc, constants, gram, unit_coords, block_slices)
     _CONTEXT_CACHE[desc] = ctx
     return ctx
 
@@ -409,25 +555,12 @@ def basis_elements(algebra: AlgebraDescriptor) -> list[Element]:
 
 def jordan_product(a: Element, b: Element) -> Element:
     _require_same_algebra(a, b)
-    table = _context(a.algebra).table
-    return Element(a.algebra, _product_coords(table, a.coords, b.coords))
-
-
-def _product_coords(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("i,j,ijk->k", x, y, table)
-
-
-def _product_batch(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,nj,ijk->nk", xs, ys, table)
-
-
-def _left_mult_matrix(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # L_x[k, j] = sum_i x_i T[i, j, k]
-    return np.tensordot(x, table, axes=(0, 0)).T
+    sc = _context(a.algebra).constants
+    return Element(a.algebra, _product_coords(sc, a.coords, b.coords))
 
 
 def left_mult_operator(a: Element) -> LinearOperator:
-    mat = _left_mult_matrix(_context(a.algebra).table, a.coords)
+    mat = _left_mult_matrix(_context(a.algebra).constants, a.coords)
     return LinearOperator(mat, a.algebra, a.algebra)
 
 
@@ -448,9 +581,9 @@ def norm(a: Element) -> float:
 
 def quadratic_representation(a: Element) -> LinearOperator:
     """P(a) = 2 L_a^2 - L_{a o a}, the quadratic representation of a."""
-    ctx = _context(a.algebra)
-    left = _left_mult_matrix(ctx.table, a.coords)
-    left_sq = _left_mult_matrix(ctx.table, _product_coords(ctx.table, a.coords, a.coords))
+    sc = _context(a.algebra).constants
+    left = _left_mult_matrix(sc, a.coords)
+    left_sq = _left_mult_matrix(sc, _product_coords(sc, a.coords, a.coords))
     return LinearOperator(2.0 * left @ left - left_sq, a.algebra, a.algebra)
 
 
@@ -459,18 +592,6 @@ def random_element(
 ) -> Element:
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     return Element(algebra, rng.standard_normal(algebra.dim))
-
-
-def check_jordan_identity(a: Element, b: Element) -> float:
-    """Relative residual of a^2 o (a o b) = a o (a^2 o b)."""
-    _require_same_algebra(a, b)
-    ctx = _context(a.algebra)
-    t = ctx.table
-    asq = _product_coords(t, a.coords, a.coords)
-    lhs = _product_coords(t, asq, _product_coords(t, a.coords, b.coords))
-    rhs = _product_coords(t, a.coords, _product_coords(t, asq, b.coords))
-    gap = np.sqrt(np.sum((lhs - rhs) ** 2 * ctx.gram))
-    return float(gap / (1.0 + norm(a) ** 3 * norm(b)))
 
 
 def check_formal_reality(a: Element, b: Element, tol: float = 1e-9) -> bool:
@@ -482,9 +603,9 @@ def check_formal_reality(a: Element, b: Element, tol: float = 1e-9) -> bool:
     """
     _require_same_algebra(a, b)
     ctx = _context(a.algebra)
-    t = ctx.table
-    ssq = _product_coords(t, a.coords, a.coords) + _product_coords(
-        t, b.coords, b.coords
+    sc = ctx.constants
+    ssq = _product_coords(sc, a.coords, a.coords) + _product_coords(
+        sc, b.coords, b.coords
     )
     total = trace_form(a, a) + trace_form(b, b)
     if total <= tol:
@@ -506,10 +627,10 @@ def jordan_identity_residuals(
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((n_pairs, algebra.dim))
     ys = rng.standard_normal((n_pairs, algebra.dim))
-    t = ctx.table
-    asq = _product_batch(t, xs, xs)
-    lhs = _product_batch(t, asq, _product_batch(t, xs, ys))
-    rhs = _product_batch(t, xs, _product_batch(t, asq, ys))
+    sc = ctx.constants
+    asq = _product_batch(sc, xs, xs)
+    lhs = _product_batch(sc, asq, _product_batch(sc, xs, ys))
+    rhs = _product_batch(sc, xs, _product_batch(sc, asq, ys))
     gaps = np.sqrt(np.sum((lhs - rhs) ** 2 * ctx.gram, axis=1))
     nx = np.sqrt(np.sum(xs**2 * ctx.gram, axis=1))
     ny = np.sqrt(np.sum(ys**2 * ctx.gram, axis=1))
@@ -523,7 +644,7 @@ def commutativity_residuals(
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((n_pairs, algebra.dim))
     ys = rng.standard_normal((n_pairs, algebra.dim))
-    gaps = _product_batch(ctx.table, xs, ys) - _product_batch(ctx.table, ys, xs)
+    gaps = _product_batch(ctx.constants, xs, ys) - _product_batch(ctx.constants, ys, xs)
     nx = np.sqrt(np.sum(xs**2 * ctx.gram, axis=1))
     ny = np.sqrt(np.sum(ys**2 * ctx.gram, axis=1))
     return np.sqrt(np.sum(gaps**2 * ctx.gram, axis=1)) / (1.0 + nx * ny)
@@ -536,7 +657,7 @@ def unit_law_residuals(
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((n_samples, algebra.dim))
     us = np.broadcast_to(ctx.unit_coords, xs.shape)
-    gaps = _product_batch(ctx.table, us.copy(), xs) - xs
+    gaps = _product_batch(ctx.constants, us.copy(), xs) - xs
     nx = np.sqrt(np.sum(xs**2 * ctx.gram, axis=1))
     return np.sqrt(np.sum(gaps**2 * ctx.gram, axis=1)) / (1.0 + nx)
 
@@ -550,8 +671,8 @@ def trace_associativity_residuals(
     xs = rng.standard_normal((n_triples, algebra.dim))
     ys = rng.standard_normal((n_triples, algebra.dim))
     zs = rng.standard_normal((n_triples, algebra.dim))
-    lhs = np.sum(_product_batch(ctx.table, xs, ys) * ctx.gram * zs, axis=1)
-    rhs = np.sum(ys * ctx.gram * _product_batch(ctx.table, xs, zs), axis=1)
+    lhs = np.sum(_product_batch(ctx.constants, xs, ys) * ctx.gram * zs, axis=1)
+    rhs = np.sum(ys * ctx.gram * _product_batch(ctx.constants, xs, zs), axis=1)
     scale = 1.0 + np.sqrt(
         np.sum(xs**2 * ctx.gram, axis=1)
         * np.sum(ys**2 * ctx.gram, axis=1)
@@ -656,7 +777,3 @@ def parse_descriptor(text: str) -> AlgebraDescriptor:
         raise ValueError(f"bad size in algebra descriptor {text!r}") from None
     return make_algebra(pieces[0], size)
 
-
-@lru_cache(maxsize=None)
-def _gram_diagonal(desc: AlgebraDescriptor) -> np.ndarray:
-    return _context(desc).gram

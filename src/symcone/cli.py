@@ -4,7 +4,8 @@ Runs certification suites over a model file (or a bundled demo name) and
 prints either a human-readable text report or the canonical structured
 JSON. The exit code is 0 exactly when every certificate lands on its
 expected side. Defaults for every flag can be supplied through environment
-variables named SYMCONE_<FLAG>.
+variables named SYMCONE_<FLAG>; they are parsed like the flag itself, so a
+malformed value is a usage error.
 """
 
 from __future__ import annotations
@@ -56,19 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=float,
-        default=float(_env_default("TOL", 1e-9)),
+        default=_env_default("TOL", "1e-9"),
         help="certificate tolerance (default 1e-9)",
     )
     parser.add_argument(
         "--samples",
         type=int,
-        default=int(_env_default("SAMPLES", 200)),
+        default=_env_default("SAMPLES", "200"),
         help="sample count per randomized certificate (default 200)",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=int(_env_default("SEED", 0)),
+        default=_env_default("SEED", "0"),
         help="base random seed (default 0)",
     )
     parser.add_argument(

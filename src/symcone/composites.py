@@ -23,6 +23,7 @@ from .algebra import (
     _complex_from_rep,
     _complex_to_rep,
     _context,
+    _left_mult_matrix,
     _product_batch,
     _quat_from_rep,
     _quat_to_rep,
@@ -30,8 +31,6 @@ from .algebra import (
     _real_to_rep,
     format_descriptor,
     make_algebra,
-    norm,
-    trace_form,
     unit,
 )
 from .certificates import ConeCertificate
@@ -364,7 +363,7 @@ def tensor_adjoint_check(
             scale = 1.0 + float(np.abs(big).max())
             worst = max(worst, float(np.abs(big_adj - lifted).max()) / scale)
             xs = rng.standard_normal((8, cs.carrier.dim))
-            squares = _product_batch(ctx_c.table, xs, xs)
+            squares = _product_batch(ctx_c.constants, xs, xs)
             lam = eigenvalues_batch(cs.carrier, squares @ big_adj.T)
             rel = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
             min_eig = min(min_eig, float(rel.min()))
@@ -403,15 +402,15 @@ def tensor_lmap_check(
     for _ in range(samples):
         a = rng.standard_normal(dim_a)
         c = cs.pair_coords(a, u_b)[0]
-        l_big = np.einsum("i,ijk->kj", c, ctx_c.table)
-        l_a = np.einsum("i,ijk->kj", a, ctx_a.table)
+        l_big = _left_mult_matrix(ctx_c.constants, c)
+        l_a = _left_mult_matrix(ctx_a.constants, a)
         lhs = l_big @ cs.embed
         rhs = cs.embed @ np.kron(l_a, np.eye(dim_b))
         worst = max(worst, float(np.abs(lhs - rhs).max()) / (1.0 + float(np.abs(a).max())))
         b = rng.standard_normal(dim_b)
         c = cs.pair_coords(u_a, b)[0]
-        l_big = np.einsum("i,ijk->kj", c, ctx_c.table)
-        l_b = np.einsum("i,ijk->kj", b, ctx_b.table)
+        l_big = _left_mult_matrix(ctx_c.constants, c)
+        l_b = _left_mult_matrix(ctx_b.constants, b)
         lhs = l_big @ cs.embed
         rhs = cs.embed @ np.kron(np.eye(dim_a), l_b)
         worst = max(worst, float(np.abs(lhs - rhs).max()) / (1.0 + float(np.abs(b).max())))
@@ -443,13 +442,13 @@ def check_unit_factor_products(
     u_a = np.broadcast_to(ctx_a.unit_coords, A.shape)
     u_b = np.broadcast_to(ctx_b.unit_coords, V.shape)
 
-    lhs1 = _product_batch(ctx_c.table, cs.pair_coords(A, u_b), cs.pair_coords(B, V))
-    rhs1 = cs.pair_coords(_product_batch(ctx_a.table, A, B), V)
+    lhs1 = _product_batch(ctx_c.constants, cs.pair_coords(A, u_b), cs.pair_coords(B, V))
+    rhs1 = cs.pair_coords(_product_batch(ctx_a.constants, A, B), V)
     scale1 = 1.0 + np.abs(rhs1).max(axis=1)
     res1 = (np.abs(lhs1 - rhs1).max(axis=1) / scale1).max()
 
-    lhs2 = _product_batch(ctx_c.table, cs.pair_coords(u_a, V), cs.pair_coords(A, W))
-    rhs2 = cs.pair_coords(A, _product_batch(ctx_b.table, V, W))
+    lhs2 = _product_batch(ctx_c.constants, cs.pair_coords(u_a, V), cs.pair_coords(A, W))
+    rhs2 = cs.pair_coords(A, _product_batch(ctx_b.constants, V, W))
     scale2 = 1.0 + np.abs(rhs2).max(axis=1)
     res2 = (np.abs(lhs2 - rhs2).max(axis=1) / scale2).max()
 
@@ -506,9 +505,12 @@ def spin_qubit_isomorphism() -> tuple[np.ndarray, float]:
     mat = np.stack([_complex_from_rep(im, 2) for im in images], axis=1)  # (4, 4)
     ctx_s = _context(spin)
     ctx_q = _context(qubit)
-    # push the spin product table through the map and compare
-    mapped = np.einsum("ijk,lk->ijl", ctx_s.table, mat)
-    direct = np.einsum("ai,bj,ijk->abk", mat.T, mat.T, ctx_q.table)
+    # push every spin basis product through the map and compare it with the
+    # qubit product of the mapped factors
+    left, right = (idx.ravel() for idx in np.indices((4, 4)))
+    eye = np.eye(4)
+    mapped = _product_batch(ctx_s.constants, eye[left], eye[right]) @ mat.T
+    direct = _product_batch(ctx_q.constants, mat.T[left], mat.T[right])
     residual = float(np.abs(mapped - direct).max())
     # trace forms must agree as well
     gram_push = mat.T @ np.diag(ctx_q.gram) @ mat

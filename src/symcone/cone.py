@@ -26,10 +26,8 @@ from .algebra import (
     LinearOperator,
     _context,
     _product_batch,
-    jordan_product,
     norm,
     quadratic_representation,
-    trace_form,
     unit,
 )
 from .certificates import ConeCertificate
@@ -49,7 +47,6 @@ __all__ = [
     "check_homogeneity",
     "check_order_unit",
     "effect_interval_check",
-    "random_cone_element",
     "random_interior_point",
 ]
 
@@ -80,15 +77,6 @@ def dual_cone_contains(
     gram = _context(a.algebra).gram
     pairings = pool @ (gram * a.coords)
     return float(pairings.min()) >= -tol
-
-
-def random_cone_element(
-    algebra: AlgebraDescriptor, seed: int | np.random.Generator = 0
-) -> Element:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    x = rng.standard_normal(algebra.dim)
-    ctx = _context(algebra)
-    return Element(algebra, _product_batch(ctx.table, x[None, :], x[None, :])[0])
 
 
 def random_interior_point(
@@ -173,7 +161,7 @@ def check_self_duality(
     tinv = np.linalg.inv(tmat)
 
     xs = rng.standard_normal((samples, dim))
-    members = _product_batch(ctx.table, xs, xs) @ tmat.T
+    members = _product_batch(ctx.constants, xs, xs) @ tmat.T
     pair_matrix = members @ (ctx.gram[:, None] * members.T)
     norms = np.sqrt(np.sum(members**2 * ctx.gram, axis=1))
     rel = pair_matrix / (1.0 + np.outer(norms, norms))
@@ -281,7 +269,7 @@ def check_adjoint_automorphism(
     adj = adjoint(algebra, g)
 
     xs = rng.standard_normal((samples, algebra.dim))
-    squares = _product_batch(ctx.table, xs, xs)
+    squares = _product_batch(ctx.constants, xs, xs)
     mapped = squares @ adj.matrix.T
     lam = eigenvalues_batch(algebra, mapped)
     scales = 1.0 + np.abs(lam).max(axis=1)
@@ -340,7 +328,7 @@ def check_homogeneity(
         )
         ginv = automorphism_to_point(Element(algebra, inv_coords))
         xs = rng.standard_normal((directions, algebra.dim))
-        squares = _product_batch(ctx.table, xs, xs)
+        squares = _product_batch(ctx.constants, xs, xs)
         for op in (g, ginv):
             lam = eigenvalues_batch(algebra, squares @ op.matrix.T)
             rel = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))

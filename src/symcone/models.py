@@ -19,7 +19,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     _context,
-    _product_batch,
+    _product_coords,
     norm,
     trace_form,
     trace_of,
@@ -145,7 +145,7 @@ def random_state(model: ProbModel, seed: int = 0) -> State:
     rng = np.random.default_rng(seed)
     ctx = _context(model.algebra)
     x = rng.standard_normal(model.algebra.dim)
-    sq = _product_batch(ctx.table, x[None, :], x[None, :])[0]
+    sq = _product_coords(ctx.constants, x, x)
     sq = sq + 1e-6 * ctx.unit_coords  # keep clear of the boundary
     tr = float(np.dot(sq * ctx.gram, ctx.unit_coords))
     return State(model, Element(model.algebra, sq / tr))

@@ -23,7 +23,9 @@ from scipy.linalg import expm
 
 from .algebra import (
     AlgebraDescriptor,
+    _constants_from_dense,
     _context,
+    _left_mult_batch,
     _left_mult_matrix,
     _product_batch,
 )
@@ -99,9 +101,7 @@ def group_lie_generators(algebra: AlgebraDescriptor) -> np.ndarray:
     """Left multiplications by the basis plus their pairwise commutators."""
     ctx = _context(algebra)
     dim = algebra.dim
-    lefts = np.stack(
-        [_left_mult_matrix(ctx.table, row) for row in np.eye(dim)]
-    )
+    lefts = _left_mult_batch(ctx.constants, np.eye(dim))
     comms = []
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -188,6 +188,8 @@ def structure_lie_basis(algebra: AlgebraDescriptor) -> LieAlgebraBasis:
     else:
         skew = _orthonormal_rows(skew_raw, STRUCTURE_RANK_TOL)
     split_residual = abs(sym.shape[0] + skew.shape[0] - basis.shape[0])
+    for arr in (basis, sym, skew):
+        arr.flags.writeable = False
     result = LieAlgebraBasis(
         algebra, basis, sym, skew, rounds, float(split_residual)
     )
@@ -288,7 +290,7 @@ def reconstruct_product(
     found through the evaluation map; the recovered multiplication operators
     define a candidate product, which is then checked for commutativity, the
     unit law, the defining quartic identity, and trace associativity, and
-    finally compared against the native table.
+    finally compared against the native structure constants.
     """
     ctx = _context(algebra)
     if lie is None:
@@ -308,25 +310,30 @@ def reconstruct_product(
     xs = rng.standard_normal((samples, d))
     ys = rng.standard_normal((samples, d))
 
+    rebuilt = _constants_from_dense(table)
     commutativity = float(np.abs(table - np.swapaxes(table, 0, 1)).max())
     unit_law = float(
-        np.abs(np.tensordot(ctx.unit_coords, table, axes=(0, 0)) - np.eye(d)).max()
+        np.abs(_left_mult_matrix(rebuilt, ctx.unit_coords) - np.eye(d)).max()
     )
-    asq = _product_batch(table, xs, xs)
-    lhs = _product_batch(table, asq, _product_batch(table, xs, ys))
-    rhs = _product_batch(table, xs, _product_batch(table, asq, ys))
+    asq = _product_batch(rebuilt, xs, xs)
+    lhs = _product_batch(rebuilt, asq, _product_batch(rebuilt, xs, ys))
+    rhs = _product_batch(rebuilt, xs, _product_batch(rebuilt, asq, ys))
     nx = np.sqrt(np.sum(xs**2 * ctx.gram, axis=1))
     ny = np.sqrt(np.sum(ys**2 * ctx.gram, axis=1))
     jordan = float(
         (np.sqrt(np.sum((lhs - rhs) ** 2 * ctx.gram, axis=1)) / (1.0 + nx**3 * ny)).max()
     )
     zs = rng.standard_normal((samples, d))
-    t_lhs = np.sum(_product_batch(table, xs, ys) * ctx.gram * zs, axis=1)
-    t_rhs = np.sum(ys * ctx.gram * _product_batch(table, xs, zs), axis=1)
+    t_lhs = np.sum(_product_batch(rebuilt, xs, ys) * ctx.gram * zs, axis=1)
+    t_rhs = np.sum(ys * ctx.gram * _product_batch(rebuilt, xs, zs), axis=1)
     nz = np.sqrt(np.sum(zs**2 * ctx.gram, axis=1))
     trace_assoc = float((np.abs(t_lhs - t_rhs) / (1.0 + nx * ny * nz)).max())
 
-    deviation = float(np.abs(table - ctx.table).max())
+    # table minus the native table, read off the native constants
+    gap = table.copy()
+    native = ctx.constants
+    gap[native.I, native.J, native.K] -= native.V
+    deviation = float(np.abs(gap).max())
     return ReconstructionReport(
         algebra=algebra,
         dims=lie.dims,
@@ -364,7 +371,7 @@ def check_exp_preserves_cone(
         direction *= magnitude / max(np.linalg.norm(direction), 1e-30)
         g = expm(np.tensordot(direction, lie.sym_basis, axes=(0, 0)))
         xs = rng.standard_normal((16, algebra.dim))
-        squares = _product_batch(ctx.table, xs, xs)
+        squares = _product_batch(ctx.constants, xs, xs)
         lam = eigenvalues_batch(algebra, squares @ g.T)
         rel = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
         m = float(rel.min())

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
-    AlgebraDescriptor,
     Element,
     check_formal_reality,
     commutativity_residuals,
@@ -78,6 +77,39 @@ __all__ = ["SUITES", "RunConfig", "run_model_spec", "render_report_text"]
 SUITES = ("algebra", "cone", "kv", "model", "composite")
 REPORT_SCHEMA_VERSION = 1
 
+# Every certificate name a suite can report, skipped ones included; these
+# are the names a system's ``expect`` map may use.
+CERTIFICATE_NAMES = (
+    "jordan_identity",
+    "commutativity",
+    "unit_law",
+    "trace_associativity",
+    "formal_reality",
+    "self_duality",
+    "membership_agreement",
+    "homogeneity_transport",
+    "order_unit",
+    "structure_dims",
+    "unit_stabilizer_split",
+    "sym_bracket_in_skew",
+    "product_reconstruction",
+    "exp_preserves_cone",
+    "uniform_state_values",
+    "unital_sharp_outcomes",
+    "uniform_unital_outcomes_primitive",
+    "primitive_pairing_bounds",
+    "reversible_stabilizer",
+    "qubit_witness",
+    "local_tomography",
+    "product_tests_resolve_unit",
+    "nonsignaling_marginals",
+    "pairing_factorization",
+    "unit_factor_products",
+    "tensor_lmap",
+    "tensor_lmap_embedded",
+    "tensor_adjoint",
+)
+
 
 @dataclass
 class RunConfig:
@@ -126,7 +158,9 @@ def _skip_entry(name: str, suite: str, reason: str) -> dict:
     }
 
 
-def _algebra_suite(model: ProbModel, cfg: RunConfig, seed: int) -> list[dict]:
+def _algebra_suite(
+    model: ProbModel, cfg: RunConfig, seed: int, expect: dict[str, str]
+) -> list[dict]:
     A = model.algebra
     n = cfg.samples
     entries = []
@@ -147,7 +181,7 @@ def _algebra_suite(model: ProbModel, cfg: RunConfig, seed: int) -> list[dict]:
             tol=cfg.tol,
             worst_residual=worst,
         )
-        entries.append(_cert_entry(cert, "algebra", {}))
+        entries.append(_cert_entry(cert, "algebra", expect))
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(min(n, 100)):
@@ -163,7 +197,7 @@ def _algebra_suite(model: ProbModel, cfg: RunConfig, seed: int) -> list[dict]:
         tol=cfg.tol,
         worst_residual=float(violations),
     )
-    entries.append(_cert_entry(cert, "algebra", {}))
+    entries.append(_cert_entry(cert, "algebra", expect))
     return entries
 
 
@@ -381,7 +415,18 @@ def _system_seed(cfg: RunConfig, index: int) -> int:
 
 
 def run_model_spec(spec: ModelFileSpec, cfg: RunConfig, source: str = "<memory>") -> dict:
-    """Execute the configured suites and assemble the report dictionary."""
+    """Execute the configured suites and assemble the report dictionary.
+
+    Raises ValueError, before running anything, when an ``expect`` map
+    names a certificate no suite reports.
+    """
+    for sys_spec in spec.systems:
+        unknown = sorted(set(sys_spec.expect) - set(CERTIFICATE_NAMES))
+        if unknown:
+            raise ValueError(
+                f"system {sys_spec.name!r} expects unknown certificates "
+                f"{', '.join(unknown)}; known: {', '.join(CERTIFICATE_NAMES)}"
+            )
     built: dict[str, ProbModel] = {}
     systems_out = []
     for index, sys_spec in enumerate(spec.systems):
@@ -417,7 +462,7 @@ def run_model_spec(spec: ModelFileSpec, cfg: RunConfig, source: str = "<memory>"
                 "outcomes": len(model.outcomes),
             }
             if "algebra" in cfg.suites:
-                certs.extend(_algebra_suite(model, cfg, seed))
+                certs.extend(_algebra_suite(model, cfg, seed, sys_spec.expect))
             if "cone" in cfg.suites:
                 certs.extend(_cone_suite(model, cfg, seed, sys_spec.expect))
             if "kv" in cfg.suites:

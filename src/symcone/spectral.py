@@ -28,10 +28,10 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     Family,
-    _albert_from_rep,
     _complex_from_rep,
     _complex_to_rep,
     _context,
+    _left_mult_batch,
     _product_batch,
     _product_coords,
     _quat_from_rep,
@@ -239,11 +239,11 @@ def _generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
             sol, *_ = np.linalg.lstsq(stacked[:, :d], raw_powers[d], rcond=None)
             coeffs = sol
             break
-        current = _product_coords(ctx.table, coords, current)
+        current = _product_coords(ctx.constants, coords, current)
     if coeffs is None:
         degree = rank
         stacked = np.stack(raw_powers[:rank], axis=1)
-        target = _product_coords(ctx.table, coords, raw_powers[rank - 1]) \
+        target = _product_coords(ctx.constants, coords, raw_powers[rank - 1]) \
             if len(raw_powers) <= rank else raw_powers[rank]
         sol, *_ = np.linalg.lstsq(stacked, target, rcond=None)
         coeffs = sol
@@ -279,7 +279,7 @@ def _generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
                 if j == i:
                     continue
                 factor = (a.coords - mu * unit_coords) / (lam - mu)
-                prod = _product_coords(ctx.table, prod, factor)
+                prod = _product_coords(ctx.constants, prod, factor)
             idempotents.append(Element(a.algebra, prod))
     return SpectralDecomposition(eigenvalues, idempotents, degenerate)
 
@@ -332,7 +332,7 @@ def _albert_eigenvalues_batch(coords: np.ndarray) -> np.ndarray:
     """
     desc = AlgebraDescriptor(Family.ALBERT, 3)
     ctx = _context(desc)
-    lops = np.einsum("ni,ijk->nkj", coords, ctx.table)
+    lops = _left_mult_batch(ctx.constants, coords)
     spec = np.linalg.eigvalsh(lops)
     lmin = spec[:, 0]
     lmax = spec[:, -1]
@@ -492,7 +492,7 @@ def _albert_frame_pool(n_frames: int, rng: np.random.Generator) -> np.ndarray:
         j, l = [m for m in range(3) if m != k]
         f1 = coords - lam[:, j, None] * u
         f2 = coords - lam[:, l, None] * u
-        prod = _product_batch(ctx.table, f1, f2)
+        prod = _product_batch(ctx.constants, f1, f2)
         denom = (lam[:, k] - lam[:, j]) * (lam[:, k] - lam[:, l])
         idems.append(prod / denom[:, None])
     return np.concatenate(idems, axis=0)

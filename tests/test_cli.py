@@ -180,3 +180,51 @@ def test_suite_subset_runs_fewer_certificates(capsys):
         cert["suite"] for system in report["systems"] for cert in system["certificates"]
     }
     assert suites == {"algebra"}
+
+
+def _write_marked_demo(tmp_path, demo, system, expect):
+    spec = parse_model_text(demo_text(demo))
+    next(s for s in spec.systems if s.name == system).expect = expect
+    target = tmp_path / f"{demo}-marked.json"
+    target.write_text(serialize_model_spec(spec), encoding="utf-8")
+    return str(target)
+
+
+def test_expected_algebra_failure_that_passes_is_unexpected(tmp_path, capsys):
+    path = _write_marked_demo(tmp_path, "qubit-pair", "qubit-a", {"jordan_identity": "fail"})
+    code = main(["--input", path, "--suites", "algebra", "--format", "structured"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_FAILURES
+    assert report["summary"]["unexpected_passes"] == ["qubit-a:jordan_identity"]
+
+
+def test_expect_accepts_skipped_certificate_names(tmp_path, capsys):
+    path = _write_marked_demo(
+        tmp_path,
+        "rebit-pair",
+        "pair",
+        {"local_tomography": "fail", "tensor_adjoint": "fail", "tensor_lmap": "fail"},
+    )
+    code = main(["--input", path, "--suites", "composite", "--format", "structured"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert report["summary"]["unexpected_passes"] == []
+
+
+def test_unknown_expect_name_is_usage_error(tmp_path, capsys):
+    path = _write_marked_demo(tmp_path, "qubit-pair", "qubit-a", {"jordan_identiy": "fail"})
+    code = main(["--input", path, "--suites", "algebra"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "jordan_identiy" in captured.err
+
+
+def test_malformed_environment_default_is_usage_error():
+    import os
+
+    env = dict(os.environ, SYMCONE_TOL="abc")
+    proc = _run("--input", "qubit-pair", env=env)
+    assert proc.returncode == EXIT_USAGE
+    assert "--tol" in proc.stderr and "'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,0 +1,135 @@
+"""The sparse structure constants and the one product kernel behind them.
+
+Products are checked against plain matrix arithmetic (octonion arithmetic for
+the 27-dimensional algebra, the closed form for spin factors), and the
+sparse build is checked entry for entry against a dense table built the
+direct way: every pair of basis matrices multiplied and symmetrized.
+"""
+
+import numpy as np
+import pytest
+
+from symcone import (
+    Element,
+    Family,
+    direct_sum,
+    format_descriptor,
+    jordan_product,
+    left_mult_operator,
+    make_algebra,
+    structure_lie_basis,
+    to_matrix,
+)
+from symcone import hypercomplex as hc
+from symcone.algebra import (
+    _constants_from_dense,
+    _context,
+    _product_batch,
+    from_matrix,
+)
+
+ATOL = 1e-12
+
+KERNEL_FAMILIES = [
+    make_algebra("real", 1),
+    make_algebra("real", 4),
+    make_algebra("complex", 3),
+    make_algebra("quaternion", 3),
+    make_algebra("spin", 5),
+    make_algebra("albert"),
+    direct_sum(make_algebra("spin", 2), make_algebra("complex", 2), make_algebra("real", 3)),
+    make_algebra("complex", 16),
+]
+
+CONSTANT_FIELDS = ("I", "J", "K", "V", "out_starts", "out_keys", "op_starts", "op_keys")
+
+
+def _oracle_product(desc, x, y):
+    """x o y computed without the structure constants."""
+    if desc.family is Family.SPIN:
+        return np.concatenate([[x[0] * y[0] + x[1:] @ y[1:]], x[0] * y[1:] + y[0] * x[1:]])
+    if desc.family is Family.SUM:
+        out, start = [], 0
+        for part in desc.summands:
+            sl = slice(start, start + part.dim)
+            out.append(_oracle_product(part, x[sl], y[sl]))
+            start += part.dim
+        return np.concatenate(out)
+    a = to_matrix(Element(desc, x))
+    b = to_matrix(Element(desc, y))
+    if desc.family is Family.QUAT_HERM:
+        ab, ba = hc.quat_matrix_multiply(a, b), hc.quat_matrix_multiply(b, a)
+    elif desc.family is Family.ALBERT:
+        ab, ba = hc.oct_matrix_multiply(a, b), hc.oct_matrix_multiply(b, a)
+    else:
+        ab, ba = a @ b, b @ a
+    return from_matrix(desc, 0.5 * (ab + ba)).coords
+
+
+@pytest.mark.parametrize("desc", KERNEL_FAMILIES, ids=format_descriptor)
+def test_kernel_matches_plain_arithmetic(desc):
+    rng = np.random.default_rng(5)
+    xs = rng.standard_normal((12, desc.dim))
+    ys = rng.standard_normal((12, desc.dim))
+    want = np.stack([_oracle_product(desc, x, y) for x, y in zip(xs, ys)])
+    batch = _product_batch(_context(desc).constants, xs, ys)
+    np.testing.assert_allclose(batch, want, rtol=0, atol=ATOL)
+    for x, y, w in zip(xs[:3], ys[:3], want):
+        a, b = Element(desc, x), Element(desc, y)
+        np.testing.assert_allclose(jordan_product(a, b).coords, w, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(left_mult_operator(a).matrix @ y, w, rtol=0, atol=ATOL)
+
+
+def _dense_reference(desc):
+    """Table of all basis products, symmetrized in the matrix representation."""
+    eye = np.eye(desc.dim)
+    return np.stack([[_oracle_product(desc, ei, ej) for ej in eye] for ei in eye])
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        make_algebra("real", 4),
+        make_algebra("complex", 3),
+        make_algebra("quaternion", 2),
+        make_algebra("spin", 3),
+        direct_sum(make_algebra("real", 2), make_algebra("spin", 2)),
+    ],
+    ids=format_descriptor,
+)
+def test_sparse_build_holds_the_nonzeros_of_the_dense_table(desc):
+    table = _dense_reference(desc)
+    want = _constants_from_dense(table)
+    got = _context(desc).constants
+    for name in ("I", "J", "K", "out_starts", "out_keys", "op_starts", "op_keys"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_allclose(got.V, want.V, rtol=0, atol=ATOL)
+
+
+def test_constants_stay_small_at_dim_256():
+    desc = make_algebra("complex", 16)
+    ctx = _context(desc)
+    arrays = [getattr(ctx.constants, name) for name in CONSTANT_FIELDS]
+    arrays += [ctx.gram, ctx.unit_coords]
+    assert all(arr.ndim == 1 for arr in arrays)
+    # the dense (256, 256, 256) table took 134 MB
+    assert sum(arr.nbytes for arr in arrays) < 2 * 1024 * 1024
+
+
+def test_cached_context_arrays_are_read_only():
+    desc = make_algebra("complex", 2)
+    ctx = _context(desc)
+    for arr in [getattr(ctx.constants, name) for name in CONSTANT_FIELDS]:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    with pytest.raises(ValueError):
+        ctx.gram[0] = 3.0
+    with pytest.raises(ValueError):
+        ctx.unit_coords[0] = 3.0
+
+
+def test_cached_lie_basis_is_read_only():
+    lie = structure_lie_basis(make_algebra("spin", 2))
+    for arr in (lie.basis, lie.sym_basis, lie.skew_basis):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
