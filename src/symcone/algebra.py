@@ -369,18 +369,21 @@ def _contract(sc: _Constants, xs: np.ndarray, ys: np.ndarray | None = None) -> n
     else:
         starts, keys, width = sc.out_starts, sc.out_keys, sc.dim
     n = xs.shape[0]
-    out = np.zeros((n, width))
+    # Work entry-major, (entries, rows): gathering whole coordinate rows and
+    # summing runs of contiguous rows is about twice as fast as row-major.
+    out = np.zeros((width, n))
     if sc.V.size == 0:
-        return out
+        return out.T
+    values = sc.V[:, None]
     step = max(1, KERNEL_CHUNK_TERMS // sc.V.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        terms = xs[rows, sc.I]
+        terms = np.take(xs[rows].T, sc.I, axis=0)
         if ys is not None:
-            terms *= ys[rows, sc.J]
-        terms *= sc.V
-        out[rows, keys] = np.add.reduceat(terms, starts, axis=1)
-    return out
+            terms *= np.take(ys[rows].T, sc.J, axis=0)
+        terms *= values
+        out[keys, rows] = np.add.reduceat(terms, starts, axis=0)
+    return out.T
 
 
 def _product_batch(sc: _Constants, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -491,20 +494,14 @@ def _spin_constants(dim: int) -> _Constants:
 
 def _build_constants(desc: AlgebraDescriptor) -> tuple[_Constants, np.ndarray, np.ndarray]:
     dim = desc.dim
+    unit_coords = np.zeros(dim)
     if desc.family is Family.SPIN:
-        constants = _spin_constants(dim)
-        gram = np.full(dim, 2.0)
-        unit_coords = np.zeros(dim)
         unit_coords[0] = 1.0
-        return constants, gram, unit_coords
+        return _spin_constants(dim), np.full(dim, 2.0), unit_coords
     if desc.family not in _ENTRY_WIDTH:
         raise ValueError(f"no direct structure constants for family {desc.family}")
-    if desc.family is Family.REAL_SYM:
-        unit_coords = _real_from_rep(np.eye(desc.size), desc.size)
-    elif desc.family is Family.COMPLEX_HERM:
-        unit_coords = _complex_from_rep(np.eye(desc.size, dtype=complex), desc.size)
-    else:
-        unit_coords = np.concatenate([np.ones(desc.size), np.zeros(dim - desc.size)])
+    # the identity matrix: ones on the diagonal coordinates, which come first
+    unit_coords[: desc.size] = 1.0
     return _matrix_constants(desc), np.ones(dim), unit_coords
 
 

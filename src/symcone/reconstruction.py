@@ -316,7 +316,8 @@ def reconstruct_product(
         np.abs(_left_mult_matrix(rebuilt, ctx.unit_coords) - np.eye(d)).max()
     )
     asq = _product_batch(rebuilt, xs, xs)
-    lhs = _product_batch(rebuilt, asq, _product_batch(rebuilt, xs, ys))
+    xy = _product_batch(rebuilt, xs, ys)
+    lhs = _product_batch(rebuilt, asq, xy)
     rhs = _product_batch(rebuilt, xs, _product_batch(rebuilt, asq, ys))
     nx = np.sqrt(np.sum(xs**2 * ctx.gram, axis=1))
     ny = np.sqrt(np.sum(ys**2 * ctx.gram, axis=1))
@@ -324,7 +325,7 @@ def reconstruct_product(
         (np.sqrt(np.sum((lhs - rhs) ** 2 * ctx.gram, axis=1)) / (1.0 + nx**3 * ny)).max()
     )
     zs = rng.standard_normal((samples, d))
-    t_lhs = np.sum(_product_batch(rebuilt, xs, ys) * ctx.gram * zs, axis=1)
+    t_lhs = np.sum(xy * ctx.gram * zs, axis=1)
     t_rhs = np.sum(ys * ctx.gram * _product_batch(rebuilt, xs, zs), axis=1)
     nz = np.sqrt(np.sum(zs**2 * ctx.gram, axis=1))
     trace_assoc = float((np.abs(t_lhs - t_rhs) / (1.0 + nx * ny * nz)).max())
