@@ -537,6 +537,15 @@ def _context(desc: AlgebraDescriptor) -> _Context:
     return ctx
 
 
+def _metric_adjoint(gram: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Adjoint of an operator, or of each in a stack, in the trace form.
+
+    With a diagonal Gram the adjoint is the Gram-weighted transpose,
+    adj[i, j] = mat[j, i] * gram[j] / gram[i].
+    """
+    return np.swapaxes(mats, -1, -2) * gram / gram[:, None]
+
+
 # ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------
@@ -578,17 +587,20 @@ def norm(a: Element) -> float:
 
 def quadratic_representation(a: Element) -> LinearOperator:
     """P(a) = 2 L_a^2 - L_{a o a}, the quadratic representation of a."""
-    sc = _context(a.algebra).constants
-    left = _left_mult_matrix(sc, a.coords)
-    left_sq = _left_mult_matrix(sc, _product_coords(sc, a.coords, a.coords))
-    return LinearOperator(2.0 * left @ left - left_sq, a.algebra, a.algebra)
+    mat = _quadratic_batch(_context(a.algebra).constants, a.coords[None, :])[0]
+    return LinearOperator(mat, a.algebra, a.algebra)
+
+
+def _quadratic_batch(sc: _Constants, xs: np.ndarray) -> np.ndarray:
+    """Stack of quadratic representations P(x) = 2 L_x^2 - L_{x o x}."""
+    left = _left_mult_batch(sc, xs)
+    return 2.0 * left @ left - _left_mult_batch(sc, _product_batch(sc, xs, xs))
 
 
 def random_element(
     algebra: AlgebraDescriptor, seed: int | np.random.Generator = 0
 ) -> Element:
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    return Element(algebra, rng.standard_normal(algebra.dim))
+    return Element(algebra, np.random.default_rng(seed).standard_normal(algebra.dim))
 
 
 def check_formal_reality(a: Element, b: Element, tol: float = 1e-9) -> bool:

@@ -37,16 +37,6 @@ class ConeCertificate:
             "details": _plain(self.details),
         }
 
-    def render_text(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        line = (
-            f"[{mark}] {self.check_name}: worst={self.worst_residual:.3e} "
-            f"tol={self.tol:.1e} samples={self.samples} seed={self.seed}"
-        )
-        if self.witnesses:
-            line += f" witnesses={len(self.witnesses)}"
-        return line
-
 
 def _plain(value: Any) -> Any:
     """Recursively coerce numpy scalars and arrays into JSON-safe values."""

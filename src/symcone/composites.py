@@ -24,6 +24,7 @@ from .algebra import (
     _complex_to_rep,
     _context,
     _left_mult_matrix,
+    _metric_adjoint,
     _product_batch,
     _quat_from_rep,
     _quat_to_rep,
@@ -34,7 +35,7 @@ from .algebra import (
     unit,
 )
 from .certificates import ConeCertificate
-from .cone import random_interior_point
+from .cone import _cone_image, random_interior_point
 from .models import ProbModel, State, make_model, uniform_state
 from .spectral import eigenvalues_batch
 
@@ -337,36 +338,32 @@ def tensor_adjoint_check(
         raise ValueError("adjoint lifting needs a locally tomographic composite")
     rng = np.random.default_rng(seed)
     gram_c = _context(cs.carrier).gram
-    ctx_c = _context(cs.carrier)
-    dim_a = cs.part_a.algebra.dim
-    dim_b = cs.part_b.algebra.dim
+    dim = cs.carrier.dim
+    eye_a = np.eye(cs.part_a.algebra.dim)
+    eye_b = np.eye(cs.part_b.algebra.dim)
+    sides = (
+        (cs.part_a.algebra, lambda m: np.kron(m, eye_b)),
+        (cs.part_b.algebra, lambda m: np.kron(eye_a, m)),
+    )
     inv_embed = np.linalg.inv(cs.embed)
     worst = 0.0
-    min_eig = 0.0
-    for _ in range(samples):
-        for side in ("a", "b"):
-            if side == "a":
-                g = _sample_automorphism(cs.part_a.algebra, rng)
-                gram_part = _context(cs.part_a.algebra).gram
-                g_adj = (g.T * gram_part[None, :]) / gram_part[:, None]
-                lift = np.kron(g, np.eye(dim_b))
-                lift_adj_parts = np.kron(g_adj, np.eye(dim_b))
-            else:
-                g = _sample_automorphism(cs.part_b.algebra, rng)
-                gram_part = _context(cs.part_b.algebra).gram
-                g_adj = (g.T * gram_part[None, :]) / gram_part[:, None]
-                lift = np.kron(np.eye(dim_a), g)
-                lift_adj_parts = np.kron(np.eye(dim_a), g_adj)
-            big = cs.embed @ lift @ inv_embed
-            big_adj = (big.T * gram_c[None, :]) / gram_c[:, None]
-            lifted = cs.embed @ lift_adj_parts @ inv_embed
+    ops = np.empty((samples, 2, dim, dim))
+    xs = np.empty((samples, 2, 8, dim))
+    for i in range(samples):
+        for side, (part, lift) in enumerate(sides):
+            g = _sample_automorphism(part, rng)
+            g_adj = _metric_adjoint(_context(part).gram, g)
+            big = cs.embed @ lift(g) @ inv_embed
+            big_adj = _metric_adjoint(gram_c, big)
+            lifted = cs.embed @ lift(g_adj) @ inv_embed
             scale = 1.0 + float(np.abs(big).max())
             worst = max(worst, float(np.abs(big_adj - lifted).max()) / scale)
-            xs = rng.standard_normal((8, cs.carrier.dim))
-            squares = _product_batch(ctx_c.constants, xs, xs)
-            lam = eigenvalues_batch(cs.carrier, squares @ big_adj.T)
-            rel = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
-            min_eig = min(min_eig, float(rel.min()))
+            ops[i, side] = big_adj
+            xs[i, side] = rng.standard_normal((8, dim))
+    least, _ = _cone_image(
+        cs.carrier, ops.reshape(-1, 1, dim, dim), xs.reshape(-1, 8, dim), tol
+    )
+    min_eig = min(0.0, least)
     passed = worst <= tol and min_eig >= -tol
     return ConeCertificate(
         check_name="tensor_adjoint",

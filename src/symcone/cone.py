@@ -13,7 +13,9 @@ separate so they can certify each other:
 
 Homogeneity is witnessed constructively: for interior w, the quadratic
 representation of the square root, g = P(w^{1/2}), is a cone automorphism
-with g(u) = w.
+with g(u) = w, and P(w^{-1/2}) is its inverse (Faraut & Koranyi, Analysis on
+Symmetric Cones, ch. III). Every check that an operator preserves the cone
+goes through ``_cone_image``.
 """
 
 from __future__ import annotations
@@ -21,17 +23,20 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (
+    KERNEL_CHUNK_TERMS,
     AlgebraDescriptor,
     Element,
     LinearOperator,
     _context,
+    _metric_adjoint,
     _product_batch,
+    _quadratic_batch,
     norm,
     quadratic_representation,
     unit,
 )
 from .certificates import ConeCertificate
-from .spectral import eigenvalues_batch, frame_pool, spectral_decompose
+from .spectral import _frames, eigenvalues_batch, frame_pool, spectral_decompose
 
 __all__ = [
     "PSD_TOL",
@@ -86,13 +91,9 @@ def random_interior_point(
     high: float = 2.0,
 ) -> Element:
     """Interior point with spectrum sampled uniformly inside [low, high]."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    from .spectral import random_jordan_frame
-
-    frame = random_jordan_frame(algebra, rng)
-    lams = rng.uniform(low, high, size=len(frame))
-    coords = sum(l * e.coords for l, e in zip(lams, frame))
-    return Element(algebra, coords)
+    rng = np.random.default_rng(seed)
+    frame = _frames(algebra, 1, rng)[0]
+    return Element(algebra, rng.uniform(low, high, size=algebra.rank) @ frame)
 
 
 def boundary_margin(algebra: AlgebraDescriptor) -> float:
@@ -135,6 +136,32 @@ def sample_off_boundary(
     return out[:count]
 
 
+def _pairing_minima(
+    xs: np.ndarray, ys: np.ndarray, gram: np.ndarray, normalize: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row minima of the trace pairings <x_i, y_j> and the first j attaining
+    each; with ``normalize`` every pairing is divided by 1 + |x_i| |y_j|.
+
+    Rows go in chunks of at most KERNEL_CHUNK_TERMS pairings, so memory
+    grows with the number of rows, not with their product.
+    """
+    weighted = (ys * gram).T
+    if normalize:
+        x_norms = np.sqrt(np.sum(xs**2 * gram, axis=1))
+        y_norms = np.sqrt(np.sum(ys**2 * gram, axis=1))
+    mins = np.empty(xs.shape[0])
+    cols = np.empty(xs.shape[0], dtype=np.intp)
+    step = max(1, KERNEL_CHUNK_TERMS // ys.shape[0])
+    for lo in range(0, xs.shape[0], step):
+        rows = slice(lo, lo + step)
+        block = xs[rows] @ weighted
+        if normalize:
+            block /= 1.0 + np.outer(x_norms[rows], y_norms)
+        cols[rows] = np.argmin(block, axis=1)
+        mins[rows] = np.take_along_axis(block, cols[rows, None], axis=1)[:, 0]
+    return mins, cols
+
+
 def check_self_duality(
     algebra: AlgebraDescriptor,
     samples: int = 200,
@@ -162,19 +189,16 @@ def check_self_duality(
 
     xs = rng.standard_normal((samples, dim))
     members = _product_batch(ctx.constants, xs, xs) @ tmat.T
-    pair_matrix = members @ (ctx.gram[:, None] * members.T)
-    norms = np.sqrt(np.sum(members**2 * ctx.gram, axis=1))
-    rel = pair_matrix / (1.0 + np.outer(norms, norms))
-    worst_pairing = float(rel.min())
+    rel_min, partner = _pairing_minima(members, members, ctx.gram, normalize=True)
+    i = int(np.argmin(rel_min))
+    worst_pairing = float(rel_min[i])
     witnesses: list[list[float]] = []
     if worst_pairing < -tol:
-        i, j = np.unravel_index(np.argmin(rel), rel.shape)
-        witnesses = [members[i].tolist(), members[j].tolist()]
+        witnesses = [members[i].tolist(), members[partner[i]].tolist()]
 
     rays = frame_pool(algebra, max(samples, 256), rng) @ tmat.T
     cand = sample_off_boundary(algebra, samples, rng, membership_map=tinv)
-    pairings = cand @ (ctx.gram[:, None] * rays.T)
-    accepted = pairings.min(axis=1) >= -tol
+    accepted = _pairing_minima(cand, rays, ctx.gram)[0] >= -tol
     worst_member = 0.0
     if accepted.any():
         lam_min = eigenvalues_batch(algebra, cand[accepted] @ tinv.T)[:, 0]
@@ -219,8 +243,7 @@ def check_membership_agreement(
     cand = sample_off_boundary(algebra, samples, rng)
     lam_min = eigenvalues_batch(algebra, cand)[:, 0]
     spectral_in = lam_min >= -tol
-    pairings = cand @ (ctx.gram[:, None] * pool.T)
-    dual_in = pairings.min(axis=1) >= -tol
+    dual_in = _pairing_minima(cand, pool, ctx.gram)[0] >= -tol
     disagree = spectral_in != dual_in
     witnesses = [cand[i].tolist() for i in np.where(disagree)[0][:4]]
     return ConeCertificate(
@@ -251,9 +274,33 @@ def automorphism_to_point(w: Element) -> LinearOperator:
 
 def adjoint(algebra: AlgebraDescriptor, g: LinearOperator) -> LinearOperator:
     """Adjoint with respect to the trace form (Gram-weighted transpose)."""
-    gram = _context(algebra).gram
-    mat = (g.matrix.T * gram[None, :]) / gram[:, None]
+    mat = _metric_adjoint(_context(algebra).gram, g.matrix)
     return LinearOperator(mat, algebra, algebra)
+
+
+def _cone_image(
+    algebra: AlgebraDescriptor, ops: np.ndarray, xs: np.ndarray, tol: float
+) -> tuple[float, np.ndarray | None]:
+    """How far operators carry sampled squares out of the cone.
+
+    ``xs`` (m, k, dim) holds draws; each operator ops[i, q] of the stack
+    (m, q, dim, dim) maps the squares of the draws xs[i]. Returns the least
+    lambda_min / (1 + max |lambda|) over all images, and the square whose
+    image scores lowest under the first operator that goes below -tol, or
+    None when none does.
+    """
+    m, k, dim = xs.shape
+    flat = xs.reshape(-1, dim)
+    squares = _product_batch(_context(algebra).constants, flat, flat).reshape(m, k, dim)
+    images = squares[:, None] @ np.swapaxes(ops, -1, -2)
+    lam = eigenvalues_batch(algebra, images.reshape(-1, dim))
+    rel = (lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))).reshape(-1, k)
+    failing = np.flatnonzero(rel.min(axis=1) < -tol)
+    witness = None
+    if failing.size:
+        first = failing[0]
+        witness = squares[first // ops.shape[1], np.argmin(rel[first])]
+    return float(rel.min(initial=np.inf)), witness
 
 
 def check_adjoint_automorphism(
@@ -269,11 +316,7 @@ def check_adjoint_automorphism(
     adj = adjoint(algebra, g)
 
     xs = rng.standard_normal((samples, algebra.dim))
-    squares = _product_batch(ctx.constants, xs, xs)
-    mapped = squares @ adj.matrix.T
-    lam = eigenvalues_batch(algebra, mapped)
-    scales = 1.0 + np.abs(lam).max(axis=1)
-    rel_min = float((lam[:, 0] / scales).min())
+    rel_min, witness = _cone_image(algebra, adj.matrix[None, None], xs[None], tol)
 
     ys = rng.standard_normal((samples, algebra.dim))
     zs = rng.standard_normal((samples, algebra.dim))
@@ -281,10 +324,7 @@ def check_adjoint_automorphism(
     rhs = np.sum(ys * ctx.gram * (zs @ adj.matrix.T), axis=1)
     pairing_gap = float(np.abs(lhs - rhs).max() / (1.0 + np.abs(lhs).max()))
 
-    witnesses = []
-    if rel_min < -tol:
-        bad = int(np.argmin(lam[:, 0] / scales))
-        witnesses.append(squares[bad].tolist())
+    witnesses = [] if witness is None else [witness.tolist()]
     passed = rel_min >= -tol and pairing_gap <= tol
     return ConeCertificate(
         check_name="adjoint_automorphism",
@@ -298,6 +338,22 @@ def check_adjoint_automorphism(
     )
 
 
+def _point_transports(
+    algebra: AlgebraDescriptor, frames: np.ndarray, lams: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points w = sum_k lams[k] frames[k] with P(w^{1/2}) and P(w^{-1/2}).
+
+    Batched over axis 0. The roots share the frames of the points, and
+    P(w^{-1/2}) = P(w^{1/2})^{-1} because P(a)^{-1} = P(a^{-1}).
+    """
+    sc = _context(algebra).constants
+    roots = np.sqrt(lams)
+    points = np.einsum("sr,srd->sd", lams, frames)
+    forward = _quadratic_batch(sc, np.einsum("sr,srd->sd", roots, frames))
+    inverse = _quadratic_batch(sc, np.einsum("sr,srd->sd", 1.0 / roots, frames))
+    return points, forward, inverse
+
+
 def check_homogeneity(
     algebra: AlgebraDescriptor,
     samples: int = 100,
@@ -307,36 +363,36 @@ def check_homogeneity(
 ) -> ConeCertificate:
     """Transitivity witness: P(w^{1/2}) carries u to w and preserves the cone.
 
-    For each sampled interior point the automorphism and its inverse (from
-    the inverse point w^{-1}) are applied to sampled squares; both images
-    must stay in the cone.
+    The interior points w come from one batched frame draw, with spectra
+    uniform in [0.5, 2]; the same frames give w^{1/2} and w^{-1/2}, and the
+    quadratic representations P(w^{1/2}) and P(w^{-1/2}) = P(w^{1/2})^{-1}
+    are built batched as 2 L^2 - L_{a o a}. Each point gets ``directions``
+    sampled squares, and their images under both operators must stay in the
+    cone. Points go in chunks of at most KERNEL_CHUNK_TERMS operator entries.
     """
     ctx = _context(algebra)
     rng = np.random.default_rng(seed)
+    dim = algebra.dim
+    frames = _frames(algebra, samples, rng)
+    lams = rng.uniform(0.5, 2.0, size=(samples, algebra.rank))
     worst_transport = 0.0
     worst_cone = 0.0
     witnesses: list[list[float]] = []
-    for _ in range(samples):
-        w = random_interior_point(algebra, rng)
-        g = automorphism_to_point(w)
-        residual = norm(g(unit(algebra)) - w) / (1.0 + norm(w))
-        worst_transport = max(worst_transport, residual)
-
-        dec = spectral_decompose(w)
-        inv_coords = sum(
-            (1.0 / lam) * e.coords for lam, e in zip(dec.eigenvalues, dec.idempotents)
+    step = max(1, KERNEL_CHUNK_TERMS // (dim * dim))
+    for lo in range(0, samples, step):
+        rows = slice(lo, lo + step)
+        points, forward, inverse = _point_transports(algebra, frames[rows], lams[rows])
+        gaps = forward @ ctx.unit_coords - points
+        residual = np.sqrt(np.sum(gaps**2 * ctx.gram, axis=1)) / (
+            1.0 + np.sqrt(np.sum(points**2 * ctx.gram, axis=1))
         )
-        ginv = automorphism_to_point(Element(algebra, inv_coords))
-        xs = rng.standard_normal((directions, algebra.dim))
-        squares = _product_batch(ctx.constants, xs, xs)
-        for op in (g, ginv):
-            lam = eigenvalues_batch(algebra, squares @ op.matrix.T)
-            rel = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
-            m = float(rel.min())
-            if m < worst_cone:
-                worst_cone = m
-                if m < -PSD_TOL and not witnesses:
-                    witnesses.append(squares[int(np.argmin(rel))].tolist())
+        worst_transport = max(worst_transport, float(residual.max()))
+        xs = rng.standard_normal((points.shape[0], directions, dim))
+        ops = np.stack([forward, inverse], axis=1)
+        least, witness = _cone_image(algebra, ops, xs, PSD_TOL)
+        worst_cone = min(worst_cone, least)
+        if witness is not None and not witnesses:
+            witnesses.append(witness.tolist())
     passed = worst_transport <= tol and worst_cone >= -PSD_TOL
     return ConeCertificate(
         check_name="homogeneity_transport",

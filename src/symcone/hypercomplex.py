@@ -127,9 +127,5 @@ def quat_matrix_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def oct_matrix_conj_transpose(mat: np.ndarray) -> np.ndarray:
-    return oct_conj(np.swapaxes(mat, -3, -2))
-
-
 def oct_matrix_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...ikp,...kjq,pqr->...ijr", x, y, OCTONION_TABLE)

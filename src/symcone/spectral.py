@@ -1,20 +1,29 @@
 """Spectral decomposition, idempotents, and Jordan frames.
 
-Matrix families decompose through a hermitian eigensolver (the quaternionic
-case through its complex embedding, where every eigenvalue appears twice);
-spin factors have a closed form; the octonionic algebra and any other case go
-through the generic route: find the first linear dependence among the Jordan
-powers u, a, a o a, ..., read eigenvalues off the resulting minimal
-polynomial, and build the spectral idempotents by Lagrange interpolation in
-Jordan products. The generic route is available for every family through
-``method="generic"`` and is cross-checked against the direct solvers in the
-test suite.
+One batched core, ``_spectrum``, is the only code that knows the families:
+matrix families go through a hermitian eigensolver (the quaternionic case
+through its complex embedding), spin factors have a closed form, the
+octonionic algebra reads its eigenvalues off the multiplication operators
+and its idempotents off Lagrange interpolation, and direct sums go
+blockwise. It returns the eigenvalues of a batch of coordinate rows,
+ascending and repeated by multiplicity, and, when asked, one idempotent per
+eigenvalue; membership scans ask for eigenvalues only, which skips the
+eigenvectors. Rows go in bounded chunks.
 
-Eigenvalues closer than MERGE_TOL_SCALE * (1 + ||a||) are merged into one
-group; the decomposition then returns the (possibly non-primitive) group
-projector and sets the ``degenerate`` flag. Frame sampling resamples rather
-than refining degenerate projections, since any refinement would be
-basis-dependent.
+``spectral_decompose`` is the core on one row with eigenvalues closer than
+MERGE_TOL_SCALE * (1 + ||a||) merged into one group, whose (possibly
+non-primitive) projector is the sum of its idempotents; merging sets the
+``degenerate`` flag. An element whose octonionic block has no separated
+spectrum goes through the generic route instead: find the first linear
+dependence among the Jordan powers u, a, a o a, ..., read eigenvalues off
+the resulting minimal polynomial, and build the spectral idempotents by
+Lagrange interpolation in Jordan products. The generic route is available
+for every family through ``method="generic"`` and is the reference the
+test suite checks the core against.
+
+Frames are the idempotents of random standard-normal elements. Draws whose
+spectrum is not cleanly separated are redrawn rather than refined, since
+any refinement of a merged projector would be basis-dependent.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import numpy as np
 
 from . import hypercomplex as hc
 from .algebra import (
+    KERNEL_CHUNK_TERMS,
     AlgebraDescriptor,
     Element,
     Family,
@@ -39,7 +49,6 @@ from .algebra import (
     _real_from_rep,
     _real_to_rep,
     norm,
-    random_element,
     trace_of,
     unit,
 )
@@ -91,124 +100,20 @@ def _merge_groups(values: np.ndarray, tol: float) -> list[np.ndarray]:
 def spectral_decompose(
     a: Element, merge_tol: float | None = None, method: str = "auto"
 ) -> SpectralDecomposition:
-    desc = a.algebra
     scale_tol = MERGE_TOL_SCALE * (1.0 + norm(a)) if merge_tol is None else merge_tol
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown spectral method {method!r}")
-    if method == "generic":
-        return _generic_decompose(a, scale_tol)
-    if desc.family is Family.REAL_SYM:
-        return _matrix_decompose(a, scale_tol, complex_entries=False)
-    if desc.family is Family.COMPLEX_HERM:
-        return _matrix_decompose(a, scale_tol, complex_entries=True)
-    if desc.family is Family.QUAT_HERM:
-        return _quat_decompose(a, scale_tol)
-    if desc.family is Family.SPIN:
-        return _spin_decompose(a, scale_tol)
-    if desc.family is Family.ALBERT:
-        return _generic_decompose(a, scale_tol)
-    if desc.family is Family.SUM:
-        return _sum_decompose(a, scale_tol)
-    raise ValueError(f"unsupported family {desc.family}")
-
-
-def _matrix_decompose(
-    a: Element, tol: float, complex_entries: bool
-) -> SpectralDecomposition:
-    n = a.algebra.size
-    if complex_entries:
-        mat = _complex_to_rep(a.coords, n)
-        from_rep = lambda m: _complex_from_rep(m, n)
-    else:
-        mat = _real_to_rep(a.coords, n)
-        from_rep = lambda m: _real_from_rep(m, n)
-    evals, vecs = np.linalg.eigh(mat)
-    groups = _merge_groups(evals, tol)
-    eigenvalues = np.array([evals[g].mean() for g in groups])
-    idempotents = []
-    for g in groups:
-        block = vecs[:, g]
-        proj = block @ block.conj().T
-        idempotents.append(Element(a.algebra, from_rep(proj)))
-    degenerate = any(g.size > 1 for g in groups)
-    return SpectralDecomposition(eigenvalues, idempotents, degenerate)
-
-
-def _quat_decompose(a: Element, tol: float) -> SpectralDecomposition:
-    n = a.algebra.size
-    emb = hc.embed_quat_matrix(_quat_to_rep(a.coords, n))
-    evals, vecs = np.linalg.eigh(emb)
-    groups = _merge_groups(evals, tol)
-    eigenvalues = np.array([evals[g].mean() for g in groups])
-    idempotents = []
-    degenerate = False
-    for g in groups:
-        if g.size % 2:
-            # A numerically split double eigenvalue landed across group
-            # boundaries; treat as degenerate and merge with the neighbor.
-            return _quat_decompose_regrouped(a, emb, evals, vecs, tol)
-        if g.size > 2:
-            degenerate = True
-        block = vecs[:, g]
-        proj = hc.extract_quat_matrix(block @ block.conj().T)
-        idempotents.append(Element(a.algebra, _quat_from_rep(proj, n)))
-    return SpectralDecomposition(eigenvalues, idempotents, degenerate)
-
-
-def _quat_decompose_regrouped(a, emb, evals, vecs, tol) -> SpectralDecomposition:
-    n = a.algebra.size
-    groups = _merge_groups(evals, 10.0 * tol)
-    if any(g.size % 2 for g in groups):
-        groups = [np.arange(2 * k, 2 * k + 2) for k in range(n)]
-    eigenvalues = np.array([evals[g].mean() for g in groups])
-    idempotents = []
-    for g in groups:
-        block = vecs[:, g]
-        proj = hc.extract_quat_matrix(block @ block.conj().T)
-        idempotents.append(Element(a.algebra, _quat_from_rep(proj, n)))
-    return SpectralDecomposition(eigenvalues, idempotents, True)
-
-
-def _spin_decompose(a: Element, tol: float) -> SpectralDecomposition:
-    t, x = a.coords[0], a.coords[1:]
-    r = float(np.linalg.norm(x))
-    if 2.0 * r < tol:
-        return SpectralDecomposition(
-            np.array([t]), [unit(a.algebra)], degenerate=True
-        )
-    xhat = x / r
-    lo = np.concatenate([[0.5], -0.5 * xhat])
-    hi = np.concatenate([[0.5], 0.5 * xhat])
-    return SpectralDecomposition(
-        np.array([t - r, t + r]),
-        [Element(a.algebra, lo), Element(a.algebra, hi)],
-        degenerate=False,
-    )
-
-
-def _sum_decompose(a: Element, tol: float) -> SpectralDecomposition:
-    ctx = _context(a.algebra)
-    pieces: list[tuple[float, np.ndarray]] = []
-    degenerate = False
-    for desc, sl in zip(a.algebra.summands, ctx.block_slices):
-        part = Element(desc, a.coords[sl])
-        dec = spectral_decompose(part, merge_tol=tol)
-        degenerate = degenerate or dec.degenerate
-        for lam, e in zip(dec.eigenvalues, dec.idempotents):
-            coords = np.zeros(a.algebra.dim)
-            coords[sl] = e.coords
-            pieces.append((float(lam), coords))
-    pieces.sort(key=lambda item: item[0])
-    values = np.array([p[0] for p in pieces])
-    groups = _merge_groups(values, tol)
-    eigenvalues = np.array([values[g].mean() for g in groups])
-    idempotents = []
-    for g in groups:
-        coords = sum(pieces[k][1] for k in g)
-        idempotents.append(Element(a.algebra, coords))
-        if g.size > 1:
-            degenerate = True
-    return SpectralDecomposition(eigenvalues, idempotents, degenerate)
+    if method == "auto":
+        lam, idem = _spectrum(a.algebra, a.coords[None, :], idempotents=True)
+        # NaN idempotents mark an octonionic block without a separated spectrum
+        if np.isfinite(idem).all():
+            groups = _merge_groups(lam[0], scale_tol)
+            return SpectralDecomposition(
+                np.array([lam[0, g].mean() for g in groups]),
+                [Element(a.algebra, idem[0, g].sum(axis=0)) for g in groups],
+                degenerate=any(g.size > 1 for g in groups),
+            )
+    return _generic_decompose(a, scale_tol)
 
 
 def _generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
@@ -224,14 +129,12 @@ def _generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
     if scale == 0.0:
         return SpectralDecomposition(np.array([0.0]), [unit(a.algebra)], True)
     coords = a.coords / scale
-    powers = [ctx.unit_coords / np.sqrt(float(np.sum(ctx.unit_coords**2)))]
     raw_powers = [ctx.unit_coords.copy()]
     current = coords.copy()
     degree = rank
     coeffs = None
     for d in range(1, rank + 1):
         raw_powers.append(current.copy())
-        powers.append(current / max(float(np.linalg.norm(current)), 1e-300))
         stacked = np.stack(raw_powers, axis=1)
         sv = np.linalg.svd(stacked, compute_uv=False)
         if sv[-1] < 1e-10 * sv[0]:
@@ -285,8 +188,141 @@ def _generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Batched eigenvalues (full spectrum with multiplicity) for membership scans.
+# The batched spectral core.
 # ---------------------------------------------------------------------------
+
+
+def _spectrum(
+    algebra: AlgebraDescriptor, coords: np.ndarray, idempotents: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and, if asked, idempotents of a batch of coordinate rows.
+
+    Returns eigenvalues of shape (n, rank), ascending and repeated by
+    multiplicity, and with ``idempotents`` one idempotent per eigenvalue,
+    shape (n, rank, dim), else None. The idempotents of equal eigenvalues
+    sum to their spectral projector; with a separated spectrum they are the
+    primitive idempotents of the row's frame. Rows whose octonionic block
+    has no separated spectrum get NaN idempotents.
+
+    Rows go in chunks that hold at most KERNEL_CHUNK_TERMS idempotent
+    entries, so eigensolver inputs and projectors stay a few megabytes
+    whatever the batch; the octonionic multiplication operators, dim^2
+    entries a row, are built in smaller chunks of their own.
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    n, width = coords.shape[0], algebra.rank * algebra.dim
+    lam = np.empty((n, algebra.rank))
+    idem = np.empty((n, algebra.rank, algebra.dim)) if idempotents else None
+    step = max(1, KERNEL_CHUNK_TERMS // width)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        lam[rows], part = _spectrum_rows(algebra, coords[rows], idempotents)
+        if idempotents:
+            idem[rows] = part
+    return lam, idem
+
+
+def _spectrum_rows(
+    algebra: AlgebraDescriptor, xs: np.ndarray, idempotents: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    fam, n = algebra.family, algebra.size
+    if fam is Family.SPIN:
+        t, vec = xs[:, 0], xs[:, 1:]
+        r = np.linalg.norm(vec, axis=1)
+        lam = np.stack([t - r, t + r], axis=1)
+        if not idempotents:
+            return lam, None
+        half = 0.5 * vec / np.where(r > 0.0, r, 1.0)[:, None]
+        idem = np.empty((xs.shape[0], 2, algebra.dim))
+        idem[:, :, 0] = 0.5
+        idem[:, 0, 1:] = -half
+        idem[:, 1, 1:] = half
+        return lam, idem
+    if fam is Family.ALBERT:
+        return _albert_spectrum(algebra, xs, idempotents)
+    if fam is Family.SUM:
+        return _sum_spectrum(algebra, xs, idempotents)
+    quaternionic = fam is Family.QUAT_HERM
+    if fam is Family.REAL_SYM:
+        mats = _real_to_rep(xs, n)
+    elif fam is Family.COMPLEX_HERM:
+        mats = _complex_to_rep(xs, n)
+    elif quaternionic:
+        mats = hc.embed_quat_matrix(_quat_to_rep(xs, n))
+    else:
+        raise ValueError(f"unsupported family {fam}")
+    if not idempotents:
+        lam = np.linalg.eigvalsh(mats)
+        return (lam[:, ::2] if quaternionic else lam), None
+    lam, vecs = np.linalg.eigh(mats)
+    if quaternionic:
+        paired = vecs.reshape(vecs.shape[:2] + (n, 2))
+        projs = np.einsum("mikp,mjkp->mkij", paired, paired.conj())
+        return lam[:, ::2], _quat_from_rep(hc.extract_quat_matrix(projs), n)
+    projs = np.einsum("mik,mjk->mkij", vecs, vecs.conj())
+    from_rep = _real_from_rep if fam is Family.REAL_SYM else _complex_from_rep
+    return lam, from_rep(projs, n)
+
+
+def _albert_spectrum(
+    algebra: AlgebraDescriptor, xs: np.ndarray, idempotents: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Octonionic spectra through the multiplication operators.
+
+    Going through characteristic-polynomial coefficients loses half the
+    digits at multiple roots, so instead use that L_a is symmetric (the
+    trace form is associative and the basis orthonormal) and its spectrum
+    consists of the midpoints (lambda_i + lambda_j) / 2. The smallest and
+    largest midpoints are the extreme element eigenvalues, and the trace
+    supplies the middle one exactly. The idempotents are the Lagrange
+    products (a - lambda_j u) o (a - lambda_l u) / ((lambda_k - lambda_j)
+    (lambda_k - lambda_l)), set to NaN where gaps fall below
+    FRAME_SEPARATION.
+    """
+    ctx = _context(algebra)
+    # each operator takes dim^2 entries, so build them a few at a time
+    ends = np.empty((xs.shape[0], 2))
+    step = max(1, KERNEL_CHUNK_TERMS // algebra.dim**2)
+    for lo in range(0, xs.shape[0], step):
+        rows = slice(lo, lo + step)
+        spec = np.linalg.eigvalsh(_left_mult_batch(ctx.constants, xs[rows]))
+        ends[rows] = spec[:, [0, -1]]
+    lmin, lmax = ends.T
+    lmid = xs @ ctx.unit_coords - lmin - lmax
+    lam = np.sort(np.stack([lmin, lmid, lmax], axis=1), axis=1)
+    if not idempotents:
+        return lam, None
+    u = ctx.unit_coords
+    separated = _separated(lam)
+    idem = np.empty((xs.shape[0], 3, algebra.dim))
+    for k in range(3):
+        j, l = [m for m in range(3) if m != k]
+        prod = _product_batch(
+            ctx.constants, xs - lam[:, j, None] * u, xs - lam[:, l, None] * u
+        )
+        denom = (lam[:, k] - lam[:, j]) * (lam[:, k] - lam[:, l])
+        idem[:, k] = prod / np.where(separated, denom, 1.0)[:, None]
+    idem[~separated] = np.nan
+    return lam, idem
+
+
+def _sum_spectrum(
+    algebra: AlgebraDescriptor, xs: np.ndarray, idempotents: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Blockwise spectra of a direct sum, merged in ascending order."""
+    blocks = list(zip(algebra.summands, _context(algebra).block_slices))
+    parts = [_spectrum_rows(desc, xs[:, sl], idempotents) for desc, sl in blocks]
+    lam = np.concatenate([part[0] for part in parts], axis=1)
+    order = np.argsort(lam, axis=1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=1)
+    if not idempotents:
+        return lam, None
+    idem = np.zeros((xs.shape[0], algebra.rank, algebra.dim))
+    first = 0
+    for (desc, sl), (_, block) in zip(blocks, parts):
+        idem[:, first : first + desc.rank, sl] = block
+        first += desc.rank
+    return lam, np.take_along_axis(idem, order[:, :, None], axis=1)
 
 
 def eigenvalues_batch(algebra: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
@@ -295,49 +331,42 @@ def eigenvalues_batch(algebra: AlgebraDescriptor, coords: np.ndarray) -> np.ndar
     Returns shape (batch, rank); multiplicities are repeated so each row
     always carries ``rank`` entries.
     """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    fam = algebra.family
-    if fam is Family.REAL_SYM:
-        return np.linalg.eigvalsh(_real_to_rep(coords, algebra.size))
-    if fam is Family.COMPLEX_HERM:
-        return np.linalg.eigvalsh(_complex_to_rep(coords, algebra.size))
-    if fam is Family.QUAT_HERM:
-        ev = np.linalg.eigvalsh(hc.embed_quat_matrix(_quat_to_rep(coords, algebra.size)))
-        return ev[:, ::2]
-    if fam is Family.SPIN:
-        t = coords[:, 0]
-        r = np.linalg.norm(coords[:, 1:], axis=1)
-        return np.stack([t - r, t + r], axis=1)
-    if fam is Family.ALBERT:
-        return _albert_eigenvalues_batch(coords)
-    if fam is Family.SUM:
-        ctx = _context(algebra)
-        parts = [
-            eigenvalues_batch(desc, coords[:, sl])
-            for desc, sl in zip(algebra.summands, ctx.block_slices)
-        ]
-        return np.sort(np.concatenate(parts, axis=1), axis=1)
-    raise ValueError(f"unsupported family {fam}")
+    return _spectrum(algebra, coords)[0]
 
 
-def _albert_eigenvalues_batch(coords: np.ndarray) -> np.ndarray:
-    """Eigenvalues of rank-3 elements via their multiplication operators.
+def _separated(lam: np.ndarray) -> np.ndarray:
+    """Rows of ascending spectra with every gap at least FRAME_SEPARATION
+    * (1 + max |lambda|)."""
+    gaps = np.diff(lam, axis=1).min(axis=1, initial=np.inf)
+    return gaps >= FRAME_SEPARATION * (1.0 + np.abs(lam).max(axis=1))
 
-    Going through characteristic-polynomial coefficients loses half the
-    digits at multiple roots, so instead use that L_a is symmetric (the
-    trace form is associative and the basis orthonormal) and its spectrum
-    consists of the midpoints (lambda_i + lambda_j) / 2. The smallest and
-    largest midpoints are the extreme element eigenvalues, and the trace
-    supplies the middle one exactly.
+
+def _frames(
+    algebra: AlgebraDescriptor, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Primitive idempotents of ``count`` random frames, (count, rank, dim).
+
+    Each frame is the spectral frame of a standard-normal coordinate draw,
+    its idempotents in ascending eigenvalue order. Draws whose spectrum is
+    not cleanly separated are redrawn (primitive refinement of a merged
+    projector would be basis-dependent); raises when a frame is still
+    missing after MAX_FRAME_ATTEMPTS rounds.
     """
-    desc = AlgebraDescriptor(Family.ALBERT, 3)
-    ctx = _context(desc)
-    lops = _left_mult_batch(ctx.constants, coords)
-    spec = np.linalg.eigvalsh(lops)
-    lmin = spec[:, 0]
-    lmax = spec[:, -1]
-    lmid = coords @ ctx.unit_coords - lmin - lmax
-    return np.sort(np.stack([lmin, lmid, lmax], axis=1), axis=1)
+    frames = np.empty((count, algebra.rank, algebra.dim))
+    todo = np.arange(count)
+    for _ in range(MAX_FRAME_ATTEMPTS):
+        if not todo.size:
+            break
+        draws = rng.standard_normal((todo.size, algebra.dim))
+        lam, idem = _spectrum(algebra, draws, idempotents=True)
+        ok = _separated(lam)
+        frames[todo[ok]] = idem[ok]
+        todo = todo[~ok]
+    if todo.size:
+        raise RuntimeError(
+            f"no cleanly separated spectrum in {MAX_FRAME_ATTEMPTS} draws on {algebra}"
+        )
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +392,11 @@ def random_jordan_frame(
 ) -> list[Element]:
     """A frame of ``rank`` primitive idempotents from a random regular element.
 
-    Draws whose spectrum is not cleanly separated are redrawn (primitive
-    refinement of a merged projector would be basis-dependent); raises after
-    MAX_FRAME_ATTEMPTS consecutive near-degenerate draws.
+    Near-degenerate draws are redrawn; raises after MAX_FRAME_ATTEMPTS
+    consecutive ones.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(MAX_FRAME_ATTEMPTS):
-        x = random_element(algebra, rng)
-        dec = spectral_decompose(x)
-        if dec.degenerate or dec.eigenvalues.size != algebra.rank:
-            continue
-        gaps = np.diff(dec.eigenvalues)
-        scale = 1.0 + float(np.abs(dec.eigenvalues).max())
-        if gaps.size and gaps.min() < FRAME_SEPARATION * scale:
-            continue
-        return dec.idempotents
-    raise RuntimeError(
-        f"no cleanly separated spectrum in {MAX_FRAME_ATTEMPTS} draws on {algebra}"
-    )
+    frame = _frames(algebra, 1, np.random.default_rng(seed))[0]
+    return [Element(algebra, e) for e in frame]
 
 
 def canonical_regular_element(algebra: AlgebraDescriptor, offset: int = 0) -> Element:
@@ -399,14 +415,10 @@ def canonical_regular_element(algebra: AlgebraDescriptor, offset: int = 0) -> El
     elif fam is Family.ALBERT:
         coords[:3] = np.arange(1, 4) + offset
     elif fam is Family.SUM:
-        ctx = _context(algebra)
         shift = offset
-        parts = []
-        for desc, sl in zip(algebra.summands, ctx.block_slices):
-            parts.append((sl, canonical_regular_element(desc, shift).coords))
+        for desc, sl in zip(algebra.summands, _context(algebra).block_slices):
+            coords[sl] = canonical_regular_element(desc, shift).coords
             shift += desc.rank
-        for sl, c in parts:
-            coords[sl] = c
     else:
         raise ValueError(f"unsupported family {fam}")
     return Element(algebra, coords)
@@ -427,75 +439,13 @@ def frame_pool(
 ) -> np.ndarray:
     """Coordinates of the primitive idempotents of ``n_frames`` random frames.
 
-    Shape (n_frames * rank, dim). Draws are independent of any element being
-    tested; the pool is what frame-sampled dual membership quantifies over.
+    Shape (n_frames * rank, dim), frame-major: rows f * rank to
+    (f + 1) * rank are the idempotents of frame f and sum to the unit.
+    Draws are independent of any element being tested; the pool is what
+    frame-sampled dual membership quantifies over.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    fam = algebra.family
-    dim = algebra.dim
-    if fam is Family.SPIN:
-        d = algebra.size
-        dirs = rng.standard_normal((n_frames, d))
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        dirs /= norms
-        out = np.zeros((2 * n_frames, dim))
-        out[:, 0] = 0.5
-        out[:n_frames, 1:] = 0.5 * dirs
-        out[n_frames:, 1:] = -0.5 * dirs
-        return out
-    if fam is Family.REAL_SYM:
-        n = algebra.size
-        mats = _real_to_rep(rng.standard_normal((n_frames, dim)), n)
-        _, vecs = np.linalg.eigh(mats)
-        projs = np.einsum("fik,fjk->fkij", vecs, vecs)
-        return _real_from_rep(projs, n).reshape(n_frames * n, dim)
-    if fam is Family.COMPLEX_HERM:
-        n = algebra.size
-        mats = _complex_to_rep(rng.standard_normal((n_frames, dim)), n)
-        _, vecs = np.linalg.eigh(mats)
-        projs = np.einsum("fik,fjk->fkij", vecs, np.conj(vecs))
-        return _complex_from_rep(projs, n).reshape(n_frames * n, dim)
-    if fam is Family.QUAT_HERM:
-        n = algebra.size
-        embs = hc.embed_quat_matrix(_quat_to_rep(rng.standard_normal((n_frames, dim)), n))
-        _, vecs = np.linalg.eigh(embs)
-        paired = vecs.reshape(n_frames, 2 * n, n, 2)
-        projs = np.einsum("fikp,fjkp->fkij", paired, np.conj(paired))
-        quat = hc.extract_quat_matrix(projs)
-        return _quat_from_rep(quat, n).reshape(n_frames * n, dim)
-    if fam is Family.ALBERT:
-        return _albert_frame_pool(n_frames, rng)
-    if fam is Family.SUM:
-        ctx = _context(algebra)
-        blocks = []
-        for desc, sl in zip(algebra.summands, ctx.block_slices):
-            part = frame_pool(desc, n_frames, rng)
-            padded = np.zeros((part.shape[0], dim))
-            padded[:, sl] = part
-            blocks.append(padded)
-        return np.concatenate(blocks, axis=0)
-    raise ValueError(f"unsupported family {fam}")
-
-
-def _albert_frame_pool(n_frames: int, rng: np.random.Generator) -> np.ndarray:
-    desc = AlgebraDescriptor(Family.ALBERT, 3)
-    ctx = _context(desc)
-    coords = rng.standard_normal((n_frames, 27))
-    lam = _albert_eigenvalues_batch(coords)
-    gaps = np.diff(lam, axis=1).min(axis=1)
-    keep = gaps > FRAME_SEPARATION * (1.0 + np.abs(lam).max(axis=1))
-    coords, lam = coords[keep], lam[keep]
-    u = ctx.unit_coords
-    idems = []
-    for k in range(3):
-        j, l = [m for m in range(3) if m != k]
-        f1 = coords - lam[:, j, None] * u
-        f2 = coords - lam[:, l, None] * u
-        prod = _product_batch(ctx.constants, f1, f2)
-        denom = (lam[:, k] - lam[:, j]) * (lam[:, k] - lam[:, l])
-        idems.append(prod / denom[:, None])
-    return np.concatenate(idems, axis=0)
+    frames = _frames(algebra, n_frames, np.random.default_rng(seed))
+    return frames.reshape(n_frames * algebra.rank, algebra.dim)
 
 
 def spectral_reconstruction_residual(a: Element) -> dict[str, float]:

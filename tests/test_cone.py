@@ -1,5 +1,7 @@
 """Cone membership, duality, and homogeneity checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,16 @@ from symcone import (
     jordan_product,
     make_algebra,
     min_eigenvalue,
+    quadratic_representation,
     random_element,
     random_interior_point,
+    spectral_decompose,
     to_matrix,
     trace_form,
     unit,
 )
 from symcone.cone import (
+    _point_transports,
     adjoint,
     automorphism_to_point,
     boundary_margin,
@@ -30,7 +35,7 @@ from symcone.cone import (
     is_interior,
     sample_off_boundary,
 )
-from symcone.spectral import eigenvalues_batch
+from symcone.spectral import _frames, eigenvalues_batch
 
 FAMILIES = [
     make_algebra("real", 3),
@@ -95,6 +100,18 @@ def test_self_duality_certificate(desc):
     assert cert.passed, cert.details
 
 
+def test_self_duality_memory_grows_with_samples_not_their_square():
+    desc = make_algebra("spin", 1)
+    check_self_duality(desc, samples=10)  # build the cached context first
+    tracemalloc.start()
+    try:
+        check_self_duality(desc, samples=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_self_duality_fails_for_lopsided_cone():
     # A non-orthogonal change of basis destroys self-duality in the trace
     # metric; the certificate must notice and carry a witness.
@@ -146,6 +163,20 @@ def test_transport_requires_interior_point():
 def test_homogeneity_certificate(desc):
     cert = check_homogeneity(desc, samples=20, seed=60, directions=40)
     assert cert.passed, cert.details
+
+
+@pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)
+def test_batched_transports_match_elementwise_quadratic_representation(desc):
+    rng = np.random.default_rng(68)
+    frames = _frames(desc, 3, rng)
+    lams = rng.uniform(0.5, 2.0, size=(3, desc.rank))
+    points, forward, inverse = _point_transports(desc, frames, lams)
+    for w, g, g_inv in zip(points, forward, inverse):
+        dec = spectral_decompose(Element(desc, w))
+        root = sum(np.sqrt(lam) * e.coords for lam, e in zip(dec.eigenvalues, dec.idempotents))
+        want = quadratic_representation(Element(desc, root)).matrix
+        np.testing.assert_allclose(g, want, atol=1e-9)
+        np.testing.assert_allclose(g_inv @ g, np.eye(desc.dim), atol=1e-9)
 
 
 def test_adjoint_in_trace_metric():

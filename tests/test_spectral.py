@@ -6,6 +6,7 @@ import pytest
 from symcone import (
     Element,
     canonical_frame,
+    direct_sum,
     format_descriptor,
     from_matrix,
     jordan_product,
@@ -17,6 +18,7 @@ from symcone import (
     trace_of,
     unit,
 )
+from symcone import spectral
 from symcone.hypercomplex import embed_quat_matrix
 from symcone.spectral import (
     canonical_regular_element,
@@ -29,12 +31,16 @@ from symcone.spectral import (
 
 ATOL = 1e-9
 
-FAMILIES = [
+SIMPLE = [
     make_algebra("real", 3),
     make_algebra("complex", 3),
     make_algebra("quaternion", 2),
     make_algebra("spin", 5),
     make_algebra("albert"),
+]
+FAMILIES = SIMPLE + [
+    direct_sum(make_algebra("spin", 3), make_algebra("real", 2)),
+    direct_sum(make_algebra("albert"), make_algebra("complex", 2)),
 ]
 
 
@@ -186,6 +192,22 @@ def test_frame_pool_rows_are_primitive():
     assert pool.shape == (8 * desc.rank, desc.dim)
     for row in pool:
         assert is_primitive(Element(desc, row), tol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    SIMPLE + [direct_sum(make_algebra("spin", 3), make_algebra("real", 1))],
+    ids=format_descriptor,
+)
+def test_frame_pool_redraws_rejected_frames_and_is_frame_major(desc, monkeypatch):
+    # A wide separation rejects many draws: they must be redrawn, not dropped,
+    # and every block of rank consecutive rows must be one frame. (Sums of
+    # higher rank reject nearly every draw at this separation.)
+    monkeypatch.setattr(spectral, "FRAME_SEPARATION", 0.3)
+    pool = frame_pool(desc, 64, seed=1)
+    assert pool.shape == (64 * desc.rank, desc.dim)
+    sums = pool.reshape(64, desc.rank, desc.dim).sum(axis=1)
+    np.testing.assert_allclose(sums, np.tile(unit(desc).coords, (64, 1)), atol=1e-8)
 
 
 def test_frame_pool_deterministic():
