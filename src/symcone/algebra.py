@@ -546,6 +546,26 @@ def _metric_adjoint(gram: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.swapaxes(mats, -1, -2) * gram / gram[:, None]
 
 
+def _metric_exp(
+    gram: np.ndarray, ops: np.ndarray, skew: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp of each metric-symmetric (``skew``: metric-skew) operator in a stack.
+
+    With D = diag(sqrt(gram)), exp(X) = D^-1 exp(D X D^-1) D, and the scaled
+    operator's symmetric (skew) part is exponentiated through ``eigh`` (of i
+    times it, when skew). Also returns each scaled operator's departure from
+    that part, max |M -+ M^T|, which ``eigh`` cannot see.
+    """
+    root = np.sqrt(gram)
+    scaled = ops * root[:, None] / root
+    part = 0.5 * (scaled + (-1.0 if skew else 1.0) * np.swapaxes(scaled, -1, -2))
+    vals, vecs = np.linalg.eigh(1j * part if skew else part)
+    weights = np.exp(-1j * vals if skew else vals)[..., None, :]
+    exp_part = ((vecs * weights) @ np.swapaxes(vecs.conj(), -1, -2)).real
+    departure = 2.0 * np.abs(scaled - part).max(axis=(-2, -1))
+    return exp_part / root[:, None] * root, departure
+
+
 # ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------
@@ -629,46 +649,50 @@ def check_formal_reality(a: Element, b: Element, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _draws(algebra: AlgebraDescriptor, count: int, n: int, seed: int) -> np.ndarray:
+    """``count`` stacks of ``n`` standard normal coordinate rows."""
+    return np.random.default_rng(seed).standard_normal((count, n, algebra.dim))
+
+
+def _norms(xs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(xs**2 * gram, axis=1))
+
+
 def jordan_identity_residuals(
     algebra: AlgebraDescriptor, n_pairs: int, seed: int = 0
 ) -> np.ndarray:
     ctx = _context(algebra)
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((n_pairs, algebra.dim))
-    ys = rng.standard_normal((n_pairs, algebra.dim))
-    sc = ctx.constants
+    xs, ys = _draws(algebra, 2, n_pairs, seed)
+    return _jordan_identity_core(ctx.constants, ctx.gram, xs, ys)
+
+
+def _jordan_identity_core(
+    sc: _Constants, gram: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Residuals of x^2 o (x o y) = x o (x^2 o y) under the product ``sc``."""
     asq = _product_batch(sc, xs, xs)
     lhs = _product_batch(sc, asq, _product_batch(sc, xs, ys))
     rhs = _product_batch(sc, xs, _product_batch(sc, asq, ys))
-    gaps = np.sqrt(np.sum((lhs - rhs) ** 2 * ctx.gram, axis=1))
-    nx = np.sqrt(np.sum(xs**2 * ctx.gram, axis=1))
-    ny = np.sqrt(np.sum(ys**2 * ctx.gram, axis=1))
-    return gaps / (1.0 + nx**3 * ny)
+    return _norms(lhs - rhs, gram) / (1.0 + _norms(xs, gram) ** 3 * _norms(ys, gram))
 
 
 def commutativity_residuals(
     algebra: AlgebraDescriptor, n_pairs: int, seed: int = 0
 ) -> np.ndarray:
     ctx = _context(algebra)
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((n_pairs, algebra.dim))
-    ys = rng.standard_normal((n_pairs, algebra.dim))
+    xs, ys = _draws(algebra, 2, n_pairs, seed)
     gaps = _product_batch(ctx.constants, xs, ys) - _product_batch(ctx.constants, ys, xs)
-    nx = np.sqrt(np.sum(xs**2 * ctx.gram, axis=1))
-    ny = np.sqrt(np.sum(ys**2 * ctx.gram, axis=1))
-    return np.sqrt(np.sum(gaps**2 * ctx.gram, axis=1)) / (1.0 + nx * ny)
+    return _norms(gaps, ctx.gram) / (1.0 + _norms(xs, ctx.gram) * _norms(ys, ctx.gram))
 
 
 def unit_law_residuals(
     algebra: AlgebraDescriptor, n_samples: int, seed: int = 0
 ) -> np.ndarray:
     ctx = _context(algebra)
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((n_samples, algebra.dim))
-    us = np.broadcast_to(ctx.unit_coords, xs.shape)
-    gaps = _product_batch(ctx.constants, us.copy(), xs) - xs
-    nx = np.sqrt(np.sum(xs**2 * ctx.gram, axis=1))
-    return np.sqrt(np.sum(gaps**2 * ctx.gram, axis=1)) / (1.0 + nx)
+    (xs,) = _draws(algebra, 1, n_samples, seed)
+    us = np.broadcast_to(ctx.unit_coords, xs.shape).copy()
+    gaps = _product_batch(ctx.constants, us, xs) - xs
+    return _norms(gaps, ctx.gram) / (1.0 + _norms(xs, ctx.gram))
 
 
 def trace_associativity_residuals(
@@ -676,17 +700,17 @@ def trace_associativity_residuals(
 ) -> np.ndarray:
     """Residuals of <a o b, c> = <b, a o c> on random triples."""
     ctx = _context(algebra)
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((n_triples, algebra.dim))
-    ys = rng.standard_normal((n_triples, algebra.dim))
-    zs = rng.standard_normal((n_triples, algebra.dim))
-    lhs = np.sum(_product_batch(ctx.constants, xs, ys) * ctx.gram * zs, axis=1)
-    rhs = np.sum(ys * ctx.gram * _product_batch(ctx.constants, xs, zs), axis=1)
-    scale = 1.0 + np.sqrt(
-        np.sum(xs**2 * ctx.gram, axis=1)
-        * np.sum(ys**2 * ctx.gram, axis=1)
-        * np.sum(zs**2 * ctx.gram, axis=1)
-    )
+    xs, ys, zs = _draws(algebra, 3, n_triples, seed)
+    return _trace_associativity_core(ctx.constants, ctx.gram, xs, ys, zs)
+
+
+def _trace_associativity_core(
+    sc: _Constants, gram: np.ndarray, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray
+) -> np.ndarray:
+    """Residuals of <x o y, z> = <y, x o z> under the product ``sc``."""
+    lhs = np.sum(_product_batch(sc, xs, ys) * gram * zs, axis=1)
+    rhs = np.sum(ys * gram * _product_batch(sc, xs, zs), axis=1)
+    scale = 1.0 + _norms(xs, gram) * _norms(ys, gram) * _norms(zs, gram)
     return np.abs(lhs - rhs) / scale
 
 

@@ -29,6 +29,7 @@ from .algebra import (
     LinearOperator,
     _context,
     _metric_adjoint,
+    _norms,
     _product_batch,
     _quadratic_batch,
     norm,
@@ -147,8 +148,7 @@ def _pairing_minima(
     """
     weighted = (ys * gram).T
     if normalize:
-        x_norms = np.sqrt(np.sum(xs**2 * gram, axis=1))
-        y_norms = np.sqrt(np.sum(ys**2 * gram, axis=1))
+        x_norms, y_norms = _norms(xs, gram), _norms(ys, gram)
     mins = np.empty(xs.shape[0])
     cols = np.empty(xs.shape[0], dtype=np.intp)
     step = max(1, KERNEL_CHUNK_TERMS // ys.shape[0])
@@ -383,9 +383,7 @@ def check_homogeneity(
         rows = slice(lo, lo + step)
         points, forward, inverse = _point_transports(algebra, frames[rows], lams[rows])
         gaps = forward @ ctx.unit_coords - points
-        residual = np.sqrt(np.sum(gaps**2 * ctx.gram, axis=1)) / (
-            1.0 + np.sqrt(np.sum(points**2 * ctx.gram, axis=1))
-        )
+        residual = _norms(gaps, ctx.gram) / (1.0 + _norms(points, ctx.gram))
         worst_transport = max(worst_transport, float(residual.max()))
         xs = rng.standard_normal((points.shape[0], directions, dim))
         ops = np.stack([forward, inverse], axis=1)

@@ -12,6 +12,7 @@ them, or a record path otherwise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -72,6 +73,14 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ModelFileError(f"{path}: {message}")
 
 
+def _is_finite_number(x) -> bool:
+    """A JSON number that is a finite double: not NaN, Infinity or 1e400."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer literal beyond the double range
+        return False
+
+
 def _coord_matrix(value, path: str) -> list[list[float]]:
     _require(isinstance(value, list) and value, path, "expected a nonempty array")
     rows = []
@@ -83,9 +92,9 @@ def _coord_matrix(value, path: str) -> list[list[float]]:
             "expected a nonempty coordinate array",
         )
         _require(
-            all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row),
+            all(_is_finite_number(x) for x in row),
             f"{path}[{i}]",
-            "coordinates must be numbers",
+            "coordinates must be finite numbers",
         )
         if width is None:
             width = len(row)

@@ -19,16 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (
     AlgebraDescriptor,
     _constants_from_dense,
     _context,
+    _draws,
+    _jordan_identity_core,
     _left_mult_batch,
     _left_mult_matrix,
     _metric_adjoint,
-    _product_batch,
+    _metric_exp,
+    _trace_associativity_core,
 )
 from .certificates import ConeCertificate
 from .cone import _cone_image
@@ -100,16 +102,11 @@ class ReconstructionReport:
 
 def group_lie_generators(algebra: AlgebraDescriptor) -> np.ndarray:
     """Left multiplications by the basis plus their pairwise commutators."""
-    ctx = _context(algebra)
     dim = algebra.dim
-    lefts = _left_mult_batch(ctx.constants, np.eye(dim))
-    comms = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comms.append(lefts[i] @ lefts[j] - lefts[j] @ lefts[i])
-    if comms:
-        return np.concatenate([lefts, np.stack(comms)], axis=0)
-    return lefts
+    lefts = _left_mult_batch(_context(algebra).constants, np.eye(dim))
+    i, j = np.triu_indices(dim, 1)
+    comms = lefts[i] @ lefts[j] - lefts[j] @ lefts[i]
+    return np.concatenate([lefts, comms], axis=0)
 
 
 def _orthonormal_rows(
@@ -204,25 +201,19 @@ def check_unit_stabilizer_split(
     """
     ctx = _context(lie.algebra)
     u = ctx.unit_coords
-    skew_res = 0.0
-    if lie.skew_basis.shape[0]:
-        skew_res = float(np.abs(lie.skew_basis @ u).max())
+    skew_res = float(np.abs(lie.skew_basis @ u).max(initial=0.0))
 
-    g = lie.basis.shape[0]
-    eval_map = lie.basis @ u  # (g, d)
-    u_, sv, vt = np.linalg.svd(eval_map.T, full_matrices=True)
+    sv, vt = np.linalg.svd((lie.basis @ u).T)[1:]  # the evaluation map X -> X u
     rank = int((sv > STRUCTURE_RANK_TOL * max(sv[0], 1e-300)).sum())
     kernel = vt[rank:]  # combinations of basis ops killing u
-    converse_res = 0.0
-    for c in kernel:
-        op = np.tensordot(c, lie.basis, axes=(0, 0))
-        adj = _metric_adjoint(ctx.gram, op)
-        converse_res = max(converse_res, float(np.abs(0.5 * (op + adj)).max()))
+    ops = np.tensordot(kernel, lie.basis, axes=(1, 0))
+    sym_parts = 0.5 * (ops + _metric_adjoint(ctx.gram, ops))
+    converse_res = float(np.abs(sym_parts).max(initial=0.0))
     passed = skew_res <= tol and converse_res <= tol
     return ConeCertificate(
         check_name="unit_stabilizer_split",
         passed=passed,
-        samples=g,
+        samples=lie.basis.shape[0],
         seed=seed,
         tol=tol,
         worst_residual=max(skew_res, converse_res),
@@ -242,17 +233,12 @@ def check_p_bracket(
     p = lie.sym_basis.shape[0]
     d = lie.algebra.dim
     skew_flat = lie.skew_basis.reshape(-1, d * d)
-    worst = 0.0
-    for _ in range(samples):
-        x = np.tensordot(rng.standard_normal(p), lie.sym_basis, axes=(0, 0))
-        y = np.tensordot(rng.standard_normal(p), lie.sym_basis, axes=(0, 0))
-        comm = (x @ y - y @ x).reshape(-1)
-        scale = max(float(np.linalg.norm(comm)), 1e-30)
-        if skew_flat.shape[0]:
-            resid = comm - skew_flat.T @ (skew_flat @ comm)
-        else:
-            resid = comm
-        worst = max(worst, float(np.linalg.norm(resid)) / scale)
+    coeffs = rng.standard_normal((samples, 2, p))
+    x, y = (np.tensordot(coeffs[:, i], lie.sym_basis, axes=(1, 0)) for i in (0, 1))
+    comm = (x @ y - y @ x).reshape(samples, d * d)
+    scale = np.maximum(np.linalg.norm(comm, axis=1), 1e-30)
+    resid = comm - (comm @ skew_flat.T) @ skew_flat
+    worst = float((np.linalg.norm(resid, axis=1) / scale).max(initial=0.0))
     return ConeCertificate(
         check_name="sym_bracket_in_skew",
         passed=worst <= tol,
@@ -302,29 +288,14 @@ def reconstruct_product(
     lefts = np.einsum("pb,pij->bij", coeffs, lie.sym_basis)  # (d, d, d)
     table = np.swapaxes(lefts, 1, 2)  # table[i, j, k] = (L_i)_{k j}
 
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((samples, d))
-    ys = rng.standard_normal((samples, d))
-
+    xs, ys, zs = _draws(algebra, 3, samples, seed)
     rebuilt = _constants_from_dense(table)
     commutativity = float(np.abs(table - np.swapaxes(table, 0, 1)).max())
     unit_law = float(
         np.abs(_left_mult_matrix(rebuilt, ctx.unit_coords) - np.eye(d)).max()
     )
-    asq = _product_batch(rebuilt, xs, xs)
-    xy = _product_batch(rebuilt, xs, ys)
-    lhs = _product_batch(rebuilt, asq, xy)
-    rhs = _product_batch(rebuilt, xs, _product_batch(rebuilt, asq, ys))
-    nx = np.sqrt(np.sum(xs**2 * ctx.gram, axis=1))
-    ny = np.sqrt(np.sum(ys**2 * ctx.gram, axis=1))
-    jordan = float(
-        (np.sqrt(np.sum((lhs - rhs) ** 2 * ctx.gram, axis=1)) / (1.0 + nx**3 * ny)).max()
-    )
-    zs = rng.standard_normal((samples, d))
-    t_lhs = np.sum(xy * ctx.gram * zs, axis=1)
-    t_rhs = np.sum(ys * ctx.gram * _product_batch(rebuilt, xs, zs), axis=1)
-    nz = np.sqrt(np.sum(zs**2 * ctx.gram, axis=1))
-    trace_assoc = float((np.abs(t_lhs - t_rhs) / (1.0 + nx * ny * nz)).max())
+    jordan = float(_jordan_identity_core(rebuilt, ctx.gram, xs, ys).max())
+    trace_assoc = float(_trace_associativity_core(rebuilt, ctx.gram, xs, ys, zs).max())
 
     # table minus the native table, read off the native constants
     gap = table.copy()
@@ -355,20 +326,19 @@ def check_exp_preserves_cone(
     magnitude: float = 0.5,
 ) -> ConeCertificate:
     """One-parameter subgroups from the symmetric part map the cone into
-    itself (scaling-and-squaring exponential, accuracy far below tol)."""
+    itself. The exponentials come from the eigenvectors of the metric-scaled
+    generators, accurate to rounding; a generator's departure from metric
+    symmetry counts against the certificate."""
     if lie is None:
         lie = structure_lie_basis(algebra)
-    rng = np.random.default_rng(seed)
-    p = lie.sym_basis.shape[0]
-    ops = np.empty((samples, 1, algebra.dim, algebra.dim))
-    xs = np.empty((samples, 16, algebra.dim))
-    for i in range(samples):
-        direction = rng.standard_normal(p)
-        direction *= magnitude / max(np.linalg.norm(direction), 1e-30)
-        ops[i, 0] = expm(np.tensordot(direction, lie.sym_basis, axes=(0, 0)))
-        xs[i] = rng.standard_normal((16, algebra.dim))
-    least, witness = _cone_image(algebra, ops, xs, tol)
-    worst = min(0.0, least)
+    p, d = lie.sym_basis.shape[0], algebra.dim
+    draws = np.random.default_rng(seed).standard_normal((samples, p + 16 * d))
+    scale = magnitude / np.maximum(np.linalg.norm(draws[:, :p], axis=1), 1e-30)
+    gens = np.tensordot(draws[:, :p] * scale[:, None], lie.sym_basis, axes=(1, 0))
+    exps, departure = _metric_exp(_context(algebra).gram, gens, skew=False)
+    xs = draws[:, p:].reshape(samples, 16, d)
+    least, witness = _cone_image(algebra, exps[:, None], xs, tol)
+    worst = min(0.0, least, -float(departure.max(initial=0.0)))
     return ConeCertificate(
         check_name="exp_preserves_cone",
         passed=worst >= -tol,

@@ -228,3 +228,55 @@ def test_malformed_environment_default_is_usage_error():
     assert proc.returncode == EXIT_USAGE
     assert "--tol" in proc.stderr and "'abc'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_REAL2_SYSTEM = """{{"schema_version": 1, "systems": [{{
+  "name": "r", "algebra": {{"family": "real", "size": 2}},
+  "tests": {{"mode": "explicit", "outcomes": [[[1, 0, 0], [0, 1, {outcome}]]]}},
+  "states": [[0.5, 0.5, {state}]]}}]}}"""
+
+
+# JSON literals that Python's reader accepts but that are no finite double.
+NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e400": "1e400",
+              "10^400": "1" + "0" * 400}
+
+
+@pytest.mark.parametrize("literal", list(NON_FINITE.values()), ids=list(NON_FINITE))
+@pytest.mark.parametrize(
+    "field,path",
+    [("outcome", "systems[0].tests.outcomes[0][1]"), ("state", "systems[0].states[0]")],
+    ids=["outcome", "state"],
+)
+def test_non_finite_coordinates_are_usage_errors(tmp_path, capsys, literal, field, path):
+    values = {"outcome": 0, "state": 0, field: literal}
+    target = tmp_path / "non-finite.json"
+    target.write_text(_REAL2_SYSTEM.format(**values), encoding="utf-8")
+    code = main(["--input", str(target), "--suites", "algebra"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert path in captured.err and "finite" in captured.err
+
+
+def test_finite_twin_of_the_non_finite_file_runs(tmp_path, capsys):
+    target = tmp_path / "finite.json"
+    target.write_text(_REAL2_SYSTEM.format(outcome=0, state=0), encoding="utf-8")
+    assert main(["--input", str(target), "--suites", "algebra"]) == EXIT_OK
+
+
+def test_cli_runs_without_scipy():
+    # The runtime needs numpy only: neither importing the CLI nor running the
+    # kv and model suites, which exponentiate Lie generators, loads scipy.
+    script = (
+        "import contextlib, io, sys\n"
+        "import symcone.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = symcone.cli.main(['--input', 'spin-vs-qubit', '--suites', 'kv,model'])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", str(EXIT_OK), "False"]

@@ -1,5 +1,7 @@
 """Probabilistic models built on algebra frames: states, tests, outcomes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,23 @@ def test_reversible_transformations_stabilize_uniform_state(desc):
     cert = check_reversible_stabilizer(desc, samples=8, seed=95)
     assert cert.passed, cert.details
     assert cert.details["sym_displacement_floor"] > 1e-6
+
+
+def test_generator_off_metric_skew_shows_in_the_isometry_residual(monkeypatch):
+    # One skew generator pushed 1e-6 along the identity, a metric-symmetric
+    # direction: its exponential is no isometry, and the certificate must
+    # say so even though the eigenvector route sees only the skew part.
+    import symcone.reconstruction as recon
+
+    desc = make_algebra("spin", 4)
+    lie = recon.structure_lie_basis(desc)
+    pushed = dataclasses.replace(
+        lie, skew_basis=lie.skew_basis[:1] + 1e-6 * np.eye(desc.dim)
+    )
+    monkeypatch.setattr(recon, "structure_lie_basis", lambda algebra: pushed)
+    cert = check_reversible_stabilizer(desc, samples=4, seed=95)
+    assert not cert.passed
+    assert cert.worst_residual >= 1e-6
 
 
 def test_state_from_coords_validation():

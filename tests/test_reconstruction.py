@@ -14,12 +14,14 @@ import pytest
 
 from symcone import (
     Element,
+    direct_sum,
     format_descriptor,
     jordan_product,
     make_algebra,
     random_element,
     unit,
 )
+from symcone.algebra import _context, _metric_exp
 from symcone.reconstruction import (
     LieAlgebraBasis,
     check_exp_preserves_cone,
@@ -170,6 +172,47 @@ def test_structure_basis_is_cached():
 def test_exp_of_sym_preserves_cone(desc):
     cert = check_exp_preserves_cone(desc, samples=20, seed=75)
     assert cert.passed, cert.details
+
+
+EXP_TARGETS = [
+    make_algebra("spin", 4),
+    make_algebra("albert", 3),
+    make_algebra("complex", 3),
+    direct_sum(make_algebra("spin", 3), make_algebra("real", 2)),
+]
+
+
+@pytest.mark.parametrize("desc", EXP_TARGETS, ids=format_descriptor)
+@pytest.mark.parametrize("skew", [False, True], ids=["sym", "skew"])
+def test_metric_exp_matches_scaling_and_squaring(desc, skew):
+    expm = pytest.importorskip("scipy.linalg").expm
+    lie = structure_lie_basis(desc)
+    basis = lie.skew_basis if skew else lie.sym_basis
+    rng = np.random.default_rng(77)
+    coeffs = rng.standard_normal((6, basis.shape[0]))
+    # unit-norm generators, as the certificates draw them, and shorter and longer ones
+    coeffs *= np.array([0.25, 0.5, 1.0, 1.0, 1.0, 2.0])[:, None] / np.linalg.norm(
+        coeffs, axis=1, keepdims=True
+    )
+    ops = np.tensordot(coeffs, basis, axes=(1, 0))
+    got, departure = _metric_exp(_context(desc).gram, ops, skew)
+    want = np.stack([expm(op) for op in ops])
+    rel = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert rel.max() < 1e-13
+    assert departure.shape == (6,)
+    assert departure.max() < 1e-13
+
+
+def test_sym_generator_off_metric_symmetry_fails_exp_certificate():
+    # A metric-skew push of 1e-6 is invisible to an eigenvector exponential
+    # of the symmetric part; the departure has to count instead.
+    desc = make_algebra("complex", 2)
+    lie = structure_lie_basis(desc)
+    push = 1e-6 * lie.skew_basis[0] / np.abs(lie.skew_basis[0]).max()
+    pushed = dataclasses.replace(lie, sym_basis=lie.sym_basis + push)
+    cert = check_exp_preserves_cone(desc, lie=pushed, samples=10, seed=75)
+    assert not cert.passed
+    assert cert.worst_residual <= -1e-7
 
 
 def test_closure_rejects_bad_tolerance():
