@@ -5,13 +5,13 @@ classified simple families (real symmetric, complex hermitian, quaternionic
 hermitian, spin factor, 3x3 octonionic hermitian) or a direct sum of those.
 Elements are real coordinate vectors in a fixed canonical basis per family:
 
-* matrix families: diagonal units E_ii, then (B E_ij + conj(B) E_ji) / sqrt(2)
-  for i < j, one basis vector per component of the entry type (1 for real,
-  1, i for complex, 1, i, j, k for quaternionic);
+* matrix families: n x n hermitian matrices whose entries lie in the
+  Cayley-Dickson algebra of width 1, 2, 4 or 8 (real, complex, quaternionic,
+  or octonionic at n = 3). Diagonal units E_ii come first, then
+  (B E_ij + conj(B) E_ji) / sqrt(2) for i < j in row-major order, one basis
+  vector per unit B of the entry algebra, so dim = n + width * n (n - 1) / 2;
 * spin factor of vector dimension d: plain (scalar, vector) coordinates on
-  R + R^d;
-* octonionic case: 3 diagonal reals, then the three off-diagonal octonions
-  at 8 components each, scaled by 1 / sqrt(2).
+  R + R^d.
 
 With these choices the trace form <a, b> = tr(a o b) is diagonal in
 coordinates: the identity Gram matrix for matrix families, and 2 * identity
@@ -76,6 +76,16 @@ class Family(str, Enum):
     SUM = "sum"
 
 
+# Real coordinates per off-diagonal entry of the matrix families: the width
+# of the Cayley-Dickson entry algebra R, C, H or O.
+_ENTRY_WIDTH = {
+    Family.REAL_SYM: 1,
+    Family.COMPLEX_HERM: 2,
+    Family.QUAT_HERM: 4,
+    Family.ALBERT: 8,
+}
+
+
 @dataclass(frozen=True)
 class AlgebraDescriptor:
     """Immutable description of an algebra; hashable so contexts can cache."""
@@ -86,16 +96,11 @@ class AlgebraDescriptor:
 
     @property
     def dim(self) -> int:
-        if self.family is Family.REAL_SYM:
-            return self.size * (self.size + 1) // 2
-        if self.family is Family.COMPLEX_HERM:
-            return self.size * self.size
-        if self.family is Family.QUAT_HERM:
-            return self.size * (2 * self.size - 1)
+        if self.family in _ENTRY_WIDTH:
+            n = self.size
+            return n + _ENTRY_WIDTH[self.family] * n * (n - 1) // 2
         if self.family is Family.SPIN:
             return self.size + 1
-        if self.family is Family.ALBERT:
-            return 27
         return sum(s.dim for s in self.summands)
 
     @property
@@ -211,94 +216,58 @@ def _require_same_algebra(a: Element, b: Element) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Representation converters. Matrix reps use '...' batch semantics so pools
-# and structure-constant builds can run vectorized.
+# The coordinate layout of the matrix families. Converters use '...' batch
+# semantics so pools and structure-constant builds can run vectorized.
 # ---------------------------------------------------------------------------
 
 
-def _real_to_rep(coords: np.ndarray, n: int) -> np.ndarray:
+def _to_rep(coords: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Real (..., n, n, width) matrices of coordinate rows: the diagonal
+    coordinates first, then each upper-triangle entry (row-major) scaled by
+    1 / sqrt(2), mirrored conjugated into the lower triangle."""
     iu = np.triu_indices(n, k=1)
-    mat = np.zeros(coords.shape[:-1] + (n, n))
-    idx = np.arange(n)
-    mat[..., idx, idx] = coords[..., :n]
-    off = coords[..., n:] / SQRT2
-    mat[..., iu[0], iu[1]] = off
-    mat[..., iu[1], iu[0]] = off
-    return mat
-
-
-def _real_from_rep(mat: np.ndarray, n: int) -> np.ndarray:
-    iu = np.triu_indices(n, k=1)
-    idx = np.arange(n)
-    diag = mat[..., idx, idx]
-    off = SQRT2 * mat[..., iu[0], iu[1]]
-    return np.concatenate([diag, off], axis=-1)
-
-
-def _complex_to_rep(coords: np.ndarray, n: int) -> np.ndarray:
-    iu = np.triu_indices(n, k=1)
-    npairs = iu[0].size
-    mat = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
-    idx = np.arange(n)
-    mat[..., idx, idx] = coords[..., :n]
-    packed = coords[..., n:].reshape(coords.shape[:-1] + (npairs, 2))
-    entries = (packed[..., 0] + 1j * packed[..., 1]) / SQRT2
-    mat[..., iu[0], iu[1]] = entries
-    mat[..., iu[1], iu[0]] = np.conj(entries)
-    return mat
-
-
-def _complex_from_rep(mat: np.ndarray, n: int) -> np.ndarray:
-    iu = np.triu_indices(n, k=1)
-    idx = np.arange(n)
-    diag = mat[..., idx, idx].real
-    entries = SQRT2 * mat[..., iu[0], iu[1]]
-    packed = np.stack([entries.real, entries.imag], axis=-1)
-    return np.concatenate(
-        [diag, packed.reshape(mat.shape[:-2] + (2 * iu[0].size,))], axis=-1
-    )
-
-
-def _quat_to_rep(coords: np.ndarray, n: int) -> np.ndarray:
-    iu = np.triu_indices(n, k=1)
-    npairs = iu[0].size
-    mat = np.zeros(coords.shape[:-1] + (n, n, 4))
+    mat = np.zeros(coords.shape[:-1] + (n, n, width))
     idx = np.arange(n)
     mat[..., idx, idx, 0] = coords[..., :n]
-    packed = coords[..., n:].reshape(coords.shape[:-1] + (npairs, 4)) / SQRT2
-    mat[..., iu[0], iu[1], :] = packed
-    mat[..., iu[1], iu[0], :] = packed * hc._QUAT_CONJ_SIGNS
+    entries = coords[..., n:].reshape(coords.shape[:-1] + (iu[0].size, width)) / SQRT2
+    mat[..., iu[0], iu[1], :] = entries
+    mat[..., iu[1], iu[0], :] = entries * hc._conj_signs(width)
     return mat
 
 
-def _quat_from_rep(mat: np.ndarray, n: int) -> np.ndarray:
+def _from_rep(mats: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Coordinate rows of real (..., n, n, width) hermitian matrices."""
     iu = np.triu_indices(n, k=1)
     idx = np.arange(n)
-    diag = mat[..., idx, idx, 0]
-    packed = SQRT2 * mat[..., iu[0], iu[1], :]
+    diag = mats[..., idx, idx, 0]
+    entries = SQRT2 * mats[..., iu[0], iu[1], :]
     return np.concatenate(
-        [diag, packed.reshape(mat.shape[:-3] + (4 * iu[0].size,))], axis=-1
+        [diag, entries.reshape(mats.shape[:-3] + (width * iu[0].size,))], axis=-1
     )
 
 
-_ALBERT_PAIRS = ((0, 1), (0, 2), (1, 2))
+def _to_view(coords: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Matrices of an associative family for ``matmul`` and ``eigh``: real
+    (..., n, n) at width 1, complex (..., n, n) at width 2, and the complex
+    (..., 2n, 2n) embedding at width 4."""
+    rep = _to_rep(coords, n, width)
+    if width == 1:
+        return rep[..., 0]
+    if width == 2:
+        # each (real, imaginary) pair of the last axis read as one complex
+        return rep.view(complex)[..., 0]
+    return hc.embed_quat_matrix(rep)
 
 
-def _albert_to_rep(coords: np.ndarray) -> np.ndarray:
-    mat = np.zeros(coords.shape[:-1] + (3, 3, 8))
-    for i in range(3):
-        mat[..., i, i, 0] = coords[..., i]
-    for p, (i, j) in enumerate(_ALBERT_PAIRS):
-        entry = coords[..., 3 + 8 * p : 3 + 8 * (p + 1)] / SQRT2
-        mat[..., i, j, :] = entry
-        mat[..., j, i, :] = entry * hc._OCT_CONJ_SIGNS
-    return mat
-
-
-def _albert_from_rep(mat: np.ndarray) -> np.ndarray:
-    diag = np.stack([mat[..., i, i, 0] for i in range(3)], axis=-1)
-    offs = [SQRT2 * mat[..., i, j, :] for i, j in _ALBERT_PAIRS]
-    return np.concatenate([diag] + offs, axis=-1)
+def _from_view(mats: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_to_view`."""
+    if width == 1:
+        rep = mats[..., None]
+    elif width == 2:
+        rep = np.asarray(mats, dtype=complex)[..., None].view(float)
+    else:
+        rep = hc.extract_quat_matrix(mats)
+    return _from_rep(rep, n, width)
 
 
 # ---------------------------------------------------------------------------
@@ -419,33 +388,16 @@ class _Context:
 
 _CONTEXT_CACHE: dict[AlgebraDescriptor, _Context] = {}
 
-# Real coordinates per off-diagonal matrix entry.
-_ENTRY_WIDTH = {
-    Family.REAL_SYM: 1,
-    Family.COMPLEX_HERM: 2,
-    Family.QUAT_HERM: 4,
-    Family.ALBERT: 8,
-}
-
-
 def _sym_product_rep(desc: AlgebraDescriptor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Coordinates of (x y + y x) / 2, computed row by row in the matrix
     representation (quaternionic through its complex embedding)."""
-    n = desc.size
-    if desc.family is Family.REAL_SYM:
-        a, b = _real_to_rep(xs, n), _real_to_rep(ys, n)
-        return _real_from_rep(0.5 * (a @ b + b @ a), n)
-    if desc.family is Family.COMPLEX_HERM:
-        a, b = _complex_to_rep(xs, n), _complex_to_rep(ys, n)
-        return _complex_from_rep(0.5 * (a @ b + b @ a), n)
-    if desc.family is Family.QUAT_HERM:
-        a = hc.embed_quat_matrix(_quat_to_rep(xs, n))
-        b = hc.embed_quat_matrix(_quat_to_rep(ys, n))
-        return _quat_from_rep(hc.extract_quat_matrix(0.5 * (a @ b + b @ a)), n)
-    a, b = _albert_to_rep(xs), _albert_to_rep(ys)
-    return _albert_from_rep(
-        0.5 * (hc.oct_matrix_multiply(a, b) + hc.oct_matrix_multiply(b, a))
-    )
+    n, width = desc.size, _ENTRY_WIDTH[desc.family]
+    if width == 8:
+        a, b = _to_rep(xs, n, width), _to_rep(ys, n, width)
+        prod = hc.oct_matrix_multiply(a, b) + hc.oct_matrix_multiply(b, a)
+        return _from_rep(0.5 * prod, n, width)
+    a, b = _to_view(xs, n, width), _to_view(ys, n, width)
+    return _from_view(0.5 * (a @ b + b @ a), n, width)
 
 
 def _matrix_constants(desc: AlgebraDescriptor) -> _Constants:
@@ -719,31 +671,27 @@ def _trace_associativity_core(
 # ---------------------------------------------------------------------------
 
 
+def _matrix_shape(algebra: AlgebraDescriptor) -> tuple[int, int]:
+    if algebra.family not in _ENTRY_WIDTH:
+        raise ValueError(f"family {algebra.family.value!r} has no matrix representation")
+    return algebra.size, _ENTRY_WIDTH[algebra.family]
+
+
 def to_matrix(a: Element) -> np.ndarray:
     """Matrix representation of a: real or complex (n, n), quaternionic
     (n, n, 4), octonionic (3, 3, 8). Spin factors and sums have none."""
-    desc = a.algebra
-    if desc.family is Family.REAL_SYM:
-        return _real_to_rep(a.coords, desc.size)
-    if desc.family is Family.COMPLEX_HERM:
-        return _complex_to_rep(a.coords, desc.size)
-    if desc.family is Family.QUAT_HERM:
-        return _quat_to_rep(a.coords, desc.size)
-    if desc.family is Family.ALBERT:
-        return _albert_to_rep(a.coords)
-    raise ValueError(f"family {desc.family.value!r} has no matrix representation")
+    n, width = _matrix_shape(a.algebra)
+    if width > 2:
+        return _to_rep(a.coords, n, width)
+    return _to_view(a.coords, n, width)
 
 
 def from_matrix(algebra: AlgebraDescriptor, mat: np.ndarray) -> Element:
-    if algebra.family is Family.REAL_SYM:
-        return Element(algebra, _real_from_rep(np.asarray(mat, dtype=float), algebra.size))
-    if algebra.family is Family.COMPLEX_HERM:
-        return Element(algebra, _complex_from_rep(np.asarray(mat, dtype=complex), algebra.size))
-    if algebra.family is Family.QUAT_HERM:
-        return Element(algebra, _quat_from_rep(np.asarray(mat, dtype=float), algebra.size))
-    if algebra.family is Family.ALBERT:
-        return Element(algebra, _albert_from_rep(np.asarray(mat, dtype=float)))
-    raise ValueError(f"family {algebra.family.value!r} has no matrix representation")
+    n, width = _matrix_shape(algebra)
+    mat = np.asarray(mat)
+    if width > 2:
+        return Element(algebra, _from_rep(mat, n, width))
+    return Element(algebra, _from_view(mat, n, width))
 
 
 # ---------------------------------------------------------------------------

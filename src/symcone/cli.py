@@ -34,6 +34,16 @@ def _env_default(name: str, fallback):
     return value if value is not None else fallback
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symcone",
@@ -68,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_nonnegative_int,
         default=_env_default("SEED", "0"),
         help="base random seed (default 0)",
     )
@@ -126,7 +136,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_model_spec(spec, cfg, source=source)
-    except ValueError as exc:
+    # a sampler that runs out of draws raises RuntimeError; numpy's
+    # LinAlgError is a ValueError
+    except (ValueError, RuntimeError) as exc:
         print(f"symcone: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,20 +17,18 @@ import numpy as np
 
 from . import hypercomplex as hc
 from .algebra import (
+    _ENTRY_WIDTH,
     AlgebraDescriptor,
     Element,
     Family,
-    _complex_from_rep,
-    _complex_to_rep,
     _context,
+    _from_rep,
     _left_mult_matrix,
     _metric_adjoint,
     _product_batch,
-    _quat_from_rep,
-    _quat_to_rep,
-    _real_from_rep,
-    _real_to_rep,
+    _to_rep,
     format_descriptor,
+    from_matrix,
     make_algebra,
     unit,
 )
@@ -82,38 +80,16 @@ class CompositeSystem:
         return kron.reshape(coords_a.shape[0], -1) @ self.embed.T
 
 
-_SYM_QUAT_TABLE = 0.5 * (
-    hc.QUATERNION_TABLE + np.swapaxes(hc.QUATERNION_TABLE, 0, 1)
-)
-
-
-def _kron_columns(fam: Family, size_a: int, size_b: int) -> np.ndarray:
-    """Embedding matrix columns: carrier coordinates of basis pair products."""
-    mn = size_a * size_b
-    if fam is Family.REAL_SYM:
-        dim_a = size_a * (size_a + 1) // 2
-        dim_b = size_b * (size_b + 1) // 2
-        ra = _real_to_rep(np.eye(dim_a), size_a)
-        rb = _real_to_rep(np.eye(dim_b), size_b)
-        prod = np.einsum("aik,bjl->abijkl", ra, rb).reshape(-1, mn, mn)
-        return _real_from_rep(prod, mn).T
-    if fam is Family.COMPLEX_HERM:
-        dim_a = size_a**2
-        dim_b = size_b**2
-        ra = _complex_to_rep(np.eye(dim_a), size_a)
-        rb = _complex_to_rep(np.eye(dim_b), size_b)
-        prod = np.einsum("aik,bjl->abijkl", ra, rb).reshape(-1, mn, mn)
-        return _complex_from_rep(prod, mn).T
-    if fam is Family.QUAT_HERM:
-        dim_a = size_a * (2 * size_a - 1)
-        dim_b = size_b * (2 * size_b - 1)
-        ra = _quat_to_rep(np.eye(dim_a), size_a)
-        rb = _quat_to_rep(np.eye(dim_b), size_b)
-        prod = np.einsum(
-            "aikp,bjlq,pqr->abijklr", ra, rb, _SYM_QUAT_TABLE
-        ).reshape(-1, mn, mn, 4)
-        return _quat_from_rep(prod, mn).T
-    raise ValueError(f"no entrywise product rule for family {fam.value!r}")
+def _kron_columns(part_a: AlgebraDescriptor, part_b: AlgebraDescriptor) -> np.ndarray:
+    """Embedding matrix columns: carrier coordinates of basis pair products,
+    whose entries are the symmetrized products of the parts' entries."""
+    width = _ENTRY_WIDTH[part_a.family]
+    table = hc.UNIT_TABLES[width]
+    sym = 0.5 * (table + np.swapaxes(table, 0, 1))
+    ra, rb = (_to_rep(np.eye(p.dim), p.size, width) for p in (part_a, part_b))
+    mn = part_a.size * part_b.size
+    prod = np.einsum("aikp,bjlq,pqr->abijklr", ra, rb, sym, optimize=True)
+    return _from_rep(prod.reshape(-1, mn, mn, width), mn, width).T
 
 
 def candidate_composite(
@@ -142,7 +118,7 @@ def candidate_composite(
                 f"family {A.family.value!r} has no entrywise matrix composite"
             )
         carrier = make_algebra(A.family, A.size * B.size)
-        embed = _kron_columns(A.family, A.size, B.size)
+        embed = _kron_columns(A, B)
     sv = np.linalg.svd(embed, compute_uv=False)
     rank = int((sv > EMBED_RANK_TOL * sv[0]).sum())
     carrier_model = make_model(carrier, count=2, seed=carrier_seed)
@@ -478,9 +454,7 @@ def maximally_entangled_state(cs: CompositeSystem) -> State:
     for i in range(m):
         psi[i * n + i] = 1.0
     psi /= np.sqrt(m)
-    rho = np.outer(psi, psi).astype(complex)
-    coords = _complex_from_rep(rho, m * n)
-    return State(cs.carrier_model, Element(cs.carrier, coords))
+    return State(cs.carrier_model, from_matrix(cs.carrier, np.outer(psi, psi)))
 
 
 def spin_qubit_isomorphism() -> tuple[np.ndarray, float]:
@@ -499,7 +473,7 @@ def spin_qubit_isomorphism() -> tuple[np.ndarray, float]:
         np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     ]
     images = [np.eye(2, dtype=complex)] + sigma
-    mat = np.stack([_complex_from_rep(im, 2) for im in images], axis=1)  # (4, 4)
+    mat = np.stack([from_matrix(qubit, im).coords for im in images], axis=1)  # (4, 4)
     ctx_s = _context(spin)
     ctx_q = _context(qubit)
     # push every spin basis product through the map and compare it with the

@@ -1,12 +1,14 @@
-"""Quaternion and octonion arithmetic on component arrays.
+"""Complex, quaternion and octonion arithmetic on component arrays.
 
 Quaternions are stored as arrays whose last axis has length 4 (components
 1, i, j, k) and octonions as arrays whose last axis has length 8. All
 products are driven by explicit structure tensors so that the arithmetic is
 deterministic and easy to audit: ``QUATERNION_TABLE[p, q, r]`` is the
-coefficient of unit r in the product of units p and q. The octonion table is
-produced by the Cayley-Dickson doubling (a, b)(c, d) = (ac - conj(d) b,
-d a + b conj(c)) applied to the quaternion table.
+coefficient of unit r in the product of units p and q. Every table is built
+from the reals by the Cayley-Dickson doubling (a, b)(c, d) = (ac - conj(d) b,
+d a + b conj(c)): once for the complex table, twice for the quaternion
+table and three times for the octonion table. ``UNIT_TABLES`` holds them by
+width (1, 2, 4, 8).
 
 Hermitian quaternionic matrices are handled through the complex embedding
 q = z + w j -> [[z, w], [-conj(w), conj(z)]], applied entrywise, which is a
@@ -18,28 +20,39 @@ from __future__ import annotations
 import numpy as np
 
 
-def _build_quaternion_table() -> np.ndarray:
-    table = np.zeros((4, 4, 4))
-    table[0, 0, 0] = 1.0
-    for p in range(1, 4):
-        table[0, p, p] = 1.0
-        table[p, 0, p] = 1.0
-        table[p, p, 0] = -1.0
-    # i j = k and cyclic permutations, anti-symmetric in the first two slots.
-    for p, q, r in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        table[p, q, r] = 1.0
-        table[q, p, r] = -1.0
-    return table
+def _conj_signs(width: int) -> np.ndarray:
+    """Component signs of conjugation: the real unit keeps its sign."""
+    return np.array([1.0] + [-1.0] * (width - 1))
 
 
-QUATERNION_TABLE = _build_quaternion_table()
+def _doubled(table: np.ndarray) -> np.ndarray:
+    """Unit table of the Cayley-Dickson double of an algebra of ``width``
+    units, whose units are (e_p, 0) and then (0, e_p)."""
+    w = table.shape[0]
+    signs = _conj_signs(w)
+    # (e_p, 0)(e_q, 0) = (e_p e_q, 0), (e_p, 0)(0, e_q) = (0, e_q e_p),
+    # (0, e_p)(e_q, 0) = (0, e_p conj(e_q)), (0, e_p)(0, e_q) = (-conj(e_q) e_p, 0)
+    out = np.zeros((2 * w, 2 * w, 2 * w))
+    out[:w, :w, :w] = table
+    out[:w, w:, w:] = table.transpose(1, 0, 2)
+    out[w:, :w, w:] = table * signs[:, None]
+    out[w:, w:, :w] = -(table * signs[:, None, None]).transpose(1, 0, 2)
+    # negating a zero gives -0.0; adding 0.0 turns it back into 0.0, so no
+    # signed zero reaches a product
+    return out + 0.0
 
-_QUAT_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-_OCT_CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
+
+REAL_TABLE = np.ones((1, 1, 1))
+COMPLEX_TABLE = _doubled(REAL_TABLE)
+QUATERNION_TABLE = _doubled(COMPLEX_TABLE)
+OCTONION_TABLE = _doubled(QUATERNION_TABLE)
+UNIT_TABLES = {
+    t.shape[0]: t for t in (REAL_TABLE, COMPLEX_TABLE, QUATERNION_TABLE, OCTONION_TABLE)
+}
 
 
 def quat_conj(x: np.ndarray) -> np.ndarray:
-    return x * _QUAT_CONJ_SIGNS
+    return x * _conj_signs(4)
 
 
 def quat_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -47,25 +60,8 @@ def quat_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...p,...q,pqr->...r", x, y, QUATERNION_TABLE)
 
 
-def _build_octonion_table() -> np.ndarray:
-    table = np.zeros((8, 8, 8))
-    units = np.eye(4)
-    for p in range(8):
-        a, b = (units[p], np.zeros(4)) if p < 4 else (np.zeros(4), units[p - 4])
-        for q in range(8):
-            c, d = (units[q], np.zeros(4)) if q < 4 else (np.zeros(4), units[q - 4])
-            first = quat_multiply(a, c) - quat_multiply(quat_conj(d), b)
-            second = quat_multiply(d, a) + quat_multiply(b, quat_conj(c))
-            table[p, q, :4] = first
-            table[p, q, 4:] = second
-    return table
-
-
-OCTONION_TABLE = _build_octonion_table()
-
-
 def oct_conj(x: np.ndarray) -> np.ndarray:
-    return x * _OCT_CONJ_SIGNS
+    return x * _conj_signs(8)
 
 
 def oct_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:

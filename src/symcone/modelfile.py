@@ -174,9 +174,9 @@ def _parse_system(record, idx: int) -> SystemSpec:
             "expected a nonnegative integer",
         )
         _require(
-            isinstance(seed, int) and not isinstance(seed, bool),
+            isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
             f"{path}.tests.seed",
-            "expected an integer",
+            "expected a nonnegative integer",
         )
         for key in tests:
             _require(

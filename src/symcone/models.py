@@ -70,15 +70,16 @@ class State:
 
 
 def _dedup_outcomes(tests: tuple[tuple[Element, ...], ...]) -> tuple[Element, ...]:
-    pool: list[Element] = []
-    for test in tests:
-        for x in test:
-            if not any(
-                np.allclose(x.coords, y.coords, atol=MODEL_TOL, rtol=0.0)
-                for y in pool
-            ):
-                pool.append(x)
-    return tuple(pool)
+    """Pooled outcomes in first-seen order, each dropped when an outcome kept
+    before it lies within MODEL_TOL in every coordinate."""
+    outcomes = [x for test in tests for x in test]
+    coords = np.array([x.coords for x in outcomes])
+    kept = np.ones(len(outcomes), dtype=bool)
+    for i in range(len(outcomes)):
+        if kept[i]:
+            gaps = np.abs(coords[i + 1 :] - coords[i]).max(axis=1)
+            kept[i + 1 :] &= ~(gaps <= MODEL_TOL)
+    return tuple(x for x, keep in zip(outcomes, kept) if keep)
 
 
 def model_from_tests(

@@ -32,22 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hypercomplex as hc
 from .algebra import (
+    _ENTRY_WIDTH,
     KERNEL_CHUNK_TERMS,
     AlgebraDescriptor,
     Element,
     Family,
-    _complex_from_rep,
-    _complex_to_rep,
     _context,
+    _from_view,
     _left_mult_batch,
     _product_batch,
     _product_coords,
-    _quat_from_rep,
-    _quat_to_rep,
-    _real_from_rep,
-    _real_to_rep,
+    _to_view,
     norm,
     trace_of,
     unit,
@@ -242,26 +238,16 @@ def _spectrum_rows(
         return _albert_spectrum(algebra, xs, idempotents)
     if fam is Family.SUM:
         return _sum_spectrum(algebra, xs, idempotents)
-    quaternionic = fam is Family.QUAT_HERM
-    if fam is Family.REAL_SYM:
-        mats = _real_to_rep(xs, n)
-    elif fam is Family.COMPLEX_HERM:
-        mats = _complex_to_rep(xs, n)
-    elif quaternionic:
-        mats = hc.embed_quat_matrix(_quat_to_rep(xs, n))
-    else:
-        raise ValueError(f"unsupported family {fam}")
+    width = _ENTRY_WIDTH[fam]
+    mats = _to_view(xs, n, width)
+    # the quaternionic embedding repeats every eigenvalue twice
+    pair = 2 if width == 4 else 1
     if not idempotents:
-        lam = np.linalg.eigvalsh(mats)
-        return (lam[:, ::2] if quaternionic else lam), None
+        return np.linalg.eigvalsh(mats)[:, ::pair], None
     lam, vecs = np.linalg.eigh(mats)
-    if quaternionic:
-        paired = vecs.reshape(vecs.shape[:2] + (n, 2))
-        projs = np.einsum("mikp,mjkp->mkij", paired, paired.conj())
-        return lam[:, ::2], _quat_from_rep(hc.extract_quat_matrix(projs), n)
-    projs = np.einsum("mik,mjk->mkij", vecs, vecs.conj())
-    from_rep = _real_from_rep if fam is Family.REAL_SYM else _complex_from_rep
-    return lam, from_rep(projs, n)
+    paired = vecs.reshape(vecs.shape[:2] + (n, pair))
+    projs = np.einsum("mikp,mjkp->mkij", paired, paired.conj())
+    return lam[:, ::pair], _from_view(projs, n, width)
 
 
 def _albert_spectrum(
@@ -405,22 +391,18 @@ def canonical_regular_element(algebra: AlgebraDescriptor, offset: int = 0) -> El
     Used to pin one deterministic frame per algebra independent of any seed.
     """
     fam = algebra.family
-    dim = algebra.dim
-    coords = np.zeros(dim)
-    if fam in (Family.REAL_SYM, Family.COMPLEX_HERM, Family.QUAT_HERM):
-        coords[: algebra.size] = np.arange(1, algebra.size + 1) + offset
-    elif fam is Family.SPIN:
+    coords = np.zeros(algebra.dim)
+    if fam is Family.SPIN:
         coords[0] = offset + 1.5
         coords[1] = 0.5
-    elif fam is Family.ALBERT:
-        coords[:3] = np.arange(1, 4) + offset
     elif fam is Family.SUM:
         shift = offset
         for desc, sl in zip(algebra.summands, _context(algebra).block_slices):
             coords[sl] = canonical_regular_element(desc, shift).coords
             shift += desc.rank
     else:
-        raise ValueError(f"unsupported family {fam}")
+        # matrix families: the diagonal coordinates come first
+        coords[: algebra.size] = np.arange(1, algebra.size + 1) + offset
     return Element(algebra, coords)
 
 

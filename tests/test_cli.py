@@ -280,3 +280,53 @@ def test_cli_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", str(EXIT_OK), "False"]
+
+
+def test_negative_model_file_seed_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "negative-seed.json"
+    target.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "systems": [
+                    {
+                        "name": "r",
+                        "algebra": {"family": "real", "size": 2},
+                        "tests": {"mode": "sampled", "count": 1, "seed": -5},
+                    }
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code = main(["--input", str(target), "--suites", "algebra"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "systems[0].tests.seed: expected a nonnegative integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,env", [(["--seed", "-3"], {}), ([], {"SYMCONE_SEED": "-3"})], ids=["flag", "env"]
+)
+def test_negative_seed_flag_is_usage_error(monkeypatch, capsys, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["--input", "qubit-pair", "--suites", "algebra", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert "argument --seed: expected a nonnegative integer" in captured.err
+
+
+def test_sampler_error_is_usage_error(monkeypatch, capsys):
+    import symcone.spectral
+
+    # with no redraws allowed, the first frame sampler gives up at once
+    monkeypatch.setattr(symcone.spectral, "MAX_FRAME_ATTEMPTS", 0)
+    code = main(["--input", "qubit-pair", "--suites", "cone"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("symcone: no cleanly separated spectrum")

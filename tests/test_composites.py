@@ -1,8 +1,9 @@
 """Composite systems: tensor embeddings, tomography, and the qubit witness.
 
-The complex and real embeddings are validated against plain Kronecker
-products of the underlying hermitian matrices, computed here with numpy
-directly so the einsum-based embedding has an independent oracle.
+The complex, real and quaternionic embeddings are validated against
+Kronecker products of the underlying hermitian matrices, computed here
+directly (with numpy, and for quaternions with symmetrized entry products)
+so the einsum-based embedding has an independent oracle.
 """
 
 import numpy as np
@@ -35,6 +36,7 @@ from symcone.composites import (
     tensor_adjoint_check,
     tensor_lmap_check,
 )
+from symcone.hypercomplex import quat_multiply
 from symcone.models import evaluate, pure_state_of, uniform_state
 from symcone.spectral import random_jordan_frame
 
@@ -78,17 +80,27 @@ def test_dimension_table(qubit_pair, rebit_pair, quabit_pair):
     assert not quabit_pair.locally_tomographic
 
 
-def test_embed_matches_kronecker_oracle(qubit_pair):
+def _quat_kron(a, b):
+    """Kronecker product of quaternionic matrices, entries (x y + y x) / 2."""
+    x, y = a[:, None, :, None], b[None, :, None, :]
+    m, n = a.shape[0], b.shape[0]
+    sym = 0.5 * (quat_multiply(x, y) + quat_multiply(y, x))
+    return sym.reshape(m * n, m * n, 4)
+
+
+@pytest.mark.parametrize("pair", ["qubit_pair", "rebit_pair", "quabit_pair"])
+def test_embed_matches_kronecker_oracle(request, pair):
+    cs = request.getfixturevalue(pair)
     rng = np.random.default_rng(111)
     from symcone import random_element
 
     for _ in range(10):
-        a = random_element(qubit_pair.part_a.algebra, rng)
-        b = random_element(qubit_pair.part_b.algebra, rng)
-        got = product_effect(qubit_pair, a, b).coords
-        want = from_matrix(
-            qubit_pair.carrier, np.kron(to_matrix(a), to_matrix(b))
-        ).coords
+        a = random_element(cs.part_a.algebra, rng)
+        b = random_element(cs.part_b.algebra, rng)
+        got = product_effect(cs, a, b).coords
+        ma, mb = to_matrix(a), to_matrix(b)
+        kron = _quat_kron(ma, mb) if ma.ndim == 3 else np.kron(ma, mb)
+        want = from_matrix(cs.carrier, kron).coords
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 

@@ -1,13 +1,14 @@
-"""Quaternion and octonion arithmetic against hand-written oracles.
+"""Complex, quaternion and octonion arithmetic against hand-written oracles.
 
-The unit multiplication tables are spelled out literally below so the
-package tables are checked against an independent transcription, not
-against themselves.
+The unit multiplication tables are spelled out literally below (or taken
+from Python's ``complex``) so the package tables are checked against an
+independent transcription, not against themselves.
 """
 
 import numpy as np
 
 from symcone.hypercomplex import (
+    COMPLEX_TABLE,
     embed_quat_matrix,
     extract_quat_matrix,
     oct_conj,
@@ -34,6 +35,14 @@ def _unit(dim, k):
     v = np.zeros(dim)
     v[k] = 1.0
     return v
+
+
+def test_complex_table_multiplies_like_python_complex():
+    rng = np.random.default_rng(2)
+    for x, y in rng.standard_normal((20, 2, 2)):
+        got = np.einsum("p,q,pqr->r", x, y, COMPLEX_TABLE)
+        want = complex(*x) * complex(*y)
+        np.testing.assert_allclose(got, [want.real, want.imag], atol=ATOL)
 
 
 def test_quat_unit_table_matches_hand_oracle():

@@ -20,6 +20,7 @@ from symcone import (
     unit,
 )
 from symcone.models import (
+    MODEL_TOL,
     State,
     certify_unital_sharp,
     check_cauchy_schwarz,
@@ -259,6 +260,18 @@ def test_outcome_pool_is_deduplicated():
     e1, e2 = _frame_test(desc, 103)
     model = model_from_tests(desc, [(e1, e2), (e1, e2), (e2, e1)])
     assert len(model.outcomes) == 2
+    # mixing the frame by t moves each outcome by t * max|e2 - e1| in its
+    # farthest coordinate: within MODEL_TOL it is the same outcome, at
+    # 2 * MODEL_TOL a new one
+    def mixed(gap):
+        t = gap / np.abs(e2.coords - e1.coords).max()
+        return (e1 * (1 - t) + e2 * t, e1 * t + e2 * (1 - t))
+
+    near, far = mixed(0.5 * MODEL_TOL), mixed(2 * MODEL_TOL)
+    model = model_from_tests(desc, [(e1, e2), near, far])
+    assert [x.coords.tolist() for x in model.outcomes] == [
+        x.coords.tolist() for x in (e1, e2) + far
+    ]
 
 
 def test_uniform_state_trace():
