@@ -36,6 +36,7 @@ from enum import Enum
 import numpy as np
 
 from . import hypercomplex as hc
+from .certificates import ConeCertificate
 
 __all__ = [
     "Family",
@@ -576,23 +577,10 @@ def random_element(
 
 
 def check_formal_reality(a: Element, b: Element, tol: float = 1e-9) -> bool:
-    """Sum-of-squares positivity: a^2 + b^2 = 0 only if a = b = 0.
-
-    Uses the trace-form route: tr(a^2 + b^2) = <a, a> + <b, b> exactly, and
-    ||x|| >= tr(x) / sqrt(rank) for any x, so the norm of a^2 + b^2 is
-    bounded below by the squared norms of a and b.
-    """
+    """Sum-of-squares positivity: a^2 + b^2 = 0 only if a = b = 0."""
     _require_same_algebra(a, b)
-    ctx = _context(a.algebra)
-    sc = ctx.constants
-    ssq = _product_coords(sc, a.coords, a.coords) + _product_coords(
-        sc, b.coords, b.coords
-    )
-    total = trace_form(a, a) + trace_form(b, b)
-    if total <= tol:
-        return True
-    bound = total / np.sqrt(a.algebra.rank)
-    return float(np.sqrt(np.sum(ssq**2 * ctx.gram))) >= bound * (1.0 - 1e-12) - tol
+    passed = _formal_reality_core(a.algebra, a.coords[None, :], b.coords[None, :], tol)
+    return bool(passed[0])
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +652,42 @@ def _trace_associativity_core(
     rhs = np.sum(ys * gram * _product_batch(sc, xs, zs), axis=1)
     scale = 1.0 + _norms(xs, gram) * _norms(ys, gram) * _norms(zs, gram)
     return np.abs(lhs - rhs) / scale
+
+
+def _formal_reality_core(
+    algebra: AlgebraDescriptor, xs: np.ndarray, ys: np.ndarray, tol: float
+) -> np.ndarray:
+    """Whether each pair of rows passes the formal-reality check.
+
+    Uses the trace-form route: tr(a^2 + b^2) = <a, a> + <b, b> exactly, and
+    ||x|| >= tr(x) / sqrt(rank) for any x, so the norm of a^2 + b^2 is
+    bounded below by the squared norms of a and b.
+    """
+    ctx = _context(algebra)
+    sc = ctx.constants
+    ssq = _product_batch(sc, xs, xs) + _product_batch(sc, ys, ys)
+    total = np.sum(xs * ctx.gram * xs, axis=1) + np.sum(ys * ctx.gram * ys, axis=1)
+    bound = total / np.sqrt(algebra.rank)
+    return (total <= tol) | (_norms(ssq, ctx.gram) >= bound * (1.0 - 1e-12) - tol)
+
+
+def certify_formal_reality(
+    algebra: AlgebraDescriptor, samples: int, seed: int = 0, tol: float = 1e-9
+) -> ConeCertificate:
+    """Formal reality on ``samples`` random pairs; the residual counts the
+    pairs that fail. Row i of the draw holds the pair (a_i, b_i), the same
+    stream as drawing a_1, b_1, a_2, b_2, ... one element at a time."""
+    pairs = np.random.default_rng(seed).standard_normal((samples, 2, algebra.dim))
+    passed = _formal_reality_core(algebra, pairs[:, 0], pairs[:, 1], tol)
+    violations = int(np.count_nonzero(~passed))
+    return ConeCertificate(
+        check_name="formal_reality",
+        passed=violations == 0,
+        samples=samples,
+        seed=seed,
+        tol=tol,
+        worst_residual=float(violations),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,9 @@ def _parse_system(record, idx: int) -> SystemSpec:
 
     if "composite" in record:
         _require(
-            "algebra" not in record and "tests" not in record,
+            not {"algebra", "tests", "states"} & record.keys(),
             path,
-            "a composite system takes no algebra or tests of its own",
+            "a composite system takes no algebra, tests or states of its own",
         )
         comp = record["composite"]
         _require(isinstance(comp, dict), f"{path}.composite", "expected an object")

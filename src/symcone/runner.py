@@ -1,10 +1,19 @@
 """Suite execution over parsed model files, with deterministic reports.
 
+The table ``_CHECKS`` is the one list of certificates. Each row names a
+check, its suite and the kind of system it runs on, and holds a callable
+``(subject, cfg, seed)`` with the check's sample cap, seed offset and
+tolerance rule; the subject is the system's ``ProbModel`` or, for a
+composite, its ``CompositeSystem``. The suites, ``CERTIFICATE_NAMES`` and
+the checks on ``expect`` maps all come from the table.
+
 Each described system is built in input order; composites pick up the
-already built part models. Plain systems run the algebra, cone,
-reconstruction, and model suites (plus a qubit-witness note in the
-composite suite); composite systems run only the composite suite, since
-their interesting content is the embedding. A certificate whose failure is
+already built part models, and a plain system's declared states must be
+states of its model. A system runs the rows of its kind that belong
+to the selected suites, in table order: plain systems the algebra, cone,
+kv (reconstruction) and model suites plus a qubit-witness note in the
+composite suite; composite systems only the composite suite, since their
+interesting content is the embedding. A certificate whose failure is
 marked expected in the input flips its contribution to the exit code.
 Reports contain no timestamps or machine identifiers, so identical input
 and configuration give byte-identical structured output.
@@ -13,19 +22,20 @@ and configuration give byte-identical structured output.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
 from .algebra import (
     Element,
-    check_formal_reality,
+    certify_formal_reality,
     commutativity_residuals,
     descriptor_to_record,
     format_descriptor,
     jordan_identity_residuals,
-    random_element,
     trace_associativity_residuals,
     trace_form,
     trace_of,
@@ -60,6 +70,7 @@ from .models import (
     evaluate,
     make_model,
     model_from_tests,
+    state_from_coords,
     uniform_state,
 )
 from .modelfile import ModelFileSpec, SystemSpec
@@ -74,41 +85,191 @@ from .reconstruction import (
 
 __all__ = ["SUITES", "RunConfig", "run_model_spec", "render_report_text"]
 
-SUITES = ("algebra", "cone", "kv", "model", "composite")
 REPORT_SCHEMA_VERSION = 1
+MODEL, COMPOSITE = "model", "composite"  # the report's system kinds
 
+
+@dataclass(frozen=True)
+class _Check:
+    name: str
+    suite: str
+    kind: str  # MODEL (a plain system) or COMPOSITE
+    run: Callable[[Any, RunConfig, int], ConeCertificate | str | None]
+
+
+def _law(
+    name: str, residuals: Callable, model: ProbModel, cfg: RunConfig, seed: int
+) -> ConeCertificate:
+    """Certificate of an algebra law: the worst of its sampled residuals."""
+    worst = float(np.max(residuals(model.algebra, cfg.samples, seed=seed)))
+    return ConeCertificate(
+        check_name=name,
+        passed=worst <= cfg.tol,
+        samples=cfg.samples,
+        seed=seed,
+        tol=cfg.tol,
+        worst_residual=worst,
+    )
+
+
+def _structure_dims(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertificate:
+    lie = structure_lie_basis(model.algebra)
+    iso = p_to_E_isomorphism(lie)
+    return ConeCertificate(
+        check_name="structure_dims",
+        passed=iso.invertible and lie.split_residual == 0.0,
+        samples=int(lie.basis.shape[0]),
+        seed=seed,
+        tol=cfg.tol,
+        worst_residual=lie.split_residual,
+        details={**lie.dims, "evaluation_condition": iso.condition_number},
+    )
+
+
+def _product_reconstruction(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertificate:
+    report = reconstruct_product(model.algebra, samples=cfg.samples, seed=seed)
+    return ConeCertificate(
+        check_name="product_reconstruction",
+        passed=report.passed(1e-6),
+        samples=cfg.samples,
+        seed=seed,
+        tol=1e-6,
+        worst_residual=report.max_deviation,
+        details={**report.residuals, "condition_number": report.condition_number},
+    )
+
+
+def _uniform_state_values(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertificate:
+    w = uniform_state(model)
+    rank = model.algebra.rank
+    worst = 0.0
+    for test in model.tests:
+        probs = evaluate(w, test)
+        worst = max(worst, float(abs(probs.sum() - 1.0)))
+        for x, p in zip(test, probs):
+            worst = max(worst, abs(p - trace_of(x) / rank))
+    pooled_primitive = [
+        x for x in model.outcomes if abs(trace_of(x) - 1.0) <= 1e-6 * rank
+    ]
+    for x in pooled_primitive:
+        worst = max(worst, abs(trace_form(w.representer, x) - 1.0 / rank))
+    return ConeCertificate(
+        check_name="uniform_state_values",
+        passed=worst <= max(cfg.tol, 1e-10),
+        samples=len(model.tests),
+        seed=seed,
+        tol=max(cfg.tol, 1e-10),
+        worst_residual=worst,
+        details={"pooled_primitive_outcomes": len(pooled_primitive)},
+    )
+
+
+def _unital_outcomes_primitive(
+    model: ProbModel, cfg: RunConfig, seed: int
+) -> ConeCertificate | str:
+    try:
+        return check_unital_outcomes_primitive(model, tol=cfg.tol, seed=seed)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _qubit_witness(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertificate:
+    A = model.algebra
+    is_qubit = qubit_witness(A, tol=cfg.tol)
+    details = {"is_qubit": is_qubit, "algebra": format_descriptor(A)}
+    residual = 0.0
+    if A.family.value == "spin" and A.size == 3:
+        _, residual = spin_qubit_isomorphism()
+        details["isomorphism_residual"] = residual
+    # a note, not a sampled check: it reports the run's base seed
+    return ConeCertificate(
+        check_name="qubit_witness",
+        passed=True,
+        samples=0,
+        seed=cfg.seed,
+        tol=cfg.tol,
+        worst_residual=residual,
+        details=details,
+    )
+
+
+def _tensor_lmap(cs: CompositeSystem, cfg: RunConfig, seed: int) -> ConeCertificate:
+    return tensor_lmap_check(cs, samples=min(cfg.samples, 50), seed=seed, tol=cfg.tol)
+
+
+# The one list of certificates, in report order. A row's callable returns a
+# ConeCertificate, a skip reason, or None when the row has nothing to report
+# on the subject. Callables look each check up by its module-level name when
+# they run, so a wrapper bound over that name sees the call.
+_CHECKS = (
+    _Check("jordan_identity", "algebra", MODEL, lambda m, cfg, seed: _law(
+        "jordan_identity", jordan_identity_residuals, m, cfg, seed)),
+    _Check("commutativity", "algebra", MODEL, lambda m, cfg, seed: _law(
+        "commutativity", commutativity_residuals, m, cfg, seed)),
+    _Check("unit_law", "algebra", MODEL, lambda m, cfg, seed: _law(
+        "unit_law", unit_law_residuals, m, cfg, seed)),
+    _Check("trace_associativity", "algebra", MODEL, lambda m, cfg, seed: _law(
+        "trace_associativity", trace_associativity_residuals, m, cfg, seed)),
+    _Check("formal_reality", "algebra", MODEL, lambda m, cfg, seed: certify_formal_reality(
+        m.algebra, samples=min(cfg.samples, 100), seed=seed, tol=cfg.tol)),
+    _Check("self_duality", "cone", MODEL, lambda m, cfg, seed: check_self_duality(
+        m.algebra, samples=cfg.samples, seed=seed, tol=cfg.tol)),
+    _Check("membership_agreement", "cone", MODEL, lambda m, cfg, seed: (
+        check_membership_agreement(
+            m.algebra, samples=cfg.samples, seed=seed + 1, tol=cfg.tol))),
+    # check_homogeneity keeps its own default tolerance
+    _Check("homogeneity_transport", "cone", MODEL, lambda m, cfg, seed: check_homogeneity(
+        m.algebra, samples=min(cfg.samples, 100), seed=seed + 2,
+        directions=min(cfg.samples, 100))),
+    _Check("order_unit", "cone", MODEL, lambda m, cfg, seed: check_order_unit(
+        m.algebra, samples=cfg.samples, seed=seed + 3, tol=cfg.tol)),
+    _Check("structure_dims", "kv", MODEL, _structure_dims),
+    _Check("unit_stabilizer_split", "kv", MODEL, lambda m, cfg, seed: (
+        check_unit_stabilizer_split(
+            structure_lie_basis(m.algebra), tol=cfg.tol, seed=seed))),
+    _Check("sym_bracket_in_skew", "kv", MODEL, lambda m, cfg, seed: check_p_bracket(
+        structure_lie_basis(m.algebra), samples=min(cfg.samples, 50), seed=seed,
+        tol=cfg.tol)),
+    _Check("product_reconstruction", "kv", MODEL, _product_reconstruction),
+    _Check("exp_preserves_cone", "kv", MODEL, lambda m, cfg, seed: check_exp_preserves_cone(
+        m.algebra, samples=min(cfg.samples, 40), seed=seed, tol=cfg.tol)),
+    _Check("uniform_state_values", "model", MODEL, _uniform_state_values),
+    _Check("unital_sharp_outcomes", "model", MODEL, lambda m, cfg, seed: (
+        certify_unital_sharp(m, tol=cfg.tol, seed=seed))),
+    _Check("uniform_unital_outcomes_primitive", "model", MODEL, _unital_outcomes_primitive),
+    _Check("primitive_pairing_bounds", "model", MODEL, lambda m, cfg, seed: (
+        check_cauchy_schwarz(
+            m.algebra, samples=max(cfg.samples, 100), seed=seed, tol=1e-10))),
+    _Check("reversible_stabilizer", "model", MODEL, lambda m, cfg, seed: (
+        check_reversible_stabilizer(
+            m.algebra, samples=min(cfg.samples, 20), seed=seed, tol=cfg.tol))),
+    _Check("qubit_witness", "composite", MODEL, _qubit_witness),
+    _Check("local_tomography", "composite", COMPOSITE, lambda cs, cfg, seed: (
+        local_tomography_audit(cs, seed=seed))),
+    _Check("product_tests_resolve_unit", "composite", COMPOSITE, lambda cs, cfg, seed: (
+        product_tests_check(cs, tol=cfg.tol, seed=seed))),
+    _Check("nonsignaling_marginals", "composite", COMPOSITE, lambda cs, cfg, seed: (
+        nonsignaling_check(cs, tol=max(cfg.tol, 1e-10), seed=seed))),
+    _Check("pairing_factorization", "composite", COMPOSITE, lambda cs, cfg, seed: (
+        factorization_check(cs, samples=cfg.samples, seed=seed, tol=1e-10))),
+    _Check("unit_factor_products", "composite", COMPOSITE, lambda cs, cfg, seed: (
+        check_unit_factor_products(cs, samples=cfg.samples, seed=seed, tol=cfg.tol))),
+    # one check, reported under the name that says whether the composite is
+    # locally tomographic
+    _Check("tensor_lmap", "composite", COMPOSITE, lambda cs, cfg, seed: (
+        _tensor_lmap(cs, cfg, seed) if cs.locally_tomographic else None)),
+    _Check("tensor_lmap_embedded", "composite", COMPOSITE, lambda cs, cfg, seed: (
+        None if cs.locally_tomographic else _tensor_lmap(cs, cfg, seed))),
+    _Check("tensor_adjoint", "composite", COMPOSITE, lambda cs, cfg, seed: (
+        tensor_adjoint_check(cs, samples=min(cfg.samples, 10), seed=seed, tol=cfg.tol)
+        if cs.locally_tomographic
+        else "composite is not locally tomographic; lifted maps are not defined")),
+)
+
+SUITES = tuple(dict.fromkeys(check.suite for check in _CHECKS))
 # Every certificate name a suite can report, skipped ones included; these
 # are the names a system's ``expect`` map may use.
-CERTIFICATE_NAMES = (
-    "jordan_identity",
-    "commutativity",
-    "unit_law",
-    "trace_associativity",
-    "formal_reality",
-    "self_duality",
-    "membership_agreement",
-    "homogeneity_transport",
-    "order_unit",
-    "structure_dims",
-    "unit_stabilizer_split",
-    "sym_bracket_in_skew",
-    "product_reconstruction",
-    "exp_preserves_cone",
-    "uniform_state_values",
-    "unital_sharp_outcomes",
-    "uniform_unital_outcomes_primitive",
-    "primitive_pairing_bounds",
-    "reversible_stabilizer",
-    "qubit_witness",
-    "local_tomography",
-    "product_tests_resolve_unit",
-    "nonsignaling_marginals",
-    "pairing_factorization",
-    "unit_factor_products",
-    "tensor_lmap",
-    "tensor_lmap_embedded",
-    "tensor_adjoint",
-)
+CERTIFICATE_NAMES = tuple(check.name for check in _CHECKS)
 
 
 @dataclass
@@ -158,285 +319,52 @@ def _skip_entry(name: str, suite: str, reason: str) -> dict:
     }
 
 
-def _algebra_suite(
-    model: ProbModel, cfg: RunConfig, seed: int, expect: dict[str, str]
-) -> list[dict]:
-    A = model.algebra
-    n = cfg.samples
-    entries = []
-    specs = [
-        ("jordan_identity", jordan_identity_residuals),
-        ("commutativity", commutativity_residuals),
-        ("unit_law", unit_law_residuals),
-        ("trace_associativity", trace_associativity_residuals),
-    ]
-    for name, fn in specs:
-        res = fn(A, n, seed=seed)
-        worst = float(np.max(res))
-        cert = ConeCertificate(
-            check_name=name,
-            passed=worst <= cfg.tol,
-            samples=n,
-            seed=seed,
-            tol=cfg.tol,
-            worst_residual=worst,
+def _check_expect(sys_spec: SystemSpec) -> None:
+    """Reject ``expect`` names that no row of the system's kind reports."""
+    kind = COMPOSITE if sys_spec.is_composite else MODEL
+    known = [check.name for check in _CHECKS if check.kind == kind]
+    unknown = sorted(set(sys_spec.expect) - set(known))
+    if unknown:
+        raise ValueError(
+            f"system {sys_spec.name!r} expects certificates {', '.join(unknown)} "
+            f"that no suite reports on a {kind} system; known: {', '.join(known)}"
         )
-        entries.append(_cert_entry(cert, "algebra", expect))
-    rng = np.random.default_rng(seed)
-    violations = 0
-    for _ in range(min(n, 100)):
-        a = random_element(A, rng)
-        b = random_element(A, rng)
-        if not check_formal_reality(a, b, tol=cfg.tol):
-            violations += 1
-    cert = ConeCertificate(
-        check_name="formal_reality",
-        passed=violations == 0,
-        samples=min(n, 100),
-        seed=seed,
-        tol=cfg.tol,
-        worst_residual=float(violations),
-    )
-    entries.append(_cert_entry(cert, "algebra", expect))
-    return entries
 
 
-def _cone_suite(
-    model: ProbModel, cfg: RunConfig, seed: int, expect: dict[str, str]
-) -> list[dict]:
-    A = model.algebra
-    certs = [
-        check_self_duality(A, samples=cfg.samples, seed=seed, tol=cfg.tol),
-        check_membership_agreement(A, samples=cfg.samples, seed=seed + 1, tol=cfg.tol),
-        check_homogeneity(
-            A,
-            samples=min(cfg.samples, 100),
-            seed=seed + 2,
-            directions=min(cfg.samples, 100),
-        ),
-        check_order_unit(A, samples=cfg.samples, seed=seed + 3, tol=cfg.tol),
-    ]
-    return [_cert_entry(c, "cone", expect) for c in certs]
-
-
-def _kv_suite(
-    model: ProbModel, cfg: RunConfig, seed: int, expect: dict[str, str]
-) -> list[dict]:
-    A = model.algebra
-    lie = structure_lie_basis(A)
-    iso = p_to_E_isomorphism(lie)
-    entries = []
-    dims_cert = ConeCertificate(
-        check_name="structure_dims",
-        passed=iso.invertible and lie.split_residual == 0.0,
-        samples=int(lie.basis.shape[0]),
-        seed=seed,
-        tol=cfg.tol,
-        worst_residual=lie.split_residual,
-        details={**lie.dims, "evaluation_condition": iso.condition_number},
-    )
-    entries.append(_cert_entry(dims_cert, "kv", expect))
-    entries.append(
-        _cert_entry(check_unit_stabilizer_split(lie, tol=cfg.tol, seed=seed), "kv", expect)
-    )
-    entries.append(
-        _cert_entry(
-            check_p_bracket(lie, samples=min(cfg.samples, 50), seed=seed, tol=cfg.tol),
-            "kv",
-            expect,
-        )
-    )
-    report = reconstruct_product(A, lie, samples=cfg.samples, seed=seed)
-    recon_cert = ConeCertificate(
-        check_name="product_reconstruction",
-        passed=report.passed(1e-6),
-        samples=cfg.samples,
-        seed=seed,
-        tol=1e-6,
-        worst_residual=report.max_deviation,
-        details={**report.residuals, "condition_number": report.condition_number},
-    )
-    entries.append(_cert_entry(recon_cert, "kv", expect))
-    entries.append(
-        _cert_entry(
-            check_exp_preserves_cone(
-                A, lie, samples=min(cfg.samples, 40), seed=seed, tol=cfg.tol
-            ),
-            "kv",
-            expect,
-        )
-    )
-    return entries
-
-
-def _model_suite(
-    model: ProbModel, cfg: RunConfig, seed: int, expect: dict[str, str]
-) -> list[dict]:
-    entries = []
-    w = uniform_state(model)
-    rank = model.algebra.rank
-    worst = 0.0
-    for test in model.tests:
-        probs = evaluate(w, test)
-        worst = max(worst, float(abs(probs.sum() - 1.0)))
-        for x, p in zip(test, probs):
-            worst = max(worst, abs(p - trace_of(x) / rank))
-    pooled_primitive = [
-        x for x in model.outcomes if abs(trace_of(x) - 1.0) <= 1e-6 * rank
-    ]
-    for x in pooled_primitive:
-        worst = max(worst, abs(trace_form(w.representer, x) - 1.0 / rank))
-    uniform_cert = ConeCertificate(
-        check_name="uniform_state_values",
-        passed=worst <= max(cfg.tol, 1e-10),
-        samples=len(model.tests),
-        seed=seed,
-        tol=max(cfg.tol, 1e-10),
-        worst_residual=worst,
-        details={"pooled_primitive_outcomes": len(pooled_primitive)},
-    )
-    entries.append(_cert_entry(uniform_cert, "model", expect))
-    entries.append(
-        _cert_entry(certify_unital_sharp(model, tol=cfg.tol, seed=seed), "model", expect)
-    )
-    try:
-        entries.append(
-            _cert_entry(
-                check_unital_outcomes_primitive(model, tol=cfg.tol, seed=seed),
-                "model",
-                expect,
-            )
-        )
-    except ValueError as exc:
-        entries.append(
-            _skip_entry("uniform_unital_outcomes_primitive", "model", str(exc))
-        )
-    entries.append(
-        _cert_entry(
-            check_cauchy_schwarz(
-                model.algebra, samples=max(cfg.samples, 100), seed=seed, tol=1e-10
-            ),
-            "model",
-            expect,
-        )
-    )
-    entries.append(
-        _cert_entry(
-            check_reversible_stabilizer(
-                model.algebra, samples=min(cfg.samples, 20), seed=seed, tol=cfg.tol
-            ),
-            "model",
-            expect,
-        )
-    )
-    return entries
-
-
-def _witness_suite(model: ProbModel, cfg: RunConfig, expect: dict[str, str]) -> list[dict]:
-    A = model.algebra
-    is_qubit = qubit_witness(A, tol=cfg.tol)
-    details = {"is_qubit": is_qubit, "algebra": format_descriptor(A)}
-    residual = 0.0
-    if A.family.value == "spin" and A.size == 3:
-        _, residual = spin_qubit_isomorphism()
-        details["isomorphism_residual"] = residual
-    cert = ConeCertificate(
-        check_name="qubit_witness",
-        passed=True,
-        samples=0,
-        seed=cfg.seed,
-        tol=cfg.tol,
-        worst_residual=residual,
-        details=details,
-    )
-    return [_cert_entry(cert, "composite", expect)]
-
-
-def _composite_suite(
-    cs: CompositeSystem, cfg: RunConfig, seed: int, expect: dict[str, str]
-) -> list[dict]:
-    entries = [
-        _cert_entry(local_tomography_audit(cs, seed=seed), "composite", expect),
-        _cert_entry(product_tests_check(cs, tol=cfg.tol, seed=seed), "composite", expect),
-        _cert_entry(
-            nonsignaling_check(cs, tol=max(cfg.tol, 1e-10), seed=seed),
-            "composite",
-            expect,
-        ),
-        _cert_entry(
-            factorization_check(cs, samples=cfg.samples, seed=seed, tol=1e-10),
-            "composite",
-            expect,
-        ),
-        _cert_entry(
-            check_unit_factor_products(cs, samples=cfg.samples, seed=seed, tol=cfg.tol),
-            "composite",
-            expect,
-        ),
-        _cert_entry(
-            tensor_lmap_check(cs, samples=min(cfg.samples, 50), seed=seed, tol=cfg.tol),
-            "composite",
-            expect,
-        ),
-    ]
-    if cs.locally_tomographic:
-        entries.append(
-            _cert_entry(
-                tensor_adjoint_check(
-                    cs, samples=min(cfg.samples, 10), seed=seed, tol=cfg.tol
-                ),
-                "composite",
-                expect,
-            )
-        )
-    else:
-        entries.append(
-            _skip_entry(
-                "tensor_adjoint",
-                "composite",
-                "composite is not locally tomographic; lifted maps are not defined",
-            )
-        )
-    return entries
-
-
-def _build_model(spec: SystemSpec, cfg: RunConfig) -> ProbModel:
+def _build_model(spec: SystemSpec, index: int) -> ProbModel:
     if spec.test_mode == "sampled":
-        return make_model(spec.algebra, count=spec.test_count, seed=spec.test_seed)
-    tests = [
-        tuple(Element(spec.algebra, np.asarray(row)) for row in test)
-        for test in spec.explicit_tests
-    ]
-    return model_from_tests(spec.algebra, tests)
-
-
-def _system_seed(cfg: RunConfig, index: int) -> int:
-    return cfg.seed + 1000 * index
+        model = make_model(spec.algebra, count=spec.test_count, seed=spec.test_seed)
+    else:
+        tests = [
+            tuple(Element(spec.algebra, np.asarray(row)) for row in test)
+            for test in spec.explicit_tests
+        ]
+        model = model_from_tests(spec.algebra, tests)
+    for k, row in enumerate(spec.states):
+        try:
+            state_from_coords(model, row)
+        except ValueError as exc:
+            raise ValueError(f"systems[{index}].states[{k}]: {exc}") from None
+    return model
 
 
 def run_model_spec(spec: ModelFileSpec, cfg: RunConfig, source: str = "<memory>") -> dict:
     """Execute the configured suites and assemble the report dictionary.
 
     Raises ValueError, before running anything, when an ``expect`` map
-    names a certificate no suite reports.
+    names a certificate that no suite reports for that kind of system, and
+    when the model is built, for a declared state that is not a state.
     """
     for sys_spec in spec.systems:
-        unknown = sorted(set(sys_spec.expect) - set(CERTIFICATE_NAMES))
-        if unknown:
-            raise ValueError(
-                f"system {sys_spec.name!r} expects unknown certificates "
-                f"{', '.join(unknown)}; known: {', '.join(CERTIFICATE_NAMES)}"
-            )
+        _check_expect(sys_spec)
     built: dict[str, ProbModel] = {}
     systems_out = []
     for index, sys_spec in enumerate(spec.systems):
-        seed = _system_seed(cfg, index)
         entry: dict = {"name": sys_spec.name}
-        certs: list[dict] = []
         if sys_spec.is_composite:
             part_a, part_b = sys_spec.composite_parts
-            cs = candidate_composite(built[part_a], built[part_b])
-            entry["kind"] = "composite"
+            subject = cs = candidate_composite(built[part_a], built[part_b])
+            entry["kind"] = COMPOSITE
             entry["parts"] = [part_a, part_b]
             entry["algebra"] = descriptor_to_record(cs.carrier)
             entry["dims"] = {
@@ -448,12 +376,10 @@ def run_model_spec(spec: ModelFileSpec, cfg: RunConfig, source: str = "<memory>"
                 "embed_rank": cs.embed_rank,
                 "locally_tomographic": cs.locally_tomographic,
             }
-            if "composite" in cfg.suites:
-                certs.extend(_composite_suite(cs, cfg, seed, sys_spec.expect))
         else:
-            model = _build_model(sys_spec, cfg)
+            subject = model = _build_model(sys_spec, index)
             built[sys_spec.name] = model
-            entry["kind"] = "model"
+            entry["kind"] = MODEL
             entry["algebra"] = descriptor_to_record(model.algebra)
             entry["dims"] = {
                 "dim": model.algebra.dim,
@@ -461,31 +387,23 @@ def run_model_spec(spec: ModelFileSpec, cfg: RunConfig, source: str = "<memory>"
                 "tests": len(model.tests),
                 "outcomes": len(model.outcomes),
             }
-            if "algebra" in cfg.suites:
-                certs.extend(_algebra_suite(model, cfg, seed, sys_spec.expect))
-            if "cone" in cfg.suites:
-                certs.extend(_cone_suite(model, cfg, seed, sys_spec.expect))
-            if "kv" in cfg.suites:
-                certs.extend(_kv_suite(model, cfg, seed, sys_spec.expect))
-            if "model" in cfg.suites:
-                certs.extend(_model_suite(model, cfg, seed, sys_spec.expect))
-            if "composite" in cfg.suites:
-                certs.extend(_witness_suite(model, cfg, sys_spec.expect))
+        seed = cfg.seed + 1000 * index
+        certs: list[dict] = []
+        for check in _CHECKS:
+            if check.kind != entry["kind"] or check.suite not in cfg.suites:
+                continue
+            outcome = check.run(subject, cfg, seed)
+            if isinstance(outcome, ConeCertificate):
+                certs.append(_cert_entry(outcome, check.suite, sys_spec.expect))
+            elif outcome is not None:
+                certs.append(_skip_entry(check.name, check.suite, outcome))
         entry["certificates"] = certs
         systems_out.append(entry)
 
     named = [(s["name"], c) for s in systems_out for c in s["certificates"]]
-    all_certs = [c for _, c in named]
-    run = [(n, c) for n, c in named if c.get("status") != "skipped"]
-    run_certs = [c for _, c in run]
-    failures = [c for c in run_certs if c["status"] == "fail"]
-    unexpected_fail = [
-        f"{n}:{c['check']}" for n, c in run if not c["ok"] and c["status"] == "fail"
-    ]
-    unexpected_pass = [
-        f"{n}:{c['check']}" for n, c in run if not c["ok"] and c["status"] == "pass"
-    ]
-    report = {
+    count = Counter(c["status"] for _, c in named)
+    wrong = [(c["status"], f"{n}:{c['check']}") for n, c in named if not c["ok"]]
+    return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "generator": {"package": "symcone", "version": __version__},
         "input": {"name": spec.name, "source": source},
@@ -497,16 +415,15 @@ def run_model_spec(spec: ModelFileSpec, cfg: RunConfig, source: str = "<memory>"
         },
         "systems": systems_out,
         "summary": {
-            "certificates": len(run_certs),
-            "passed": len(run_certs) - len(failures),
-            "failed": len(failures),
-            "skipped": len(all_certs) - len(run_certs),
-            "unexpected_failures": unexpected_fail,
-            "unexpected_passes": unexpected_pass,
-            "ok": all(c["ok"] for c in all_certs),
+            "certificates": count["pass"] + count["fail"],
+            "passed": count["pass"],
+            "failed": count["fail"],
+            "skipped": count["skipped"],
+            "unexpected_failures": [w for status, w in wrong if status == "fail"],
+            "unexpected_passes": [w for status, w in wrong if status == "pass"],
+            "ok": not wrong,
         },
     }
-    return report
 
 
 def report_to_json(report: dict) -> str:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symcone.algebra
 from symcone import (
     AlgebraDescriptor,
     Element,
@@ -30,6 +31,7 @@ from symcone import (
     unit,
 )
 from symcone.algebra import (
+    certify_formal_reality,
     check_formal_reality,
     commutativity_residuals,
     descriptor_to_record,
@@ -239,6 +241,29 @@ def test_formal_reality_random_pairs(desc):
         a = random_element(desc, rng)
         b = random_element(desc, rng)
         assert check_formal_reality(a, b)
+    cert = certify_formal_reality(desc, 20, seed=27)
+    assert cert.passed and cert.worst_residual == 0.0
+
+
+def test_formal_reality_certificate_reads_the_pairwise_stream(monkeypatch):
+    # The batched draw holds the pairs a sequential a, b, a, b, ... loop
+    # draws, and the residual counts the pairs the core rejects.
+    desc = make_algebra("quaternion", 2)
+    rng = np.random.default_rng(5)
+    pairs = [(random_element(desc, rng), random_element(desc, rng)) for _ in range(30)]
+    seen = {}
+
+    def core(algebra, xs, ys, tol):
+        seen.update(xs=xs, ys=ys, tol=tol)
+        return np.arange(len(xs)) % 3 != 0
+
+    monkeypatch.setattr(symcone.algebra, "_formal_reality_core", core)
+    cert = certify_formal_reality(desc, 30, seed=5, tol=1e-7)
+    np.testing.assert_array_equal(seen["xs"], [a.coords for a, _ in pairs])
+    np.testing.assert_array_equal(seen["ys"], [b.coords for _, b in pairs])
+    assert seen["tol"] == 1e-7
+    assert not cert.passed and cert.worst_residual == 10.0
+    assert (cert.samples, cert.seed, cert.tol) == (30, 5, 1e-7)
 
 
 def test_direct_sum_is_blockwise():

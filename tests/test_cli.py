@@ -212,12 +212,18 @@ def test_expect_accepts_skipped_certificate_names(tmp_path, capsys):
 
 
 def test_unknown_expect_name_is_usage_error(tmp_path, capsys):
-    path = _write_marked_demo(tmp_path, "qubit-pair", "qubit-a", {"jordan_identiy": "fail"})
-    code = main(["--input", path, "--suites", "algebra"])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert captured.out == ""
-    assert "jordan_identiy" in captured.err
+    # a misspelt name, and names that never run on a system of that kind
+    for system, name in [
+        ("qubit-a", "jordan_identiy"),
+        ("pair", "jordan_identity"),
+        ("qubit-a", "local_tomography"),
+    ]:
+        path = _write_marked_demo(tmp_path, "qubit-pair", system, {name: "fail"})
+        code = main(["--input", path, "--suites", "algebra"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE, (system, name)
+        assert captured.out == ""
+        assert name in captured.err and repr(system) in captured.err
 
 
 def test_malformed_environment_default_is_usage_error():
@@ -262,6 +268,49 @@ def test_finite_twin_of_the_non_finite_file_runs(tmp_path, capsys):
     target = tmp_path / "finite.json"
     target.write_text(_REAL2_SYSTEM.format(outcome=0, state=0), encoding="utf-8")
     assert main(["--input", str(target), "--suites", "algebra"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "row,reason",
+    [([5, -3, 0], "outside the cone"), ([1, 1, 0], "not normalized")],
+    ids=["outside-cone", "unnormalized"],
+)
+def test_declared_state_that_is_not_a_state_is_usage_error(tmp_path, capsys, row, reason):
+    record = json.loads(_REAL2_SYSTEM.format(outcome=0, state=0))
+    record["systems"][0]["states"] = [[0.5, 0.5, 0], row]
+    target = tmp_path / "bad-state.json"
+    target.write_text(json.dumps(record), encoding="utf-8")
+    code = main(["--input", str(target), "--suites", "algebra"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "systems[0].states[1]" in captured.err and reason in captured.err
+
+
+def test_certificate_table_is_the_reported_list():
+    # Every certificate the runner can report appears on some bundled demo,
+    # in table order within each system; the benchmark tracer restates the
+    # list and must not drift from it.
+    import importlib.util
+    from pathlib import Path
+
+    from symcone.runner import CERTIFICATE_NAMES
+
+    order = {name: i for i, name in enumerate(CERTIFICATE_NAMES)}
+    seen = set()
+    for demo in DEMO_NAMES:
+        report = run_model_spec(parse_model_text(demo_text(demo)), RunConfig())
+        for system in report["systems"]:
+            ranks = [order[cert["check"]] for cert in system["certificates"]]
+            assert ranks == sorted(set(ranks)), (demo, system["name"])
+            seen.update(cert["check"] for cert in system["certificates"])
+    assert seen == set(CERTIFICATE_NAMES)
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.CERTIFICATES == CERTIFICATE_NAMES
 
 
 def test_cli_runs_without_scipy():

@@ -121,16 +121,21 @@ def test_composite_parts_must_be_earlier_systems():
 
 
 def test_composite_takes_no_algebra():
-    spec = json.loads(MINIMAL)
-    spec["systems"].append(
-        {
-            "name": "pair",
-            "algebra": {"family": "complex", "size": 2},
-            "composite": {"parts": ["one", "one"], "carrier": "candidate"},
-        }
-    )
-    with pytest.raises(ModelFileError, match="no algebra"):
-        parse_model_text(json.dumps(spec))
+    for key, value in [
+        ("algebra", {"family": "complex", "size": 2}),
+        ("tests", {"mode": "sampled"}),
+        ("states", [[0.5, 0.0, 0.0, 0.5]]),
+    ]:
+        spec = json.loads(MINIMAL)
+        spec["systems"].append(
+            {
+                "name": "pair",
+                key: value,
+                "composite": {"parts": ["one", "one"], "carrier": "candidate"},
+            }
+        )
+        with pytest.raises(ModelFileError, match="no algebra, tests or states"):
+            parse_model_text(json.dumps(spec))
 
 
 def test_explicit_tests_and_states_are_validated():
