@@ -9,18 +9,20 @@ operators, hence the product itself: a o b = L_a b where L_a is the unique
 symmetric generator with L_a u = a.
 
 Everything here is numerical: the group is represented by the structure Lie
-algebra generated by left-multiplications and their commutators, closed
-under bracket to a stable span, and all memberships are certified by rank
-and residual thresholds.
+algebra generated by the left-multiplications. Its span is grown from them
+by brackets with the generators until a full pass adds no direction, and
+all memberships are certified by rank and residual thresholds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (
+    KERNEL_CHUNK_TERMS,
     AlgebraDescriptor,
     _constants_from_dense,
     _context,
@@ -55,6 +57,7 @@ __all__ = [
 STRUCTURE_RANK_TOL = 1e-8
 CONDITION_LIMIT = 1e6
 MAX_CLOSURE_ROUNDS = 10
+_SKETCH_SEED = 20110915  # fixed, so a rebuilt Lie basis is bit-identical
 
 
 @dataclass
@@ -65,7 +68,7 @@ class LieAlgebraBasis:
     basis: np.ndarray       # (g, d, d)
     sym_basis: np.ndarray   # (p, d, d)
     skew_basis: np.ndarray  # (k, d, d)
-    rounds: int
+    rounds: int  # closure rounds that added directions; >= 1 unless the L_i commute
     split_residual: float
 
     @property
@@ -101,30 +104,60 @@ class ReconstructionReport:
 
 
 def group_lie_generators(algebra: AlgebraDescriptor) -> np.ndarray:
-    """Left multiplications by the basis plus their pairwise commutators."""
-    dim = algebra.dim
-    lefts = _left_mult_batch(_context(algebra).constants, np.eye(dim))
-    i, j = np.triu_indices(dim, 1)
-    comms = lefts[i] @ lefts[j] - lefts[j] @ lefts[i]
-    return np.concatenate([lefts, comms], axis=0)
+    """The multiplication operators L_i of the basis, which generate the
+    structure Lie algebra under brackets."""
+    return _left_mult_batch(_context(algebra).constants, np.eye(algebra.dim))
 
 
-def _orthonormal_rows(
-    stack: np.ndarray, tol: float, scale: float | None = None
-) -> np.ndarray:
-    """Orthonormal basis (as operator stack) of the row span of ``stack``.
-
-    Rank is cut at ``tol`` times ``scale`` when given, else times the largest
-    singular value. An explicit scale matters when the stack is a projection
-    residual whose own largest singular value may already be noise.
-    """
-    k, d, _ = stack.shape
-    flat = stack.reshape(k, d * d)
-    u_, sv, vt = np.linalg.svd(flat, full_matrices=False)
+def _orthonormal_rows(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the row span of ``stack`` (rows, or a stack of
+    operators flattened to rows), rank cut at ``tol`` times the largest
+    singular value, returned in the shape of the stack's items."""
+    sv, vt = np.linalg.svd(stack.reshape(stack.shape[0], -1), full_matrices=False)[1:]
     if sv.size == 0 or sv[0] == 0.0:
-        return np.empty((0, d, d))
-    keep = sv > tol * (sv[0] if scale is None else scale)
-    return vt[keep].reshape(-1, d, d)
+        return np.empty((0, *stack.shape[1:]))
+    return vt[sv > tol * sv[0]].reshape(-1, *stack.shape[1:])
+
+
+def _close_span(
+    seed_rows: np.ndarray,
+    act: Callable[[np.ndarray], Iterable[np.ndarray]],
+    tol: float,
+    max_rounds: int = MAX_CLOSURE_ROUNDS,
+) -> tuple[np.ndarray, int]:
+    """Smallest span holding ``seed_rows`` that ``act`` maps into itself.
+
+    ``act(basis)`` yields the candidate rows of the current orthonormal
+    basis in blocks. Each round projects every candidate onto the span with
+    matmuls, keeps the residuals above ``tol`` times the largest seed norm,
+    compresses them with a Gaussian sketch of at most four times as many rows
+    as the seed span (drawn from a fixed seed, so the basis is reproducible)
+    and appends the sketch's orthonormalized directions. A direction the
+    sketch misses stays a residual and is found by the next round, so the
+    span is returned only after a full pass over the candidates adds
+    nothing. Returns the basis rows and the number of rounds that added
+    directions.
+    """
+    floor = tol * float(np.linalg.norm(seed_rows, axis=1).max(initial=0.0))
+    basis = _orthonormal_rows(seed_rows, tol)
+    width = min(4 * basis.shape[0], seed_rows.shape[1])
+    rng = np.random.default_rng(_SKETCH_SEED)
+    rounds = 0
+    for _ in range(max_rounds):
+        sketch = np.zeros((width, basis.shape[1]))
+        found = False
+        for block in act(basis):
+            resid = block - (block @ basis.T) @ basis
+            resid = resid[np.linalg.norm(resid, axis=1) > floor]
+            if resid.shape[0]:
+                found = True
+                sketch += rng.standard_normal((width, resid.shape[0])) @ resid
+        if not found:
+            return basis, rounds
+        rounds += 1
+        sketch -= (sketch @ basis.T) @ basis
+        basis = np.concatenate([basis, _orthonormal_rows(sketch, tol)])
+    raise ValueError(f"closure did not stabilize within {max_rounds} rounds")
 
 
 def lie_closure(
@@ -135,33 +168,28 @@ def lie_closure(
     """Close a set of operators under commutators up to numerical rank.
 
     Returns the orthonormalized basis and the number of rounds that added
-    new directions. Raises if the span keeps growing past the ambient
-    operator dimension or past ``max_rounds`` (a tolerance misconfiguration:
+    new directions. A span that holds the generators and is mapped into
+    itself by each ad G_i holds every bracket of them, so the closure checks
+    [G_i, B_j] for the orthonormalized generators G_i against every basis
+    operator B_j only, never all pairs of the basis. Raises if the span
+    keeps growing past ``max_rounds`` (a tolerance misconfiguration:
     bracket closure of a finite-dimensional Lie algebra must stabilize).
     """
     if tol <= 0.0:
         raise ValueError("closure rank tolerance must be positive")
     generators = np.asarray(generators, dtype=float)
     d = generators.shape[-1]
-    basis = _orthonormal_rows(generators, tol)
-    rounds = 0
-    for _ in range(max_rounds):
-        g = basis.shape[0]
-        if g > d * d:
-            raise ValueError("closure exceeded the ambient operator dimension")
-        prods = np.einsum("aij,bjk->abik", basis, basis)
-        comms = (prods - np.swapaxes(prods, 0, 1)).reshape(-1, d, d)
-        flat = comms.reshape(-1, d * d)
-        scale = float(np.linalg.norm(flat, ord=2)) if flat.size else 0.0
-        if scale == 0.0:
-            return basis, rounds
-        proj = flat - (flat @ basis.reshape(g, -1).T) @ basis.reshape(g, -1)
-        fresh = _orthonormal_rows(proj.reshape(-1, d, d), tol, scale=scale)
-        if fresh.shape[0] == 0:
-            return basis, rounds
-        rounds += 1
-        basis = _orthonormal_rows(np.concatenate([basis, fresh]), tol)
-    raise ValueError(f"Lie closure did not stabilize within {max_rounds} rounds")
+    gens = _orthonormal_rows(generators, tol)
+
+    def brackets(basis: np.ndarray) -> Iterator[np.ndarray]:
+        ops = basis.reshape(-1, d, d)
+        step = max(1, KERNEL_CHUNK_TERMS // basis.size)
+        for s in range(0, gens.shape[0], step):
+            chunk = gens[s:s + step, None]
+            yield (chunk @ ops - ops @ chunk).reshape(-1, d * d)
+
+    basis, rounds = _close_span(gens.reshape(-1, d * d), brackets, tol, max_rounds)
+    return basis.reshape(-1, d, d), rounds
 
 
 _LIE_CACHE: dict[AlgebraDescriptor, LieAlgebraBasis] = {}

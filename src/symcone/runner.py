@@ -339,7 +339,10 @@ def _build_model(spec: SystemSpec, index: int) -> ProbModel:
             tuple(Element(spec.algebra, np.asarray(row)) for row in test)
             for test in spec.explicit_tests
         ]
-        model = model_from_tests(spec.algebra, tests)
+        try:
+            model = model_from_tests(spec.algebra, tests)
+        except ValueError as exc:
+            raise ValueError(f"systems[{index}].tests.outcomes: {exc}") from None
     for k, row in enumerate(spec.states):
         try:
             state_from_coords(model, row)

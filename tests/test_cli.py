@@ -287,6 +287,23 @@ def test_declared_state_that_is_not_a_state_is_usage_error(tmp_path, capsys, row
     assert "systems[0].states[1]" in captured.err and reason in captured.err
 
 
+def test_explicit_test_that_misses_the_unit_names_its_system(tmp_path, capsys):
+    record = json.loads(_REAL2_SYSTEM.format(outcome=0, state=0))
+    second = json.loads(_REAL2_SYSTEM.format(outcome=0, state=0))["systems"][0]
+    # the two outcomes sum to diag(1, 0.5): not the order unit of real 2
+    second.update(name="short", tests={"mode": "explicit", "outcomes": [[[1, 0, 0], [0, 0.5, 0]]]})
+    del second["states"]
+    record["systems"].append(second)
+    target = tmp_path / "short-test.json"
+    target.write_text(json.dumps(record), encoding="utf-8")
+    code = main(["--input", str(target), "--suites", "algebra"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    message = "symcone: systems[1].tests.outcomes: test 0 does not resolve the order unit"
+    assert message in captured.err
+
+
 def test_certificate_table_is_the_reported_list():
     # Every certificate the runner can report appears on some bundled demo,
     # in table order within each system; the benchmark tracer restates the

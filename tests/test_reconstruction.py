@@ -8,6 +8,7 @@ symmetric part always matches the carrier dimension.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from symcone import (
 )
 from symcone.algebra import _context, _metric_exp
 from symcone.reconstruction import (
+    _LIE_CACHE,
     LieAlgebraBasis,
     check_exp_preserves_cone,
     check_p_bracket,
@@ -44,6 +46,7 @@ SKEW_DIMS = [
     (("spin", 3), 3),        # so(3)
     (("spin", 8), 28),       # so(8)
     (("albert", 3), 52),     # f4
+    (("spin", 10), 45),      # so(10): more new directions than one sketch holds
 ]
 
 RECON_TARGETS = [
@@ -98,6 +101,40 @@ def test_closure_grows_until_stable():
             coeffs = flat @ comm.reshape(-1)
             residual = comm - (coeffs[:, None, None] * basis).sum(axis=0)
             assert np.abs(residual).max() < 1e-8
+
+
+def test_closure_that_needs_a_round_fails_without_one():
+    lefts_only = group_lie_generators(make_algebra("complex", 2))
+    with pytest.raises(ValueError, match="did not stabilize"):
+        lie_closure(lefts_only, max_rounds=0)
+
+
+def test_rebuilt_lie_basis_is_bit_identical():
+    # The sketch draws from a fixed seed, so a second build of the same
+    # algebra gives the same basis, not just the same span.
+    desc = make_algebra("albert", 3)
+    first = structure_lie_basis(desc)
+    _LIE_CACHE.pop(desc)
+    second = structure_lie_basis(desc)
+    assert second is not first
+    for name in ("basis", "sym_basis", "skew_basis"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+
+
+def test_closure_memory_stays_bounded():
+    # The closure never holds all pairwise brackets of the basis: real 10
+    # (d = 55, a 100-dimensional algebra) stays far below the g^2 d^2 stack.
+    desc = make_algebra("real", 10)
+    _context(desc)
+    _LIE_CACHE.pop(desc, None)
+    tracemalloc.start()
+    try:
+        lie = structure_lie_basis(desc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lie.dims == {"lie_algebra": 100, "symmetric_part": 55, "skew_part": 45}
+    assert peak < 160 * 2**20
 
 
 @pytest.mark.parametrize("desc", RECON_TARGETS, ids=format_descriptor)
