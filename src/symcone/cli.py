@@ -115,7 +115,6 @@ def main(argv: list[str] | None = None) -> int:
             tol=args.tol,
             samples=args.samples,
             seed=args.seed,
-            output_format=args.format,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -142,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"symcone: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if cfg.output_format == "structured":
+    if args.format == "structured":
         sys.stdout.write(report_to_json(report))
     else:
         sys.stdout.write(render_report_text(report))

@@ -33,9 +33,9 @@ from .algebra import (
     unit,
 )
 from .certificates import ConeCertificate
-from .cone import _cone_image, random_interior_point
+from .cone import _cone_image, _point_transports, random_interior_point
 from .models import ProbModel, State, make_model, uniform_state
-from .spectral import eigenvalues_batch
+from .spectral import _frames, eigenvalues_batch
 
 __all__ = [
     "CompositeSystem",
@@ -291,15 +291,6 @@ def factorization_check(
     )
 
 
-def _sample_automorphism(algebra: AlgebraDescriptor, rng) -> np.ndarray:
-    """A generically non-self-adjoint cone automorphism (two-point product)."""
-    from .cone import automorphism_to_point
-
-    w1 = random_interior_point(algebra, seed=int(rng.integers(2**31)))
-    w2 = random_interior_point(algebra, seed=int(rng.integers(2**31)))
-    return automorphism_to_point(w1).matrix @ automorphism_to_point(w2).matrix
-
-
 def tensor_adjoint_check(
     cs: CompositeSystem, samples: int = 10, seed: int = 0, tol: float = 1e-9
 ) -> ConeCertificate:
@@ -307,7 +298,9 @@ def tensor_adjoint_check(
 
     Requires a locally tomographic composite, where the embedding is a
     change of coordinates and the lifted map is defined on all of the
-    carrier. The adjoint is also verified to preserve the carrier cone on
+    carrier. Each g is a generically non-self-adjoint product P(w1^{1/2})
+    P(w2^{1/2}) of batched transports to interior points with spectra in
+    [0.5, 2]. The adjoint is also verified to preserve the carrier cone on
     sampled squares.
     """
     if not cs.locally_tomographic:
@@ -317,28 +310,29 @@ def tensor_adjoint_check(
     dim = cs.carrier.dim
     eye_a = np.eye(cs.part_a.algebra.dim)
     eye_b = np.eye(cs.part_b.algebra.dim)
-    sides = (
+    sides = []
+    for part, lift in (
         (cs.part_a.algebra, lambda m: np.kron(m, eye_b)),
         (cs.part_b.algebra, lambda m: np.kron(eye_a, m)),
-    )
+    ):
+        frames = _frames(part, 2 * samples, rng)
+        lams = rng.uniform(0.5, 2.0, size=(2 * samples, part.rank))
+        roots = _point_transports(part, frames, lams)[1]
+        sides.append((part, roots[0::2] @ roots[1::2], lift))
     inv_embed = np.linalg.inv(cs.embed)
     worst = 0.0
     ops = np.empty((samples, 2, dim, dim))
-    xs = np.empty((samples, 2, 8, dim))
     for i in range(samples):
-        for side, (part, lift) in enumerate(sides):
-            g = _sample_automorphism(part, rng)
-            g_adj = _metric_adjoint(_context(part).gram, g)
-            big = cs.embed @ lift(g) @ inv_embed
+        for side, (part, g, lift) in enumerate(sides):
+            g_adj = _metric_adjoint(_context(part).gram, g[i])
+            big = cs.embed @ lift(g[i]) @ inv_embed
             big_adj = _metric_adjoint(gram_c, big)
             lifted = cs.embed @ lift(g_adj) @ inv_embed
             scale = 1.0 + float(np.abs(big).max())
             worst = max(worst, float(np.abs(big_adj - lifted).max()) / scale)
             ops[i, side] = big_adj
-            xs[i, side] = rng.standard_normal((8, dim))
-    least, _ = _cone_image(
-        cs.carrier, ops.reshape(-1, 1, dim, dim), xs.reshape(-1, 8, dim), tol
-    )
+    xs = rng.standard_normal((samples * 2, 8, dim))
+    least, _ = _cone_image(cs.carrier, ops.reshape(-1, 1, dim, dim), xs, tol)
     min_eig = min(0.0, least)
     passed = worst <= tol and min_eig >= -tol
     return ConeCertificate(
@@ -365,28 +359,26 @@ def tensor_lmap_check(
     """
     ctx_c = _context(cs.carrier)
     rng = np.random.default_rng(seed)
-    dim_a = cs.part_a.algebra.dim
-    dim_b = cs.part_b.algebra.dim
     ctx_a = _context(cs.part_a.algebra)
     ctx_b = _context(cs.part_b.algebra)
-    u_a = ctx_a.unit_coords
-    u_b = ctx_b.unit_coords
+    eye_a = np.eye(cs.part_a.algebra.dim)
+    eye_b = np.eye(cs.part_b.algebra.dim)
+    # per side: the part's constants, its element paired with the other
+    # side's unit, and the factorwise lift of its multiplication operator
+    sides = (
+        (ctx_a.constants, lambda x: cs.pair_coords(x, ctx_b.unit_coords),
+         lambda m: np.kron(m, eye_b)),
+        (ctx_b.constants, lambda x: cs.pair_coords(ctx_a.unit_coords, x),
+         lambda m: np.kron(eye_a, m)),
+    )
     worst = 0.0
     for _ in range(samples):
-        a = rng.standard_normal(dim_a)
-        c = cs.pair_coords(a, u_b)[0]
-        l_big = _left_mult_matrix(ctx_c.constants, c)
-        l_a = _left_mult_matrix(ctx_a.constants, a)
-        lhs = l_big @ cs.embed
-        rhs = cs.embed @ np.kron(l_a, np.eye(dim_b))
-        worst = max(worst, float(np.abs(lhs - rhs).max()) / (1.0 + float(np.abs(a).max())))
-        b = rng.standard_normal(dim_b)
-        c = cs.pair_coords(u_a, b)[0]
-        l_big = _left_mult_matrix(ctx_c.constants, c)
-        l_b = _left_mult_matrix(ctx_b.constants, b)
-        lhs = l_big @ cs.embed
-        rhs = cs.embed @ np.kron(np.eye(dim_a), l_b)
-        worst = max(worst, float(np.abs(lhs - rhs).max()) / (1.0 + float(np.abs(b).max())))
+        for sc, pair, lift in sides:
+            x = rng.standard_normal(sc.dim)
+            lhs = _left_mult_matrix(ctx_c.constants, pair(x)[0]) @ cs.embed
+            rhs = cs.embed @ lift(_left_mult_matrix(sc, x))
+            gap = float(np.abs(lhs - rhs).max()) / (1.0 + float(np.abs(x).max()))
+            worst = max(worst, gap)
     name = "tensor_lmap" if cs.locally_tomographic else "tensor_lmap_embedded"
     return ConeCertificate(
         check_name=name,

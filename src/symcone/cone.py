@@ -33,7 +33,6 @@ from .algebra import (
     _product_batch,
     _quadratic_batch,
     norm,
-    quadratic_representation,
     unit,
 )
 from .certificates import ConeCertificate
@@ -264,12 +263,14 @@ def check_membership_agreement(
 
 
 def automorphism_to_point(w: Element) -> LinearOperator:
-    """The cone automorphism g = P(w^{1/2}) carrying the unit to interior w."""
+    """The cone automorphism g = P(w^{1/2}) carrying the unit to interior w,
+    built by ``_point_transports`` from the spectral decomposition of w."""
     if not is_interior(w):
         raise ValueError("automorphism_to_point requires an interior point")
     dec = spectral_decompose(w)
-    root = sum(np.sqrt(lam) * e.coords for lam, e in zip(dec.eigenvalues, dec.idempotents))
-    return quadratic_representation(Element(w.algebra, root))
+    frame = np.stack([e.coords for e in dec.idempotents])
+    forward = _point_transports(w.algebra, frame[None], dec.eigenvalues[None])[1]
+    return LinearOperator(forward[0], w.algebra, w.algebra)
 
 
 def adjoint(algebra: AlgebraDescriptor, g: LinearOperator) -> LinearOperator:
@@ -344,7 +345,8 @@ def _point_transports(
     """Points w = sum_k lams[k] frames[k] with P(w^{1/2}) and P(w^{-1/2}).
 
     Batched over axis 0. The roots share the frames of the points, and
-    P(w^{-1/2}) = P(w^{1/2})^{-1} because P(a)^{-1} = P(a^{-1}).
+    P(w^{-1/2}) = P(w^{1/2})^{-1} because P(a)^{-1} = P(a^{-1}). A frame
+    may hold the projectors of merged eigenvalues instead of idempotents.
     """
     sc = _context(algebra).constants
     roots = np.sqrt(lams)

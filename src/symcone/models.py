@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reconstruction
 from .algebra import (
     AlgebraDescriptor,
     Element,
@@ -28,11 +29,12 @@ from .algebra import (
 from .certificates import ConeCertificate
 from .cone import cone_contains
 from .spectral import (
+    _idempotent_rows,
+    _top_group,
     canonical_frame,
     frame_pool,
     is_primitive,
     random_jordan_frame,
-    spectral_decompose,
 )
 
 __all__ = [
@@ -188,36 +190,26 @@ def certify_unital_sharp(
 
     An outcome is unital when its largest eigenvalue is 1; the states
     certifying it are supported on the top eigenspace, so the certifying
-    state is unique precisely when the top idempotent is primitive. The
-    certificate fails on the first outcome that is either not unital or
-    whose certifying face is bigger than a point.
+    state is unique precisely when the top eigenvalue group has one member.
+    That idempotent e pairs with x to <e, x> = lambda_max, so |lambda_max - 1|
+    is the whole residual. The certificate fails when some outcome is not
+    unital or its certifying face is bigger than a point; the first such
+    outcome is the witness.
     """
-    worst = 0.0
-    witnesses: list[list[float]] = []
-    n_sharp = 0
-    for x in model.outcomes:
-        dec = spectral_decompose(x)
-        lam_max = dec.eigenvalues[-1]
-        gap = abs(lam_max - 1.0)
-        worst = max(worst, gap)
-        top = dec.idempotents[-1]
-        if gap > tol * model.algebra.rank or not is_primitive(top, max(tol, 1e-8)):
-            if not witnesses:
-                witnesses.append(list(x.coords))
-            continue
-        # the unique certifying state is the top idempotent itself
-        attained = trace_form(top, x)
-        worst = max(worst, abs(attained - 1.0))
-        n_sharp += 1
-    passed = n_sharp == len(model.outcomes)
+    coords = np.array([x.coords for x in model.outcomes])
+    lam_max, size = _top_group(model.algebra, coords)
+    gaps = np.abs(lam_max - 1.0)
+    sharp = (gaps <= tol * model.algebra.rank) & (size == 1)
+    failing = np.flatnonzero(~sharp)
+    n_sharp = int(sharp.sum())
     return ConeCertificate(
         check_name="unital_sharp_outcomes",
-        passed=passed,
+        passed=n_sharp == len(model.outcomes),
         samples=len(model.outcomes),
         seed=seed,
         tol=tol,
-        worst_residual=worst,
-        witnesses=witnesses,
+        worst_residual=float(gaps.max()),
+        witnesses=[list(coords[failing[0]])] if failing.size else [],
         details={"outcomes": len(model.outcomes), "certified": n_sharp},
     )
 
@@ -240,35 +232,24 @@ def check_unital_outcomes_primitive(
                     f"model is not uniform: test {idx} has an outcome with "
                     f"trace {trace_of(x):.6f}, expected {expected:.6f}"
                 )
-    worst = 0.0
-    witnesses: list[list[float]] = []
-    unital = 0
-    non_unital = 0
-    failures = 0
-    for x in model.outcomes:
-        dec = spectral_decompose(x)
-        lam_max = dec.eigenvalues[-1]
-        if lam_max < 1.0 - 1e-6:
-            non_unital += 1
-            continue
-        unital += 1
-        worst = max(worst, abs(lam_max - 1.0))
-        if not is_primitive(x, max(tol, 1e-8)):
-            failures += 1
-            if not witnesses:
-                witnesses.append(list(x.coords))
+    coords = np.array([x.coords for x in model.outcomes])
+    lam_max = _top_group(model.algebra, coords)[0]
+    unital = lam_max >= 1.0 - 1e-6
+    primitive = _idempotent_rows(model.algebra, coords, max(tol, 1e-8))[1]
+    failing = np.flatnonzero(unital & ~primitive)
+    worst = float(np.abs(lam_max[unital] - 1.0).max(initial=0.0))
     return ConeCertificate(
         check_name="uniform_unital_outcomes_primitive",
-        passed=failures == 0 and worst <= tol * rank,
+        passed=failing.size == 0 and worst <= tol * rank,
         samples=len(model.outcomes),
         seed=seed,
         tol=tol,
         worst_residual=worst,
-        witnesses=witnesses,
+        witnesses=[list(coords[failing[0]])] if failing.size else [],
         details={
-            "unital_outcomes": unital,
-            "non_unital_outcomes": non_unital,
-            "non_primitive_unital": failures,
+            "unital_outcomes": int(unital.sum()),
+            "non_unital_outcomes": int((~unital).sum()),
+            "non_primitive_unital": int(failing.size),
         },
     )
 
@@ -324,10 +305,9 @@ def check_reversible_stabilizer(
 ) -> ConeCertificate:
     """Skew generators exponentiate to metric isometries fixing the uniform
     state; symmetric generators demonstrably do neither."""
-    from .reconstruction import structure_lie_basis
-
     ctx = _context(algebra)
-    lie = structure_lie_basis(algebra)
+    # looked up on the module, so a basis substituted there is the one used
+    lie = reconstruction.structure_lie_basis(algebra)
     u, g_diag = ctx.unit_coords, ctx.gram
     k, p = lie.skew_basis.shape[0], lie.sym_basis.shape[0]
     coeffs = np.random.default_rng(seed).standard_normal((samples, k + p))

@@ -278,7 +278,6 @@ class RunConfig:
     tol: float = 1e-9
     samples: int = 200
     seed: int = 0
-    output_format: str = "structured"
 
     def __post_init__(self):
         self.suites = tuple(self.suites)
@@ -293,8 +292,6 @@ class RunConfig:
             raise ValueError("samples must be at least 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.output_format not in ("text", "structured"):
-            raise ValueError("output format must be 'text' or 'structured'")
 
 
 def _cert_entry(

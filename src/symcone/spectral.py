@@ -19,7 +19,9 @@ dependence among the Jordan powers u, a, a o a, ..., read eigenvalues off
 the resulting minimal polynomial, and build the spectral idempotents by
 Lagrange interpolation in Jordan products. The generic route is available
 for every family through ``method="generic"`` and is the reference the
-test suite checks the core against.
+test suite checks the core against. ``_top_group`` applies the same merge
+rule to a batch of rows from their eigenvalues alone, and
+``_idempotent_rows`` tests a batch of rows for (primitive) idempotency.
 
 Frames are the idempotents of random standard-normal elements. Draws whose
 spectrum is not cleanly separated are redrawn rather than refined, since
@@ -41,11 +43,13 @@ from .algebra import (
     _context,
     _from_view,
     _left_mult_batch,
+    _norms,
     _product_batch,
     _product_coords,
     _to_view,
+    jordan_product,
     norm,
-    trace_of,
+    trace_form,
     unit,
 )
 
@@ -82,15 +86,20 @@ class SpectralDecomposition:
         return Element(self.idempotents[0].algebra, coords)
 
 
-def _merge_groups(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Indices of ``values`` (assumed ascending) grouped within ``tol``."""
-    groups: list[list[int]] = [[0]]
-    for k in range(1, values.size):
-        if values[k] - values[groups[-1][-1]] < tol:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return [np.asarray(g) for g in groups]
+def _merge_groups(lam: np.ndarray, tol) -> np.ndarray:
+    """Group labels of ascending eigenvalue rows, counting up from 0: an
+    eigenvalue within its row's ``tol`` (scalar or per row) of its
+    predecessor joins the predecessor's group."""
+    lam = np.atleast_2d(lam)
+    starts = ~(np.diff(lam, axis=1) < np.reshape(tol, (-1, 1)))
+    first = np.zeros((lam.shape[0], 1), dtype=np.intp)
+    return np.concatenate([first, np.cumsum(starts, axis=1)], axis=1)
+
+
+def _group_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Indices of one ascending row of ``values``, split by ``_merge_groups``."""
+    labels = _merge_groups(values, tol)[0]
+    return np.split(np.arange(values.size), np.flatnonzero(np.diff(labels)) + 1)
 
 
 def spectral_decompose(
@@ -103,7 +112,7 @@ def spectral_decompose(
         lam, idem = _spectrum(a.algebra, a.coords[None, :], idempotents=True)
         # NaN idempotents mark an octonionic block without a separated spectrum
         if np.isfinite(idem).all():
-            groups = _merge_groups(lam[0], scale_tol)
+            groups = _group_indices(lam[0], scale_tol)
             return SpectralDecomposition(
                 np.array([lam[0, g].mean() for g in groups]),
                 [Element(a.algebra, idem[0, g].sum(axis=0)) for g in groups],
@@ -127,25 +136,17 @@ def _generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
     coords = a.coords / scale
     raw_powers = [ctx.unit_coords.copy()]
     current = coords.copy()
-    degree = rank
-    coeffs = None
-    for d in range(1, rank + 1):
+    for degree in range(1, rank + 1):
         raw_powers.append(current.copy())
         stacked = np.stack(raw_powers, axis=1)
         sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[-1] < 1e-10 * sv[0]:
-            degree = d
-            sol, *_ = np.linalg.lstsq(stacked[:, :d], raw_powers[d], rcond=None)
-            coeffs = sol
+        # the minimal polynomial has degree at most rank, so a^rank is fitted
+        # by the lower powers whether or not the test calls it dependent
+        if sv[-1] < 1e-10 * sv[0] or degree == rank:
+            target = raw_powers[degree]
+            coeffs = np.linalg.lstsq(stacked[:, :degree], target, rcond=None)[0]
             break
         current = _product_coords(ctx.constants, coords, current)
-    if coeffs is None:
-        degree = rank
-        stacked = np.stack(raw_powers[:rank], axis=1)
-        target = _product_coords(ctx.constants, coords, raw_powers[rank - 1]) \
-            if len(raw_powers) <= rank else raw_powers[rank]
-        sol, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-        coeffs = sol
     # monic polynomial: lambda^degree - sum_k coeffs[k] lambda^k
     poly = np.zeros(degree + 1)
     poly[0] = 1.0
@@ -163,7 +164,7 @@ def _generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
     better = np.abs(np.polyval(poly, trial)) < np.abs(vals)
     roots = np.where(better, trial, roots)
     roots = np.sort(roots) * scale
-    groups = _merge_groups(roots, tol)
+    groups = _group_indices(roots, tol)
     eigenvalues = np.array([roots[g].mean() for g in groups])
     degenerate = any(g.size > 1 for g in groups)
     unit_coords = ctx.unit_coords
@@ -320,6 +321,20 @@ def eigenvalues_batch(algebra: AlgebraDescriptor, coords: np.ndarray) -> np.ndar
     return _spectrum(algebra, coords)[0]
 
 
+def _top_group(
+    algebra: AlgebraDescriptor, coords: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and size of the top eigenvalue group of each row, merged as in
+    ``spectral_decompose``. The group's projector is an idempotent whose
+    trace is that size, so it is primitive exactly when the size is 1."""
+    lam = eigenvalues_batch(algebra, coords)
+    tol = MERGE_TOL_SCALE * (1.0 + _norms(coords, _context(algebra).gram))
+    labels = _merge_groups(lam, tol)
+    top = labels == labels[:, -1:]
+    size = top.sum(axis=1)
+    return np.where(top, lam, 0.0).sum(axis=1) / size, size
+
+
 def _separated(lam: np.ndarray) -> np.ndarray:
     """Rows of ascending spectra with every gap at least FRAME_SEPARATION
     * (1 + max |lambda|)."""
@@ -360,17 +375,25 @@ def _frames(
 # ---------------------------------------------------------------------------
 
 
-def is_idempotent(p: Element, tol: float = 1e-9) -> bool:
-    from .algebra import jordan_product
+def _idempotent_rows(
+    algebra: AlgebraDescriptor, coords: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each row p is idempotent, |p o p - p| <= tol (1 + |p|^2) in
+    the trace norm, and whether it is primitive: also of trace 1 within
+    tol (1 + rank)."""
+    ctx = _context(algebra)
+    gaps = _norms(_product_batch(ctx.constants, coords, coords) - coords, ctx.gram)
+    idempotent = gaps <= tol * (1.0 + _norms(coords, ctx.gram) ** 2)
+    traces = coords @ (ctx.gram * ctx.unit_coords)
+    return idempotent, idempotent & (np.abs(traces - 1.0) <= tol * (1.0 + algebra.rank))
 
-    gap = norm(jordan_product(p, p) - p)
-    return gap <= tol * (1.0 + norm(p) ** 2)
+
+def is_idempotent(p: Element, tol: float = 1e-9) -> bool:
+    return bool(_idempotent_rows(p.algebra, p.coords[None, :], tol)[0][0])
 
 
 def is_primitive(p: Element, tol: float = 1e-9) -> bool:
-    if not is_idempotent(p, tol):
-        return False
-    return abs(trace_of(p) - 1.0) <= tol * (1.0 + p.algebra.rank)
+    return bool(_idempotent_rows(p.algebra, p.coords[None, :], tol)[1][0])
 
 
 def random_jordan_frame(
@@ -432,8 +455,6 @@ def frame_pool(
 
 def spectral_reconstruction_residual(a: Element) -> dict[str, float]:
     """Residuals of the defining properties of a spectral decomposition."""
-    from .algebra import jordan_product, trace_form
-
     dec = spectral_decompose(a)
     scale = 1.0 + norm(a)
     recon = norm(dec.reconstruct() - a) / scale

@@ -396,3 +396,53 @@ def test_sampler_error_is_usage_error(monkeypatch, capsys):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err.startswith("symcone: no cleanly separated spectrum")
+
+
+_ALBERT_AND_QUBIT_PAIR = {
+    "schema_version": 1,
+    "name": "albert-and-qubit-pair",
+    "systems": [
+        {"name": "albert", "algebra": {"family": "albert", "size": 3},
+         "tests": {"mode": "sampled", "count": 2, "seed": 11}},
+        {"name": "qubit-a", "algebra": {"family": "complex", "size": 2},
+         "tests": {"mode": "sampled", "count": 2, "seed": 12}},
+        {"name": "qubit-b", "algebra": {"family": "complex", "size": 2},
+         "tests": {"mode": "sampled", "count": 2, "seed": 13}},
+        {"name": "pair",
+         "composite": {"parts": ["qubit-a", "qubit-b"], "carrier": "candidate"}},
+    ],
+}
+
+
+def test_suites_take_the_batched_spectral_and_transport_paths(monkeypatch):
+    # The model checks read top eigenvalue groups off one batched eigenvalue
+    # call, so the octonionic outcomes never reach the minimal-polynomial
+    # route; tensor_adjoint builds its automorphisms with the batched
+    # transport builder, not one element at a time.
+    import symcone.cone
+    import symcone.spectral
+
+    calls = {}
+    for module, name in (
+        (symcone.spectral, "_generic_decompose"),
+        (symcone.cone, "automorphism_to_point"),
+    ):
+        calls[name] = 0
+
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    spec = parse_model_text(json.dumps(_ALBERT_AND_QUBIT_PAIR))
+    report = run_model_spec(spec, RunConfig(samples=20))
+    assert report["summary"]["ok"]
+    checks = {
+        (system["name"], cert["check"]): cert["status"]
+        for system in report["systems"]
+        for cert in system["certificates"]
+    }
+    assert checks[("albert", "unital_sharp_outcomes")] == "pass"
+    assert checks[("albert", "uniform_unital_outcomes_primitive")] == "pass"
+    assert checks[("pair", "tensor_adjoint")] == "pass"
+    assert calls == {"_generic_decompose": 0, "automorphism_to_point": 0}

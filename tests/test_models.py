@@ -29,7 +29,7 @@ from symcone.models import (
     evaluate,
     state_from_coords,
 )
-from symcone.spectral import random_jordan_frame
+from symcone.spectral import is_primitive, random_jordan_frame, spectral_decompose
 
 FAMILIES = [
     make_algebra("real", 3),
@@ -129,6 +129,29 @@ def test_subnormalized_outcome_breaks_unitality():
     cert = certify_unital_sharp(model)
     assert not cert.passed
     assert cert.witnesses
+
+
+def test_merged_albert_outcome_is_not_sharp():
+    # e1 + e2 has spectrum (0, 1, 1): unital, but its top idempotent has
+    # trace 2, so two states certify it. The batched top groups must agree
+    # with a per-outcome spectral_decompose reference, which takes the
+    # minimal-polynomial route on these unseparated spectra.
+    desc = make_algebra("albert")
+    e1, e2, e3 = _frame_test(desc, 96)
+    merged = Element(desc, e1.coords + e2.coords)
+    model = model_from_tests(desc, [(e1, e2, e3), (merged, e3)])
+    cert = certify_unital_sharp(model)
+    assert not cert.passed
+    np.testing.assert_array_equal(cert.witnesses, [merged.coords])
+
+    gaps, sharp = [], []
+    for x in model.outcomes:
+        dec = spectral_decompose(x)
+        gaps.append(abs(dec.eigenvalues[-1] - 1.0))
+        sharp.append(gaps[-1] <= 1e-9 * desc.rank and is_primitive(dec.idempotents[-1], 1e-8))
+    assert sharp == [True, True, True, False]
+    assert cert.details == {"outcomes": 4, "certified": 3}
+    assert cert.worst_residual == pytest.approx(max(gaps), abs=1e-12)
 
 
 def test_mixed_outcome_is_flagged_nonunital_not_a_counterexample():

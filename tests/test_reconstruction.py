@@ -200,6 +200,26 @@ def test_dropped_generators_are_flagged():
         reconstruct_product(desc, lie=crippled)
 
 
+def test_product_off_the_native_pattern_fails_through_the_deviation():
+    # Push the rebuilt L_{b_0} of real 2 by 1e-5 at entry (0, 2): b_0 o b_2
+    # has no b_0 component, so the native table has no entry there, and the
+    # unit does not see the push. The residual cores run on the native
+    # pattern; max_deviation reads the whole table and must catch it.
+    desc = make_algebra("real", 2)
+    lie = structure_lie_basis(desc)
+    push = np.zeros((desc.dim, desc.dim))
+    push[0, 2] = 1e-5
+    assert not (push @ _context(desc).unit_coords).any()
+    # sym[p] = sum_b phi[b, p] L_b for the evaluation matrix phi, which the
+    # push leaves unchanged
+    phi = p_to_E_isomorphism(lie).matrix
+    pushed = dataclasses.replace(lie, sym_basis=lie.sym_basis + phi[0][:, None, None] * push)
+    report = reconstruct_product(desc, lie=pushed, samples=50, seed=76)
+    # the whole push, up to rounding
+    assert report.max_deviation == pytest.approx(1e-5, rel=1e-9)
+    assert not report.passed(1e-6)
+
+
 def test_structure_basis_is_cached():
     desc = make_algebra("spin", 3)
     assert structure_lie_basis(desc) is structure_lie_basis(desc)

@@ -11,6 +11,7 @@ from symcone import (
     from_matrix,
     jordan_product,
     make_algebra,
+    norm,
     random_element,
     random_jordan_frame,
     spectral_decompose,
@@ -224,6 +225,27 @@ def test_batch_eigenvalues_match_decompositions(desc):
     for row, lams in zip(coords, batch):
         want = _full_spectrum(spectral_decompose(Element(desc, row)))
         np.testing.assert_allclose(np.sort(lams), want, atol=1e-7)
+
+
+@pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)
+def test_batched_top_groups_and_idempotents_match_single_rows(desc):
+    # Frame idempotents, a sum of two of them, the unit, half an idempotent
+    # and random rows: the batched top groups and idempotency flags must
+    # agree with spectral_decompose and the defining identities row by row.
+    frame = np.stack([p.coords for p in random_jordan_frame(desc, seed=42)])
+    extra = np.random.default_rng(43).standard_normal((4, desc.dim))
+    rows = np.vstack([frame, frame[0] + frame[-1], unit(desc).coords, 0.5 * frame[0], extra])
+    lam_top, size = spectral._top_group(desc, rows)
+    idempotent, primitive = spectral._idempotent_rows(desc, rows, 1e-8)
+    for k, row in enumerate(rows):
+        a = Element(desc, row)
+        dec = spectral_decompose(a)
+        assert lam_top[k] == pytest.approx(dec.eigenvalues[-1], abs=1e-9)
+        assert size[k] == round(trace_of(dec.idempotents[-1]))
+        want = norm(jordan_product(a, a) - a) <= 1e-8 * (1.0 + norm(a) ** 2)
+        assert idempotent[k] == want
+        assert primitive[k] == (want and abs(trace_of(a) - 1.0) <= 1e-8 * (1 + desc.rank))
+    assert idempotent[: desc.rank + 2].all() and not idempotent[-5:].any()
 
 
 def test_albert_idempotent_eigenvalues_are_clean():
