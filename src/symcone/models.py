@@ -32,6 +32,7 @@ from .spectral import (
     _idempotent_rows,
     _top_group,
     canonical_frame,
+    eigenvalues_batch,
     frame_pool,
     is_primitive,
     random_jordan_frame,
@@ -73,14 +74,32 @@ class State:
 
 def _dedup_outcomes(tests: tuple[tuple[Element, ...], ...]) -> tuple[Element, ...]:
     """Pooled outcomes in first-seen order, each dropped when an outcome kept
-    before it lies within MODEL_TOL in every coordinate."""
+    before it lies within MODEL_TOL in every coordinate.
+
+    Only rows within MODEL_TOL in the widest-spread coordinate can match, so
+    the rows are sorted on it and each kept row is compared with its window
+    there only; rows alone in their window are never visited.
+    """
     outcomes = [x for test in tests for x in test]
+    if not outcomes:
+        return ()
     coords = np.array([x.coords for x in outcomes])
     kept = np.ones(len(outcomes), dtype=bool)
-    for i in range(len(outcomes)):
+    key = int(np.argmax(np.ptp(coords, axis=0)))
+    order = np.argsort(coords[:, key], kind="stable")
+    values = coords[order, key]
+    # a window of twice the tolerance, so that rounding in values +- tol
+    # cannot leave a match outside it; the exact test below decides
+    starts = np.searchsorted(values, values - 2.0 * MODEL_TOL, side="left")
+    ends = np.searchsorted(values, values + 2.0 * MODEL_TOL, side="right")
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    for i in np.sort(order[ends - starts > 1]):
         if kept[i]:
-            gaps = np.abs(coords[i + 1 :] - coords[i]).max(axis=1)
-            kept[i + 1 :] &= ~(gaps <= MODEL_TOL)
+            window = order[starts[where[i]] : ends[where[i]]]
+            later = window[window > i]
+            gaps = np.abs(coords[later] - coords[i]).max(axis=1)
+            kept[later[gaps <= MODEL_TOL]] = False
     return tuple(x for x, keep in zip(outcomes, kept) if keep)
 
 
@@ -94,24 +113,27 @@ def model_from_tests(
     Every outcome must lie in the positive cone and each test must resolve
     the order unit. Effects need not be idempotents.
     """
-    u = unit(algebra)
-    checked = []
-    for idx, test in enumerate(tests):
-        test = tuple(test)
+    checked = tuple(tuple(test) for test in tests)
+    for idx, test in enumerate(checked):
         if not test:
             raise ValueError(f"test {idx} has no outcomes")
-        for x in test:
-            if x.algebra != algebra:
-                raise ValueError(f"test {idx} mixes algebras")
-            if not cone_contains(x, tol):
-                raise ValueError(f"test {idx} has an outcome outside the cone")
+        if any(x.algebra != algebra for x in test):
+            raise ValueError(f"test {idx} mixes algebras")
+    coords = np.array([x.coords for test in checked for x in test])
+    owner = np.repeat(np.arange(len(checked)), [len(test) for test in checked])
+    # one spectral batch for every outcome, with cone_contains's test
+    lam_min = eigenvalues_batch(algebra, coords.reshape(-1, algebra.dim))[:, 0]
+    outside = owner[~(lam_min >= -tol)]
+    u = unit(algebra)
+    for idx, test in enumerate(checked):
+        if outside.size and outside[0] == idx:
+            raise ValueError(f"test {idx} has an outcome outside the cone")
         total = test[0]
         for x in test[1:]:
             total = total + x
         if norm(total - u) > tol * (1.0 + norm(u)):
             raise ValueError(f"test {idx} does not resolve the order unit")
-        checked.append(test)
-    return ProbModel(algebra, tuple(checked), _dedup_outcomes(tuple(checked)))
+    return ProbModel(algebra, checked, _dedup_outcomes(checked))
 
 
 def make_model(
@@ -164,14 +186,14 @@ def mix(a: State, b: State, weight: float) -> State:
 
 
 def _find_test(model: ProbModel, test) -> tuple[Element, ...]:
+    """The model's own test equal to ``test``: the model's tuple itself is
+    found by identity, before any outcome coordinates are compared."""
     test = tuple(test)
+    if any(candidate is test for candidate in model.tests):
+        return test
     for candidate in model.tests:
-        if candidate is test or (
-            len(candidate) == len(test)
-            and all(
-                np.array_equal(x.coords, y.coords)
-                for x, y in zip(candidate, test)
-            )
+        if len(candidate) == len(test) and all(
+            np.array_equal(x.coords, y.coords) for x, y in zip(candidate, test)
         ):
             return candidate
     raise ValueError("test does not belong to the state's model")

@@ -3,8 +3,9 @@
 One batched core, ``_spectrum``, is the only code that knows the families:
 matrix families go through a hermitian eigensolver (the quaternionic case
 through its complex embedding), spin factors have a closed form, the
-octonionic algebra reads its eigenvalues off the multiplication operators
-and its idempotents off Lagrange interpolation, and direct sums go
+octonionic algebra reads its eigenvalues off a Rayleigh-Ritz step on the
+power span of each row (off its multiplication operator near multiple
+roots) and its idempotents off Lagrange interpolation, and direct sums go
 blockwise. It returns the eigenvalues of a batch of coordinate rows,
 ascending and repeated by multiplicity, and, when asked, one idempotent per
 eigenvalue; membership scans ask for eigenvalues only, which skips the
@@ -41,6 +42,7 @@ from .algebra import (
     Element,
     Family,
     _context,
+    _Context,
     _from_view,
     _left_mult_batch,
     _norms,
@@ -69,6 +71,7 @@ __all__ = [
 MERGE_TOL_SCALE = 1e-8
 FRAME_SEPARATION = 1e-6
 MAX_FRAME_ATTEMPTS = 20
+RITZ_GATE = 1e-2
 
 
 @dataclass
@@ -254,29 +257,46 @@ def _spectrum_rows(
 def _albert_spectrum(
     algebra: AlgebraDescriptor, xs: np.ndarray, idempotents: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Octonionic spectra through the multiplication operators.
+    """Octonionic spectra by Rayleigh-Ritz, with the multiplication
+    operators as the fallback.
 
-    Going through characteristic-polynomial coefficients loses half the
-    digits at multiple roots, so instead use that L_a is symmetric (the
-    trace form is associative and the basis orthonormal) and its spectrum
-    consists of the midpoints (lambda_i + lambda_j) / 2. The smallest and
-    largest midpoints are the extreme element eigenvalues, and the trace
-    supplies the middle one exactly. The idempotents are the Lagrange
-    products (a - lambda_j u) o (a - lambda_l u) / ((lambda_k - lambda_j)
-    (lambda_k - lambda_l)), set to NaN where gaps fall below
-    FRAME_SEPARATION.
+    L_a is symmetric (the trace form is associative and the basis
+    orthonormal), and the subalgebra span{u, a, a o a} is invariant under
+    it, where it acts as a on its own frame. So the Ritz values of L_c on
+    span{u, c, c o c}, for the centred and scaled row c, are c's eigenvalues
+    whenever that span has dimension 3 (``_ritz_spectrum``). Near a double
+    root the span's third direction is computed to about eps / gap and the
+    Ritz values err by about its square: 3e-15 at gaps from 1e-1 to 1e-9,
+    but 2e-13 at 1e-10 and 6e-9 at 1e-12. (Forming the Ritz matrix through
+    R^-1 instead loses eps / gap, 7e-9 at a gap of 1e-8.) The gate is
+    RITZ_GATE = 1e-2 and not sqrt(eps): it already sends only a few of
+    20 000 cone images to the fallback, so a lower gate saves nothing and
+    would spend the margin to the gaps where the error shows. Rows that
+    fail it, among them unit multiples and frame idempotents, take the
+    full operator route: the spectrum of L_a consists of the midpoints
+    (lambda_i + lambda_j) / 2, its smallest and largest are the extreme
+    element eigenvalues, and the trace supplies the middle one exactly.
+    (Going through characteristic-polynomial coefficients instead would
+    lose half the digits at multiple roots.)
+
+    The idempotents are the Lagrange products (a - lambda_j u) o (a -
+    lambda_l u) / ((lambda_k - lambda_j) (lambda_k - lambda_l)), set to NaN
+    where gaps fall below FRAME_SEPARATION.
     """
     ctx = _context(algebra)
-    # each operator takes dim^2 entries, so build them a few at a time
-    ends = np.empty((xs.shape[0], 2))
+    # each operator takes dim^2 entries, and a row's Ritz step fewer, so
+    # both go a few rows at a time
     step = max(1, KERNEL_CHUNK_TERMS // algebra.dim**2)
+    lam = np.empty((xs.shape[0], 3))
     for lo in range(0, xs.shape[0], step):
-        rows = slice(lo, lo + step)
+        lam[lo : lo + step] = _ritz_spectrum(ctx, xs[lo : lo + step])
+    redo = np.flatnonzero(np.isnan(lam[:, 0]))
+    for lo in range(0, redo.size, step):
+        rows = redo[lo : lo + step]
         spec = np.linalg.eigvalsh(_left_mult_batch(ctx.constants, xs[rows]))
-        ends[rows] = spec[:, [0, -1]]
-    lmin, lmax = ends.T
-    lmid = xs @ ctx.unit_coords - lmin - lmax
-    lam = np.sort(np.stack([lmin, lmid, lmax], axis=1), axis=1)
+        lmin, lmax = spec[:, 0], spec[:, -1]
+        lmid = xs[rows] @ ctx.unit_coords - lmin - lmax
+        lam[rows] = np.sort(np.stack([lmin, lmid, lmax], axis=1), axis=1)
     if not idempotents:
         return lam, None
     u = ctx.unit_coords
@@ -291,6 +311,53 @@ def _albert_spectrum(
         idem[:, k] = prod / np.where(separated, denom, 1.0)[:, None]
     idem[~separated] = np.nan
     return lam, idem
+
+
+def _ritz_spectrum(ctx: _Context, xs: np.ndarray) -> np.ndarray:
+    """Ascending Albert eigenvalues from Rayleigh-Ritz on the power span,
+    NaN on rows the gate sends to the operator route.
+
+    With c = (a - (tr a / 3) u) / |.|, Gram-Schmidt QR of [u, c, c o c]
+    (twice over for the last column) gives the orthonormal q0, q1, q2 and
+    R's diagonal. The Ritz matrix is H = Q^T [L_c q0, L_c q1, L_c q2], where
+    L_c q0 = c / sqrt(3) and L_c q1 follows from c o c, so only L_c q2
+    needs a second product; no R^-1 is formed. A row passes when R11 and
+    R22 are at least RITZ_GATE (else the span is degenerate and q2 rounding
+    noise) and its Ritz values have every gap at least RITZ_GATE (1 +
+    max |mu|).
+    """
+    sc, u = ctx.constants, ctx.unit_coords
+    lam = np.full((xs.shape[0], 3), np.nan)
+    shift = xs @ u / 3.0
+    centred = xs - shift[:, None] * u
+    scale = np.linalg.norm(centred, axis=1)
+    c = centred / np.where(scale > 0.0, scale, 1.0)[:, None]
+    q0 = u / np.sqrt(3.0)
+    a01 = c @ q0
+    v1 = c - a01[:, None] * q0
+    r11 = np.linalg.norm(v1, axis=1)
+    q1 = v1 / np.where(r11 > 0.0, r11, 1.0)[:, None]
+    cc = _product_batch(sc, c, c)
+    v2 = cc
+    for _ in range(2):
+        v2 = v2 - (v2 @ q0)[:, None] * q0
+        v2 = v2 - np.sum(v2 * q1, axis=1, keepdims=True) * q1
+    r22 = np.linalg.norm(v2, axis=1)
+    live = np.flatnonzero((r11 >= RITZ_GATE) & (r22 >= RITZ_GATE))
+    c, q1, q2 = c[live], q1[live], v2[live] / r22[live, None]
+    images = np.stack([
+        c / np.sqrt(3.0),
+        (cc[live] - a01[live, None] * c / np.sqrt(3.0)) / r11[live, None],
+        _product_batch(sc, c, q2),
+    ], axis=1)
+    q = np.stack([np.broadcast_to(q0, c.shape), q1, q2], axis=1)
+    h = q @ np.swapaxes(images, 1, 2)
+    mu = np.linalg.eigvalsh(0.5 * (h + np.swapaxes(h, 1, 2)))
+    gaps = np.diff(mu, axis=1).min(axis=1)
+    ok = gaps >= RITZ_GATE * (1.0 + np.abs(mu).max(axis=1))
+    rows = live[ok]
+    lam[rows] = shift[rows, None] + scale[rows, None] * mu[ok]
+    return lam
 
 
 def _sum_spectrum(

@@ -19,9 +19,11 @@ from symcone import (
     uniform_state,
     unit,
 )
+from symcone import models, runner
 from symcone.models import (
     MODEL_TOL,
     State,
+    _dedup_outcomes,
     certify_unital_sharp,
     check_cauchy_schwarz,
     check_reversible_stabilizer,
@@ -266,6 +268,28 @@ def test_evaluate_rejects_foreign_tests():
         evaluate(state, foreign)
 
 
+def test_evaluate_finds_own_tests_without_comparing_coordinates(monkeypatch):
+    # Evaluating every model test must not rescan the tests before it, or
+    # the uniform-state check is quadratic in the test count.
+    model = make_model(make_algebra("real", 3), count=200, seed=106)
+    compared = []
+    real = np.array_equal
+
+    def counting(a, b, *args, **kwargs):
+        compared.append(1)
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    cert = runner._uniform_state_values(model, runner.RunConfig(), 0)
+    assert cert.passed and cert.samples == 201
+    assert not compared
+    # an equal copy of a model test is still found, by its coordinates
+    copy = tuple(Element(x.algebra, x.coords.copy()) for x in model.tests[150])
+    state = uniform_state(model)
+    np.testing.assert_array_equal(evaluate(state, copy), evaluate(state, model.tests[150]))
+    assert compared
+
+
 def test_model_from_tests_validation():
     desc = make_algebra("complex", 2)
     e1, e2 = _frame_test(desc, 102)
@@ -276,6 +300,69 @@ def test_model_from_tests_validation():
         model_from_tests(desc, [(bad, e1, e2)])
     with pytest.raises(ValueError, match="no outcomes"):
         model_from_tests(desc, [()])
+
+
+def test_model_from_tests_checks_cone_in_one_batch_and_names_first_test(monkeypatch):
+    desc = make_algebra("complex", 2)
+    e1, e2 = _frame_test(desc, 102)
+    bad = Element(desc, -e1.coords)
+    calls = []
+    real = models.eigenvalues_batch
+
+    def counting(algebra, coords):
+        calls.append(coords.shape[0])
+        return real(algebra, coords)
+
+    monkeypatch.setattr(models, "eigenvalues_batch", counting)
+    with pytest.raises(ValueError, match="test 1 has an outcome outside the cone"):
+        model_from_tests(desc, [(e1, e2), (e1, bad, e2), (bad, e2, e1)])
+    assert calls == [8]
+
+
+def _dedup_reference(tests):
+    """The all-pairs greedy loop the sorted window must reproduce."""
+    outcomes = [x for test in tests for x in test]
+    coords = np.array([x.coords for x in outcomes])
+    kept = np.ones(len(outcomes), dtype=bool)
+    for i in range(len(outcomes)):
+        if kept[i]:
+            gaps = np.abs(coords[i + 1 :] - coords[i]).max(axis=1)
+            kept[i + 1 :] &= ~(gaps <= MODEL_TOL)
+    return tuple(x for x, keep in zip(outcomes, kept) if keep)
+
+
+def test_outcome_dedup_matches_all_pairs_greedy_loop():
+    # Planted near-duplicates, rows tied in every coordinate but one, and
+    # chains a ~ b ~ c with a and c apart: greedy first-seen keeps a and c
+    # and drops b, so the result depends on the order rows arrive in.
+    desc = make_algebra("real", 3)
+    rng = np.random.default_rng(105)
+    base = rng.standard_normal((60, desc.dim))
+    base[:, 0] *= 10.0  # the widest-spread coordinate, which rows sort on
+    step, key_step = np.zeros(desc.dim), np.zeros(desc.dim)
+    step[2] = key_step[0] = 0.7 * MODEL_TOL
+    tied = base[30:40].copy()
+    tied[:, 4] += 1.0
+    coords = np.vstack([
+        base,
+        base[:20] + rng.uniform(-0.5, 0.5, (20, desc.dim)) * MODEL_TOL,
+        base[20:25] + step,
+        base[20:25] + 2 * step,
+        base[25:30] + key_step,
+        base[25:30] + 2 * key_step,
+        tied,
+        base[40:45] + 1.5 * MODEL_TOL,
+    ])
+    for seed in range(4):
+        order = np.random.default_rng(seed).permutation(len(coords))
+        elems = [Element(desc, row) for row in coords[order]]
+        tests = tuple(tuple(elems[k : k + 3]) for k in range(0, len(elems), 3))
+        got, want = _dedup_outcomes(tests), _dedup_reference(tests)
+        assert [id(x) for x in got] == [id(x) for x in want]
+        assert len(base) < len(got) < len(coords)
+    chain = [Element(desc, base[0] + k * step) for k in range(3)]
+    assert _dedup_outcomes(((chain[0], chain[1], chain[2]),)) == (chain[0], chain[2])
+    assert _dedup_outcomes(((chain[1], chain[0], chain[2]),)) == (chain[1],)
 
 
 def test_outcome_pool_is_deduplicated():

@@ -20,6 +20,8 @@ from symcone import (
     unit,
 )
 from symcone import spectral
+from symcone.algebra import _context, _left_mult_batch
+from symcone.cone import check_homogeneity
 from symcone.hypercomplex import embed_quat_matrix
 from symcone.spectral import (
     canonical_regular_element,
@@ -263,3 +265,57 @@ def test_reconstruction_residuals(desc):
     a = random_element(desc, seed=41)
     res = spectral_reconstruction_residual(a)
     assert max(res.values()) < 1e-8
+
+
+def _operator_spectrum(rows):
+    """Albert eigenvalues from the full eigensolve of every L_a: the extreme
+    midpoints and the trace."""
+    ctx = _context(make_algebra("albert"))
+    ops = _left_mult_batch(ctx.constants, rows)
+    spec = np.linalg.eigvalsh(ops)[:, [0, -1]]
+    mid = rows @ ctx.unit_coords - spec.sum(axis=1)
+    return np.sort(np.column_stack([spec[:, 0], mid, spec[:, 1]]), axis=1)
+
+
+@pytest.mark.parametrize("gap", [1e-1, 2e-2, 5e-3, 1e-8, 1e-11, 0.0])
+def test_albert_eigenvalues_near_double_roots(gap):
+    # Points sum_k lambda_k e_k on random frames, the close pair at the
+    # bottom and at the top, on both sides of the Ritz gate.
+    desc = make_algebra("albert")
+    frames = frame_pool(desc, 40, seed=44).reshape(40, 3, desc.dim)
+    base = np.random.default_rng(45).uniform(-2.0, 2.0, 40)
+    low = np.column_stack([base, base + gap, base + 1.0])
+    high = np.column_stack([base - 1.0, base, base + gap])
+    for want in (low, high):
+        rows = np.einsum("nk,nkd->nd", want, frames)
+        np.testing.assert_allclose(eigenvalues_batch(desc, rows), want, rtol=0, atol=1e-13)
+
+
+def test_albert_ritz_spectrum_matches_operator_eigensolve():
+    desc = make_algebra("albert")
+    rows = np.random.default_rng(46).standard_normal((2000, desc.dim))
+    np.testing.assert_allclose(
+        eigenvalues_batch(desc, rows), _operator_spectrum(rows), rtol=0, atol=1e-13
+    )
+
+
+def test_albert_fallback_takes_degenerate_rows_only(monkeypatch):
+    # Frame idempotents and unit multiples have double or triple roots and
+    # must take the operator route; homogeneity's cone images almost never.
+    desc = make_algebra("albert")
+    seen, fallback = [], []
+    ritz, operators = spectral._ritz_spectrum, spectral._left_mult_batch
+    monkeypatch.setattr(spectral, "_ritz_spectrum", lambda ctx, xs: (
+        seen.append(xs.shape[0]) or ritz(ctx, xs)))
+    monkeypatch.setattr(spectral, "_left_mult_batch", lambda sc, xs: (
+        fallback.append(xs.shape[0]) or operators(sc, xs)))
+    u = unit(desc).coords
+    rows = np.vstack([frame_pool(desc, 10, seed=47), u, -2.5 * u, 0.0 * u])
+    want = _operator_spectrum(rows)
+    np.testing.assert_allclose(eigenvalues_batch(desc, rows), want, rtol=0, atol=1e-13)
+    assert sum(fallback) == len(rows)
+    seen.clear()
+    fallback.clear()
+    assert check_homogeneity(desc).passed
+    assert sum(seen) >= 20000
+    assert sum(fallback) <= 0.01 * sum(seen)
