@@ -413,7 +413,8 @@ def _matrix_constants(desc: AlgebraDescriptor) -> _Constants:
     touches[np.arange(dim)[:, None], np.concatenate([diag, off])] = True
     left, right = np.nonzero(np.triu(touches @ touches.T))
     eye = np.eye(dim)
-    step = max(1, KERNEL_CHUNK_TERMS // dim)
+    # a pair's rows, matrices and products take about 16 dim entries
+    step = max(1, KERNEL_CHUNK_TERMS // (16 * dim))
     parts = []
     for lo in range(0, left.size, step):
         a, b = left[lo : lo + step], right[lo : lo + step]

@@ -332,8 +332,7 @@ def tensor_adjoint_check(
             worst = max(worst, float(np.abs(big_adj - lifted).max()) / scale)
             ops[i, side] = big_adj
     xs = rng.standard_normal((samples * 2, 8, dim))
-    least, _ = _cone_image(cs.carrier, ops.reshape(-1, 1, dim, dim), xs, tol)
-    min_eig = min(0.0, least)
+    min_eig, _ = _cone_image(cs.carrier, ops.reshape(-1, 1, dim, dim), xs, tol)
     passed = worst <= tol and min_eig >= -tol
     return ConeCertificate(
         check_name="tensor_adjoint",

@@ -15,7 +15,11 @@ Homogeneity is witnessed constructively: for interior w, the quadratic
 representation of the square root, g = P(w^{1/2}), is a cone automorphism
 with g(u) = w, and P(w^{-1/2}) is its inverse (Faraut & Koranyi, Analysis on
 Symmetric Cones, ch. III). Every check that an operator preserves the cone
-goes through ``_cone_image``.
+goes through ``_cone_image``, which scores the images of sampled squares by
+their least relative eigenvalue clamped at 0. Images the spectral interior
+screen certifies (least eigenvalue above INTERIOR_TOL_SCALE * (1 + |a|),
+defined in ``spectral`` and re-exported here) would score above 0 anyway, so
+only the rest reach the eigensolver.
 """
 
 from __future__ import annotations
@@ -36,7 +40,14 @@ from .algebra import (
     unit,
 )
 from .certificates import ConeCertificate
-from .spectral import _frames, eigenvalues_batch, frame_pool, spectral_decompose
+from .spectral import (
+    INTERIOR_TOL_SCALE,
+    _frames,
+    _interior_rows,
+    eigenvalues_batch,
+    frame_pool,
+    spectral_decompose,
+)
 
 __all__ = [
     "PSD_TOL",
@@ -56,7 +67,6 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-9
-INTERIOR_TOL_SCALE = 1e-8
 
 
 def min_eigenvalue(a: Element) -> float:
@@ -286,22 +296,40 @@ def _cone_image(
 
     ``xs`` (m, k, dim) holds draws; each operator ops[i, q] of the stack
     (m, q, dim, dim) maps the squares of the draws xs[i]. Returns the least
-    lambda_min / (1 + max |lambda|) over all images, and the square whose
-    image scores lowest under the first operator that goes below -tol, or
-    None when none does.
+    lambda_min / (1 + max |lambda|) over all images, clamped at 0, and the
+    square whose image scores lowest under the first operator that goes
+    below -tol, or None when none does.
+
+    The images are formed in chunks of points that hold about
+    KERNEL_CHUNK_TERMS / rank entries (one point at the least), and only
+    those the interior screen ``spectral._interior_rows`` does not certify
+    are kept, for one ``eigenvalues_batch`` call. A certified image has
+    lambda_min above INTERIOR_TOL_SCALE (1 + |image|) less its rounding, so
+    an eigensolve would have scored it above 0 as well: the clamped least
+    and the witness equal those of an eigensolve of every image.
     """
     m, k, dim = xs.shape
+    q = ops.shape[1]
     flat = xs.reshape(-1, dim)
     squares = _product_batch(_context(algebra).constants, flat, flat).reshape(m, k, dim)
-    images = squares[:, None] @ np.swapaxes(ops, -1, -2)
-    lam = eigenvalues_batch(algebra, images.reshape(-1, dim))
-    rel = (lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))).reshape(-1, k)
+    pending, rows = [], []
+    step = max(1, KERNEL_CHUNK_TERMS // (algebra.rank * dim * q * k))
+    for lo in range(0, m, step):
+        maps = np.swapaxes(ops[lo : lo + step], -1, -2)
+        images = (squares[lo : lo + step, None] @ maps).reshape(-1, dim)
+        rest = np.flatnonzero(~_interior_rows(algebra, images))
+        pending.append(images[rest])
+        rows.append(lo * q * k + rest)
+    lam = eigenvalues_batch(algebra, np.concatenate(pending))
+    rel = np.full(m * q * k, np.inf)
+    rel[np.concatenate(rows)] = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
+    rel = rel.reshape(-1, k)
     failing = np.flatnonzero(rel.min(axis=1) < -tol)
     witness = None
     if failing.size:
         first = failing[0]
-        witness = squares[first // ops.shape[1], np.argmin(rel[first])]
-    return float(rel.min(initial=np.inf)), witness
+        witness = squares[first // q, np.argmin(rel[first])]
+    return min(0.0, float(rel.min(initial=np.inf))), witness
 
 
 def check_adjoint_automorphism(
@@ -311,7 +339,12 @@ def check_adjoint_automorphism(
     seed: int = 0,
     tol: float = PSD_TOL,
 ) -> ConeCertificate:
-    """The trace-form adjoint of a cone automorphism preserves the cone."""
+    """The trace-form adjoint of a cone automorphism preserves the cone.
+
+    ``cone_min_eigenvalue`` is the least relative eigenvalue of the images
+    of sampled squares, clamped at 0 as ``_cone_image`` returns it: it reads
+    0 whenever every image is in the cone.
+    """
     ctx = _context(algebra)
     rng = np.random.default_rng(seed)
     adj = adjoint(algebra, g)

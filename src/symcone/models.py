@@ -20,8 +20,8 @@ from .algebra import (
     Element,
     _context,
     _metric_exp,
+    _norms,
     _product_coords,
-    norm,
     trace_form,
     trace_of,
     unit,
@@ -103,6 +103,13 @@ def _dedup_outcomes(tests: tuple[tuple[Element, ...], ...]) -> tuple[Element, ..
     return tuple(x for x, keep in zip(outcomes, kept) if keep)
 
 
+def _outcome_rows(tests, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of every outcome of ``tests``, test by test, shape
+    (outcomes, dim), and the index of each row's test."""
+    coords = np.array([x.coords for test in tests for x in test]).reshape(-1, dim)
+    return coords, np.repeat(np.arange(len(tests)), [len(test) for test in tests])
+
+
 def model_from_tests(
     algebra: AlgebraDescriptor,
     tests,
@@ -119,20 +126,21 @@ def model_from_tests(
             raise ValueError(f"test {idx} has no outcomes")
         if any(x.algebra != algebra for x in test):
             raise ValueError(f"test {idx} mixes algebras")
-    coords = np.array([x.coords for test in checked for x in test])
-    owner = np.repeat(np.arange(len(checked)), [len(test) for test in checked])
+    coords, owner = _outcome_rows(checked, algebra.dim)
     # one spectral batch for every outcome, with cone_contains's test
-    lam_min = eigenvalues_batch(algebra, coords.reshape(-1, algebra.dim))[:, 0]
+    lam_min = eigenvalues_batch(algebra, coords)[:, 0]
     outside = owner[~(lam_min >= -tol)]
-    u = unit(algebra)
-    for idx, test in enumerate(checked):
+    ctx = _context(algebra)
+    totals = np.zeros((len(checked), algebra.dim))
+    np.add.at(totals, owner, coords)
+    u = ctx.unit_coords[None, :]
+    gaps = _norms(totals - u, ctx.gram) > tol * (1.0 + _norms(u, ctx.gram)[0])
+    failing = [*outside[:1], *np.flatnonzero(gaps)[:1]]
+    if failing:
+        idx = min(failing)
         if outside.size and outside[0] == idx:
             raise ValueError(f"test {idx} has an outcome outside the cone")
-        total = test[0]
-        for x in test[1:]:
-            total = total + x
-        if norm(total - u) > tol * (1.0 + norm(u)):
-            raise ValueError(f"test {idx} does not resolve the order unit")
+        raise ValueError(f"test {idx} does not resolve the order unit")
     return ProbModel(algebra, checked, _dedup_outcomes(checked))
 
 
@@ -245,15 +253,18 @@ def check_unital_outcomes_primitive(
     evenly, i.e. tr(x) = rank / len(test) for every outcome. Outcomes whose
     largest eigenvalue stays below 1 are merely counted; they make no claim.
     """
+    ctx = _context(model.algebra)
     rank = model.algebra.rank
-    for idx, test in enumerate(model.tests):
-        expected = rank / len(test)
-        for x in test:
-            if abs(trace_of(x) - expected) > 1e-7 * rank:
-                raise ValueError(
-                    f"model is not uniform: test {idx} has an outcome with "
-                    f"trace {trace_of(x):.6f}, expected {expected:.6f}"
-                )
+    rows, owner = _outcome_rows(model.tests, model.algebra.dim)
+    traces = rows @ (ctx.gram * ctx.unit_coords)
+    expected = rank / np.bincount(owner)[owner]
+    off = np.flatnonzero(np.abs(traces - expected) > 1e-7 * rank)
+    if off.size:
+        i = off[0]
+        raise ValueError(
+            f"model is not uniform: test {owner[i]} has an outcome with "
+            f"trace {traces[i]:.6f}, expected {expected[i]:.6f}"
+        )
     coords = np.array([x.coords for x in model.outcomes])
     lam_max = _top_group(model.algebra, coords)[0]
     unital = lam_max >= 1.0 - 1e-6

@@ -370,7 +370,7 @@ def check_exp_preserves_cone(
     exps, departure = _metric_exp(_context(algebra).gram, gens, skew=False)
     xs = draws[:, p:].reshape(samples, 16, d)
     least, witness = _cone_image(algebra, exps[:, None], xs, tol)
-    worst = min(0.0, least, -float(departure.max(initial=0.0)))
+    worst = min(least, -float(departure.max(initial=0.0)))
     return ConeCertificate(
         check_name="exp_preserves_cone",
         passed=worst >= -tol,

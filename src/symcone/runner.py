@@ -31,14 +31,13 @@ import numpy as np
 from . import __version__
 from .algebra import (
     Element,
+    _context,
     certify_formal_reality,
     commutativity_residuals,
     descriptor_to_record,
     format_descriptor,
     jordan_identity_residuals,
     trace_associativity_residuals,
-    trace_form,
-    trace_of,
     unit_law_residuals,
 )
 from .certificates import ConeCertificate
@@ -63,11 +62,11 @@ from .cone import (
 )
 from .models import (
     ProbModel,
+    _outcome_rows,
     certify_unital_sharp,
     check_cauchy_schwarz,
     check_reversible_stabilizer,
     check_unital_outcomes_primitive,
-    evaluate,
     make_model,
     model_from_tests,
     state_from_coords,
@@ -140,19 +139,29 @@ def _product_reconstruction(model: ProbModel, cfg: RunConfig, seed: int) -> Cone
 
 
 def _uniform_state_values(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertificate:
-    w = uniform_state(model)
+    """The uniform state u / rank gives each outcome x the probability
+    tr(x) / rank, each test a total of 1, and each pooled primitive outcome
+    1 / rank. The traces and pairings are row sums of products, term for
+    term and in the order ``trace_of`` and ``trace_form`` take them."""
+    ctx = _context(model.algebra)
     rank = model.algebra.rank
-    worst = 0.0
-    for test in model.tests:
-        probs = evaluate(w, test)
-        worst = max(worst, float(abs(probs.sum() - 1.0)))
-        for x, p in zip(test, probs):
-            worst = max(worst, abs(p - trace_of(x) / rank))
-    pooled_primitive = [
-        x for x in model.outcomes if abs(trace_of(x) - 1.0) <= 1e-6 * rank
+    weights = uniform_state(model).representer.coords * ctx.gram
+    rows, owner = _outcome_rows(model.tests, model.algebra.dim)
+    probs = np.sum(rows * weights, axis=1)
+    traces = np.sum(rows * ctx.gram * ctx.unit_coords, axis=1)
+    sizes = np.bincount(owner)
+    # the tests of one size are the rows of one array: a row sum adds in the
+    # order a sum of that test alone does (np.add.reduceat would not)
+    totals = [
+        probs[sizes[owner] == size].reshape(-1, size).sum(axis=1)
+        for size in np.unique(sizes)
     ]
-    for x in pooled_primitive:
-        worst = max(worst, abs(trace_form(w.representer, x) - 1.0 / rank))
+    pooled = np.array([x.coords for x in model.outcomes]).reshape(-1, model.algebra.dim)
+    pooled_traces = np.sum(pooled * ctx.gram * ctx.unit_coords, axis=1)
+    primitive = pooled[np.abs(pooled_traces - 1.0) <= 1e-6 * rank]
+    gaps = [np.abs(probs - traces / rank)] + [np.abs(total - 1.0) for total in totals]
+    gaps.append(np.abs(np.sum(primitive * weights, axis=1) - 1.0 / rank))
+    worst = float(max(gap.max(initial=0.0) for gap in gaps))
     return ConeCertificate(
         check_name="uniform_state_values",
         passed=worst <= max(cfg.tol, 1e-10),
@@ -160,7 +169,7 @@ def _uniform_state_values(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCe
         seed=seed,
         tol=max(cfg.tol, 1e-10),
         worst_residual=worst,
-        details={"pooled_primitive_outcomes": len(pooled_primitive)},
+        details={"pooled_primitive_outcomes": len(primitive)},
     )
 
 

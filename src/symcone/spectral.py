@@ -24,6 +24,13 @@ test suite checks the core against. ``_top_group`` applies the same merge
 rule to a batch of rows from their eigenvalues alone, and
 ``_idempotent_rows`` tests a batch of rows for (primitive) idempotency.
 
+``_interior_rows`` is the interior screen: it certifies, without an
+eigensolve, rows whose least eigenvalue exceeds INTERIOR_TOL_SCALE * (1 +
+|a|), by a batched Cholesky factorization (matrix families), t - |v| (spin
+factors) or the characteristic coefficients (octonionic algebra). The margin
+is five orders above the screen's rounding, so a certified row is interior
+for certain; a row it does not certify decides nothing.
+
 Frames are the idempotents of random standard-normal elements. Draws whose
 spectrum is not cleanly separated are redrawn rather than refined, since
 any refinement of a merged projector would be basis-dependent.
@@ -56,6 +63,7 @@ from .algebra import (
 )
 
 __all__ = [
+    "INTERIOR_TOL_SCALE",
     "SpectralDecomposition",
     "spectral_decompose",
     "eigenvalues_batch",
@@ -69,6 +77,7 @@ __all__ = [
 ]
 
 MERGE_TOL_SCALE = 1e-8
+INTERIOR_TOL_SCALE = 1e-8
 FRAME_SEPARATION = 1e-6
 MAX_FRAME_ATTEMPTS = 20
 RITZ_GATE = 1e-2
@@ -108,20 +117,23 @@ def _group_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
 def spectral_decompose(
     a: Element, merge_tol: float | None = None, method: str = "auto"
 ) -> SpectralDecomposition:
-    scale_tol = MERGE_TOL_SCALE * (1.0 + norm(a)) if merge_tol is None else merge_tol
+    if merge_tol is None:
+        # the rule of _top_group
+        scale = _norms(a.coords[None, :], _context(a.algebra).gram)[0]
+        merge_tol = MERGE_TOL_SCALE * (1.0 + scale)
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown spectral method {method!r}")
     if method == "auto":
         lam, idem = _spectrum(a.algebra, a.coords[None, :], idempotents=True)
         # NaN idempotents mark an octonionic block without a separated spectrum
         if np.isfinite(idem).all():
-            groups = _group_indices(lam[0], scale_tol)
+            groups = _group_indices(lam[0], merge_tol)
             return SpectralDecomposition(
                 np.array([lam[0, g].mean() for g in groups]),
                 [Element(a.algebra, idem[0, g].sum(axis=0)) for g in groups],
                 degenerate=any(g.size > 1 for g in groups),
             )
-    return _generic_decompose(a, scale_tol)
+    return _generic_decompose(a, merge_tol)
 
 
 def _generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
@@ -386,6 +398,63 @@ def eigenvalues_batch(algebra: AlgebraDescriptor, coords: np.ndarray) -> np.ndar
     always carries ``rank`` entries.
     """
     return _spectrum(algebra, coords)[0]
+
+
+def _interior_rows(
+    algebra: AlgebraDescriptor, coords: np.ndarray, scale: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows certified to have lambda_min > INTERIOR_TOL_SCALE * s, where s is
+    ``scale`` or else 1 + the trace norm, so that s >= 1 + max |lambda|.
+    False decides nothing: the row may still be interior.
+
+    Each test is exact arithmetic's test for a margin delta s that is five
+    orders above the rounding it makes, so a passing row is interior for
+    certain, and an eigensolve would have put its lambda_min above 0 too.
+
+    * Matrix families: the unblocked Cholesky factorization of the matrix
+      view minus delta s I completes with positive pivots. A completed
+      factorization is the exact one of a matrix within a small multiple
+      of n^2 eps s (Higham, Accuracy and Stability of Numerical Algorithms,
+      ch. 10). It runs over the batch, one pivot per step, so a failing row
+      fails alone (``np.linalg.cholesky`` raises for the whole stack).
+    * Spin factors: t - |v| > delta s.
+    * Albert: the coefficients c1 = tr a, c2 and c3 = det a of the
+      characteristic polynomial, from tr a, <a, a> and <a o a, a>, exceed
+      delta s, delta s^2 and delta s^3. Then no root is <= 0, and the least
+      one is c3 over the product of the other two, each below s.
+    * Direct sums: every block passes against the whole row's s.
+    """
+    ctx = _context(algebra)
+    if scale is None:
+        scale = 1.0 + _norms(coords, ctx.gram)
+    floor = INTERIOR_TOL_SCALE * scale
+    fam = algebra.family
+    if fam is Family.SPIN:
+        return coords[:, 0] - np.linalg.norm(coords[:, 1:], axis=1) > floor
+    if fam is Family.ALBERT:
+        square = _product_batch(ctx.constants, coords, coords)
+        p1 = coords @ (ctx.gram * ctx.unit_coords)
+        p2 = np.sum(coords * ctx.gram * coords, axis=1)
+        p3 = np.sum(square * ctx.gram * coords, axis=1)
+        c2 = 0.5 * (p1 * p1 - p2)
+        c3 = (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+        return (p1 > floor) & (c2 > floor * scale) & (c3 > floor * scale**2)
+    if fam is Family.SUM:
+        ok = np.ones(coords.shape[0], dtype=bool)
+        for desc, sl in zip(algebra.summands, ctx.block_slices):
+            ok &= _interior_rows(desc, coords[:, sl], scale)
+        return ok
+    mats = _to_view(coords, algebra.size, _ENTRY_WIDTH[fam])
+    diag = np.arange(mats.shape[-1])
+    mats[:, diag, diag] -= floor[:, None]
+    ok = np.ones(coords.shape[0], dtype=bool)
+    for k in diag:
+        pivot = mats[:, k, k].real
+        ok &= pivot > 0.0
+        # a failed row's column goes to 0, which freezes the rest of it
+        col = mats[:, k + 1 :, k] / np.sqrt(np.where(ok, pivot, np.inf))[:, None]
+        mats[:, k + 1 :, k + 1 :] -= col[:, :, None] * col[:, None, :].conj()
+    return ok
 
 
 def _top_group(

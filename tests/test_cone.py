@@ -21,7 +21,11 @@ from symcone import (
     trace_form,
     unit,
 )
+from symcone import spectral
+from symcone.algebra import _context, _product_batch
 from symcone.cone import (
+    PSD_TOL,
+    _cone_image,
     _point_transports,
     adjoint,
     automorphism_to_point,
@@ -36,6 +40,8 @@ from symcone.cone import (
     sample_off_boundary,
 )
 from symcone.spectral import _frames, eigenvalues_batch
+
+from test_algebra import ALL_FAMILIES
 
 FAMILIES = [
     make_algebra("real", 3),
@@ -245,3 +251,78 @@ def test_interior_point_spectrum_within_bounds():
     lams = eigenvalues_batch(desc, w.coords[None, :])[0]
     assert lams.min() >= 0.25 - 1e-9
     assert lams.max() <= 0.75 + 1e-9
+
+
+def _cone_image_reference(algebra, ops, xs, tol):
+    """``_cone_image`` with an eigensolve of every image, as it was before
+    the interior screen."""
+    m, k, dim = xs.shape
+    flat = xs.reshape(-1, dim)
+    squares = _product_batch(_context(algebra).constants, flat, flat).reshape(m, k, dim)
+    images = squares[:, None] @ np.swapaxes(ops, -1, -2)
+    lam = eigenvalues_batch(algebra, images.reshape(-1, dim))
+    rel = (lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))).reshape(-1, k)
+    failing = np.flatnonzero(rel.min(axis=1) < -tol)
+    witness = None
+    if failing.size:
+        first = failing[0]
+        witness = squares[first // ops.shape[1], np.argmin(rel[first])]
+    return min(0.0, float(rel.min(initial=np.inf))), witness
+
+
+@pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
+def test_screened_cone_image_matches_full_eigensolve(desc):
+    # On the transports of check_homogeneity, which keep every image in the
+    # cone, and on a perturbation of them that pushes some squares out.
+    rng = np.random.default_rng(72)
+    frames = _frames(desc, 12, rng)
+    lams = rng.uniform(0.5, 2.0, size=(12, desc.rank))
+    _, forward, inverse = _point_transports(desc, frames, lams)
+    transports = np.stack([forward, inverse], axis=1)
+    pushed = transports + 0.8 * rng.standard_normal(transports.shape) / desc.dim
+    xs = rng.standard_normal((12, 30, desc.dim))
+    for ops, leaves in ((transports, False), (pushed, True)):
+        least, witness = _cone_image(desc, ops, xs, PSD_TOL)
+        want, want_witness = _cone_image_reference(desc, ops, xs, PSD_TOL)
+        assert least == want
+        assert (least < -PSD_TOL) == leaves
+        if leaves:
+            np.testing.assert_array_equal(witness, want_witness)
+        else:
+            assert witness is None and want_witness is None
+
+
+@pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
+def test_homogeneity_images_rarely_reach_the_eigensolver(desc, monkeypatch):
+    # The interior screen certifies all but a few of the 20 000 images; the
+    # frame draws, which ask for idempotents, are not counted.
+    solved = []
+    rows = spectral._spectrum_rows
+
+    def counting(algebra, xs, idempotents):
+        if algebra == desc and not idempotents:
+            solved.append(xs.shape[0])
+        return rows(algebra, xs, idempotents)
+
+    monkeypatch.setattr(spectral, "_spectrum_rows", counting)
+    cert = check_homogeneity(desc)
+    assert cert.passed
+    assert sum(solved) <= 0.01 * 100 * 2 * 100
+
+
+@pytest.mark.parametrize(
+    "family, size, parent_peak_mb",
+    [("albert", 3, 12.9), ("quaternion", 3, 9.4), ("real", 8, 17.8), ("complex", 4, 7.3)],
+)
+def test_homogeneity_memory_stays_below_the_unscreened_peak(family, size, parent_peak_mb):
+    # Peaks of the eigensolve-every-image version; images are now formed and
+    # screened a chunk at a time.
+    desc = make_algebra(family, size)
+    check_homogeneity(desc, 2)  # build the cached context first
+    tracemalloc.start()
+    try:
+        check_homogeneity(desc, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_peak_mb * 2**20

@@ -6,6 +6,8 @@ sparse build is checked entry for entry against a dense table built the
 direct way: every pair of basis matrices multiplied and symmetrized.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from symcone import (
 )
 from symcone import hypercomplex as hc
 from symcone.algebra import (
+    _build_constants,
     _constants_from_dense,
     _context,
     _product_batch,
@@ -114,6 +117,21 @@ def test_constants_stay_small_at_dim_256():
     assert all(arr.ndim == 1 for arr in arrays)
     # the dense (256, 256, 256) table took 134 MB
     assert sum(arr.nbytes for arr in arrays) < 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("family, size", [("real", 18), ("complex", 12)])
+def test_context_build_peak_stays_near_a_megabyte(family, size):
+    # Basis pairs are multiplied a chunk at a time. With KERNEL_CHUNK_TERMS
+    # // dim pairs a chunk the build peaked at 11 and 12 MB here (d = 171 and
+    # 144), which set the peak RSS of whole runs ending in such a build.
+    desc = make_algebra(family, size)
+    tracemalloc.start()
+    try:
+        _build_constants(desc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_cached_context_arrays_are_read_only():

@@ -1,6 +1,8 @@
 """Probabilistic models built on algebra frames: states, tests, outcomes."""
 
 import dataclasses
+import json
+import sys
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from symcone import (
     model_from_tests,
     pure_state_of,
     random_state,
+    trace_form,
     trace_of,
     uniform_state,
     unit,
 )
 from symcone import models, runner
+from symcone.modelfile import parse_model_text
 from symcone.models import (
     MODEL_TOL,
     State,
@@ -181,6 +185,11 @@ def test_nonuniform_model_is_rejected_by_precondition():
     lopsided = (frame[0], Element(desc, frame[1].coords + frame[2].coords))
     model = model_from_tests(desc, [lopsided])
     with pytest.raises(ValueError, match="uniform"):
+        check_unital_outcomes_primitive(model)
+    # the message names the first test that fails, and its first outcome off
+    model = model_from_tests(desc, [tuple(frame), lopsided, lopsided[::-1]])
+    message = "test 1 has an outcome with trace 1.000000, expected 1.500000"
+    with pytest.raises(ValueError, match=message):
         check_unital_outcomes_primitive(model)
 
 
@@ -389,3 +398,58 @@ def test_uniform_state_trace():
     model = make_model(desc, count=2, seed=104)
     state = uniform_state(model)
     assert trace_of(state.representer) == pytest.approx(1.0, abs=1e-12)
+
+
+def _uniform_state_reference(model):
+    """The uniform-state residual read one outcome at a time."""
+    w = uniform_state(model).representer
+    rank = model.algebra.rank
+    worst = 0.0
+    for test in model.tests:
+        probs = np.array([trace_form(w, x) for x in test])
+        worst = max(worst, float(abs(probs.sum() - 1.0)))
+        for x, p in zip(test, probs):
+            worst = max(worst, abs(p - trace_of(x) / rank))
+    for x in model.outcomes:
+        if abs(trace_of(x) - 1.0) <= 1e-6 * rank:
+            worst = max(worst, abs(trace_form(w, x) - 1.0 / rank))
+    return worst
+
+
+def test_model_suite_reads_traces_and_pairings_in_batches(monkeypatch):
+    # A 2000-frame real 8 model: the uniform-state values and the uniformity
+    # precondition read every outcome's trace and pairing in one batch, not
+    # one trace_of / trace_form call per outcome.
+    text = json.dumps({"schema_version": 1, "name": "wide", "systems": [
+        {"name": "real8", "algebra": {"family": "real", "size": 8},
+         "tests": {"mode": "sampled", "count": 2000, "seed": 3}}]})
+    spec = parse_model_text(text)
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("symcone")]:
+        for name in ("trace_of", "trace_form"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real: (
+                    calls.append(_n) or _f(*a)))
+    built = []
+    build = runner._build_model
+    monkeypatch.setattr(runner, "_build_model", lambda *a: built.append(build(*a)) or built[-1])
+    report = runner.run_model_spec(spec, runner.RunConfig(suites=("model",)))
+    assert report["summary"]["failed"] == 0
+    assert not calls
+    monkeypatch.undo()
+    cert = {c["check"]: c for c in report["systems"][0]["certificates"]}["uniform_state_values"]
+    assert cert["worst_residual"] == _uniform_state_reference(built[0])
+    assert cert["details"]["pooled_primitive_outcomes"] == 8 * 2001
+
+
+@pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)
+def test_batched_uniform_state_values_equal_the_outcome_loop(desc):
+    # Sums, traces and pairings add in the order of the per-outcome loop, so
+    # the residual is equal bit for bit, with tests of several sizes too.
+    frames = make_model(desc, count=60, seed=107).tests
+    e = frames[1]
+    coarse = (e[0], Element(desc, sum(x.coords for x in e[1:])))
+    model = model_from_tests(desc, [*frames, coarse] if desc.rank > 2 else frames)
+    cert = runner._uniform_state_values(model, runner.RunConfig(), 0)
+    assert cert.worst_residual == _uniform_state_reference(model)

@@ -19,11 +19,13 @@ from symcone import (
     trace_of,
     unit,
 )
-from symcone import spectral
-from symcone.algebra import _context, _left_mult_batch
+from symcone import cone, spectral
+from symcone.algebra import _context, _left_mult_batch, _norms
 from symcone.cone import check_homogeneity
 from symcone.hypercomplex import embed_quat_matrix
 from symcone.spectral import (
+    INTERIOR_TOL_SCALE,
+    _interior_rows,
     canonical_regular_element,
     eigenvalues_batch,
     frame_pool,
@@ -31,6 +33,8 @@ from symcone.spectral import (
     is_primitive,
     spectral_reconstruction_residual,
 )
+
+from test_algebra import ALL_FAMILIES
 
 ATOL = 1e-9
 
@@ -316,6 +320,35 @@ def test_albert_fallback_takes_degenerate_rows_only(monkeypatch):
     assert sum(fallback) == len(rows)
     seen.clear()
     fallback.clear()
+    # with the interior screen off, every cone image reaches the spectrum
+    monkeypatch.setattr(cone, "_interior_rows", lambda algebra, xs: np.zeros(len(xs), bool))
     assert check_homogeneity(desc).passed
     assert sum(seen) >= 20000
     assert sum(fallback) <= 0.01 * sum(seen)
+
+
+@pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
+def test_interior_screen_is_sound_and_certifies_clear_interiors(desc):
+    # Rows sum_k lambda_k e_k on random frames: one eigenvalue set to
+    # lambda_min = r s, where s is 1 + the trace norm of the other eigenvalues
+    # (uniform in [0.5, 2], at a random place in the frame), and r = 1 is a
+    # row whose least eigenvalue is one of those. Below the margin
+    # INTERIOR_TOL_SCALE * s (every row with lambda_min <= 0 among them) no
+    # row may be certified; from 1e-6 s on, every row must be.
+    ratios = [-1e-3, -1e-14, 0.0, 1e-14, 1e-9, 1e-6, 1.0]
+    frames = frame_pool(desc, 40 * len(ratios), seed=70).reshape(-1, desc.rank, desc.dim)
+    rng = np.random.default_rng(71)
+    lams = rng.uniform(0.5, 2.0, size=(frames.shape[0], desc.rank))
+    ratio = np.repeat(ratios, 40)
+    place = rng.integers(0, desc.rank, size=frames.shape[0])
+    picked = np.arange(frames.shape[0]), place
+    lams[picked] = 0.0
+    lams[picked] = ratio * (1.0 + np.linalg.norm(lams, axis=1))
+    rows = np.einsum("nk,nkd->nd", lams, frames)
+    certified = _interior_rows(desc, rows)
+    lam_min = lams.min(axis=1)
+    scale = 1.0 + _norms(rows, _context(desc).gram)
+    assert not certified[lam_min < INTERIOR_TOL_SCALE * scale].any()
+    assert not certified[lam_min <= 0.0].any()
+    assert certified[lam_min >= 1e-6 * scale].all()
+    assert certified[ratio >= 1e-6].all()
