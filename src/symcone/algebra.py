@@ -20,9 +20,10 @@ for spin factors (the unit there has <u, u> = rank = 2).
 The Jordan product is precomputed once per descriptor as sparse structure
 constants: the nonzero coefficients V[t] in b_I[t] o b_J[t] = ... + V[t]
 b_K[t] + ..., kept as coordinate arrays (I, J, K, V) sorted by (K, J, I).
-Only basis pairs that share a matrix index are multiplied, so the build and
-the constants grow with the number of nonzeros (about n^3 for n x n matrix
-families) instead of dim^3. Products, multiplication operators and the
+For the matrix families they are written down in closed form from four index
+rules and the unit table of the entry algebra, with no matrix product, so the
+build and the constants grow with the number of nonzeros (about
+width^2 n^3) instead of dim^3. Products, multiplication operators and the
 quadratic representation all go through one kernel that gathers
 x[I] * y[J] * V and sums the runs of equal K (or of equal (K, J) for
 operators) with ``np.add.reduceat``.
@@ -30,6 +31,7 @@ operators) with ``np.add.reduceat``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,13 +141,17 @@ def make_algebra(
         return AlgebraDescriptor(fam, 0, tuple(summands))
     if summands:
         raise ValueError(f"family {fam.value!r} does not take summands")
+    if size is not None:
+        if isinstance(size, bool) or not hasattr(type(size), "__index__"):
+            raise ValueError(f"family {fam.value!r} requires an integer size, got {size!r}")
+        size = operator.index(size)
     if fam is Family.ALBERT:
         if size not in (None, 3):
             raise ValueError("the octonionic hermitian algebra is fixed at size 3")
         return AlgebraDescriptor(fam, 3)
     if size is None or size < 1:
         raise ValueError(f"family {fam.value!r} requires a positive size, got {size}")
-    return AlgebraDescriptor(fam, int(size))
+    return AlgebraDescriptor(fam, size)
 
 
 def direct_sum(*parts) -> AlgebraDescriptor:
@@ -321,12 +327,6 @@ def _make_constants(
     return _Constants(dim, *arrays)
 
 
-def _constants_from_dense(table: np.ndarray) -> _Constants:
-    """Constants of a dense (dim, dim, dim) table: its exact nonzeros."""
-    I, J, K = np.nonzero(table)
-    return _make_constants(table.shape[0], I, J, K, table[I, J, K])
-
-
 def _contract(sc: _Constants, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
     """The product kernel, batched over rows.
 
@@ -389,47 +389,58 @@ class _Context:
 
 _CONTEXT_CACHE: dict[AlgebraDescriptor, _Context] = {}
 
-def _sym_product_rep(desc: AlgebraDescriptor, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Coordinates of (x y + y x) / 2, computed row by row in the matrix
-    representation (quaternionic through its complex embedding)."""
-    n, width = desc.size, _ENTRY_WIDTH[desc.family]
-    if width == 8:
-        a, b = _to_rep(xs, n, width), _to_rep(ys, n, width)
-        prod = hc.oct_matrix_multiply(a, b) + hc.oct_matrix_multiply(b, a)
-        return _from_rep(0.5 * prod, n, width)
-    a, b = _to_view(xs, n, width), _to_view(ys, n, width)
-    return _from_view(0.5 * (a @ b + b @ a), n, width)
-
 
 def _matrix_constants(desc: AlgebraDescriptor) -> _Constants:
-    """Constants of a matrix or octonionic family, multiplying only the basis
-    pairs that share a matrix index (all other products vanish)."""
-    dim, n = desc.dim, desc.size
-    diag = np.repeat(np.arange(n)[:, None], 2, axis=1)
-    off = np.repeat(
-        np.stack(np.triu_indices(n, k=1), axis=1), _ENTRY_WIDTH[desc.family], axis=0
+    """Constants of a matrix or octonionic family, in closed form.
+
+    With D_i = E_ii and O_{ab,p} the basis element on the index pair {a, b}
+    with unit e_p, and e_p e_q = U[p, q, r] e_r, the nonzero products are
+
+    * D_i o D_i = D_i;
+    * D_i o O_{ij,p} = D_j o O_{ij,p} = O_{ij,p} / 2;
+    * O_{ij,p} o O_{ij,p} = (D_i + D_j) / 2;
+    * O_{ab,p} o O_{bc,q} = s U[p, q, r] O_{ac,r} / (2 sqrt 2) for distinct
+      a, b, c, where s takes the conjugation sign of e_p, e_q or e_r for each
+      of the pairs (a, b), (b, c), (a, c) whose indices run downward (the
+      entry at (b, a) is the conjugate of the entry at (a, b)).
+
+    Every entry of these products is a single unit product, so octonion
+    non-associativity never enters. The coefficient of O o O is the product
+    of the two entries 1 / sqrt 2, which rounds to 0.4999999999999999.
+    """
+    n, width = desc.size, _ENTRY_WIDTH[desc.family]
+    signs = hc._conj_signs(width)
+    iu, ju = np.triu_indices(n, k=1)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
+    diag = np.arange(n)
+    # each O_{ij,p} twice, against its two ends i and j
+    offs = np.tile(n + np.arange(width * iu.size), 2)
+    ends = np.concatenate([iu, ju]).repeat(width)
+    # ordered triples of distinct indices (a, b, c) against unit pairs (p, q)
+    i, j, k = np.ogrid[:n, :n, :n]
+    a, b, c = (t[:, None] for t in np.nonzero((i != j) & (j != k) & (i != k)))
+    p, q = np.divmod(np.arange(width * width), width)
+    units = hc.UNIT_TABLES[width][p, q]
+    r = np.abs(units).argmax(axis=1)
+    sign = (
+        units[np.arange(r.size), r]
+        * np.where(a < b, 1.0, signs[p])
+        * np.where(b < c, 1.0, signs[q])
+        * np.where(a < c, 1.0, signs[r])
     )
-    touches = np.zeros((dim, n), dtype=bool)
-    touches[np.arange(dim)[:, None], np.concatenate([diag, off])] = True
-    left, right = np.nonzero(np.triu(touches @ touches.T))
-    eye = np.eye(dim)
-    # a pair's rows, matrices and products take about 16 dim entries
-    step = max(1, KERNEL_CHUNK_TERMS // (16 * dim))
-    parts = []
-    for lo in range(0, left.size, step):
-        a, b = left[lo : lo + step], right[lo : lo + step]
-        coords = _sym_product_rep(desc, eye[a], eye[b])
-        pair, k = np.nonzero(coords)
-        parts.append((a[pair], b[pair], k, coords[pair, k]))
-    I, J, K, V = (np.concatenate(arrays) for arrays in zip(*parts))
-    mirror = I != J
-    return _make_constants(
-        dim,
-        np.concatenate([I, J[mirror]]),
-        np.concatenate([J, I[mirror]]),
-        np.concatenate([K, K[mirror]]),
-        np.concatenate([V, V[mirror]]),
+    half = np.full(offs.size, 0.5)
+    I = (diag, ends, offs, offs, (n + width * pair[a, b] + p).ravel())
+    J = (diag, offs, ends, offs, (n + width * pair[b, c] + q).ravel())
+    K = (diag, offs, offs, ends, (n + width * pair[a, c] + r).ravel())
+    V = (
+        np.ones(n),
+        half,
+        half,
+        np.full(offs.size, (1 / SQRT2) * (1 / SQRT2)),
+        (sign / (2 * SQRT2)).ravel(),
     )
+    return _make_constants(desc.dim, *(np.concatenate(x) for x in (I, J, K, V)))
 
 
 def _spin_constants(dim: int) -> _Constants:
@@ -733,16 +744,33 @@ def descriptor_to_record(desc: AlgebraDescriptor) -> dict:
     return {"family": desc.family.value, "size": desc.size}
 
 
-def record_to_descriptor(record: dict) -> AlgebraDescriptor:
+def record_to_descriptor(record: dict, path: str = "algebra") -> AlgebraDescriptor:
+    """Inverse of :func:`descriptor_to_record`, strict: a direct sum takes
+    ``family`` and ``summands``, any other family ``family`` and ``size``.
+    Error messages start with the record's ``path`` (a summand's is
+    ``path.summands[k]``), or with the path of the unknown field."""
     if not isinstance(record, dict) or "family" not in record:
-        raise ValueError(f"malformed algebra record: {record!r}")
+        raise ValueError(f"{path}: malformed algebra record: {record!r}")
     family = record["family"]
-    if family == Family.SUM.value:
+    is_sum = family == Family.SUM.value
+    for key in record:
+        if key not in ("family", "summands" if is_sum else "size"):
+            raise ValueError(f"{path}.{key}: unknown field")
+    if is_sum:
         summands = record.get("summands")
         if not isinstance(summands, list) or not summands:
-            raise ValueError("direct sum record requires a non-empty summand list")
-        return make_algebra(family, summands=tuple(record_to_descriptor(s) for s in summands))
-    return make_algebra(family, record.get("size"))
+            raise ValueError(f"{path}: direct sum record requires a non-empty summand list")
+        return make_algebra(
+            family,
+            summands=tuple(
+                record_to_descriptor(s, f"{path}.summands[{k}]")
+                for k, s in enumerate(summands)
+            ),
+        )
+    try:
+        return make_algebra(family, record.get("size"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_descriptor(desc: AlgebraDescriptor) -> str:

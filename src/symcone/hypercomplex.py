@@ -1,14 +1,14 @@
-"""Complex, quaternion and octonion arithmetic on component arrays.
+"""Unit tables of the Cayley-Dickson algebras and the quaternionic matrix
+embedding.
 
-Quaternions are stored as arrays whose last axis has length 4 (components
-1, i, j, k) and octonions as arrays whose last axis has length 8. All
-products are driven by explicit structure tensors so that the arithmetic is
-deterministic and easy to audit: ``QUATERNION_TABLE[p, q, r]`` is the
-coefficient of unit r in the product of units p and q. Every table is built
-from the reals by the Cayley-Dickson doubling (a, b)(c, d) = (ac - conj(d) b,
-d a + b conj(c)): once for the complex table, twice for the quaternion
-table and three times for the octonion table. ``UNIT_TABLES`` holds them by
-width (1, 2, 4, 8).
+Complex numbers, quaternions and octonions are stored as component arrays
+whose last axis has length 2, 4 or 8 (components 1, i, j, k, ... in that
+order). ``QUATERNION_TABLE[p, q, r]`` is the coefficient of unit r in the
+product of units p and q. Every table is built from the reals by the
+Cayley-Dickson doubling (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)):
+once for the complex table, twice for the quaternion table and three times
+for the octonion table. ``UNIT_TABLES`` holds them by width (1, 2, 4, 8);
+the structure constants of the matrix families are read off them.
 
 Hermitian quaternionic matrices are handled through the complex embedding
 q = z + w j -> [[z, w], [-conj(w), conj(z)]], applied entrywise, which is a
@@ -51,31 +51,9 @@ UNIT_TABLES = {
 }
 
 
-def quat_conj(x: np.ndarray) -> np.ndarray:
-    return x * _conj_signs(4)
-
-
-def quat_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Componentwise quaternion product, broadcasting over leading axes."""
-    return np.einsum("...p,...q,pqr->...r", x, y, QUATERNION_TABLE)
-
-
-def oct_conj(x: np.ndarray) -> np.ndarray:
-    return x * _conj_signs(8)
-
-
-def oct_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Componentwise octonion product, broadcasting over leading axes."""
-    return np.einsum("...p,...q,pqr->...r", x, y, OCTONION_TABLE)
-
-
 # ---------------------------------------------------------------------------
 # Quaternionic matrices, stored as (..., n, n, 4) real arrays.
 # ---------------------------------------------------------------------------
-
-
-def quat_matrix_conj_transpose(mat: np.ndarray) -> np.ndarray:
-    return quat_conj(np.swapaxes(mat, -3, -2))
 
 
 def embed_quat_matrix(mat: np.ndarray) -> np.ndarray:
@@ -112,16 +90,3 @@ def extract_quat_matrix(cmat: np.ndarray) -> np.ndarray:
     comp_j = (z01.real - z10.real) / 2.0
     comp_k = (z01.imag + z10.imag) / 2.0
     return np.stack([comp_1, comp_i, comp_j, comp_k], axis=-1)
-
-
-def quat_matrix_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return extract_quat_matrix(embed_quat_matrix(x) @ embed_quat_matrix(y))
-
-
-# ---------------------------------------------------------------------------
-# Octonionic matrices, stored as (..., n, n, 8) real arrays.
-# ---------------------------------------------------------------------------
-
-
-def oct_matrix_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("...ikp,...kjq,pqr->...ijr", x, y, OCTONION_TABLE)

@@ -156,9 +156,9 @@ def _parse_system(record, idx: int) -> SystemSpec:
 
     _require("algebra" in record, f"{path}.algebra", "missing algebra descriptor")
     try:
-        algebra = record_to_descriptor(record["algebra"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ModelFileError(f"{path}.algebra: {exc}") from exc
+        algebra = record_to_descriptor(record["algebra"], f"{path}.algebra")
+    except ValueError as exc:
+        raise ModelFileError(str(exc)) from exc
 
     spec = SystemSpec(name=name, algebra=algebra, expect=dict(expect))
 

@@ -22,6 +22,7 @@ and configuration give byte-identical structured output.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -299,8 +300,8 @@ class RunConfig:
             )
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be a finite positive number, got {self.tol:g}")
 
 
 def _cert_entry(

@@ -1,0 +1,122 @@
+"""Reference arithmetic the tests check the package against.
+
+Nothing here is used by the package. It holds the plain quaternion and
+octonion arithmetic, quaternionic and octonionic matrix products, and the
+direct way of building structure constants: every pair of basis matrices
+that share an index multiplied and symmetrized, with the nonzero
+coordinates of each product kept.
+"""
+
+import numpy as np
+
+from symcone import hypercomplex as hc
+from symcone.algebra import (
+    _ENTRY_WIDTH,
+    KERNEL_CHUNK_TERMS,
+    Family,
+    _from_rep,
+    _from_view,
+    _make_constants,
+    _to_rep,
+    _to_view,
+)
+
+
+def quat_conj(x: np.ndarray) -> np.ndarray:
+    return x * hc._conj_signs(4)
+
+
+def quat_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Componentwise quaternion product, broadcasting over leading axes."""
+    return np.einsum("...p,...q,pqr->...r", x, y, hc.QUATERNION_TABLE)
+
+
+def oct_conj(x: np.ndarray) -> np.ndarray:
+    return x * hc._conj_signs(8)
+
+
+def oct_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Componentwise octonion product, broadcasting over leading axes."""
+    return np.einsum("...p,...q,pqr->...r", x, y, hc.OCTONION_TABLE)
+
+
+def quat_matrix_conj_transpose(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of (..., n, n, 4) quaternionic matrices."""
+    return quat_conj(np.swapaxes(mat, -3, -2))
+
+
+def quat_matrix_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return hc.extract_quat_matrix(hc.embed_quat_matrix(x) @ hc.embed_quat_matrix(y))
+
+
+def oct_matrix_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of (..., n, n, 8) octonionic matrices."""
+    return np.einsum("...ikp,...kjq,pqr->...ijr", x, y, hc.OCTONION_TABLE)
+
+
+def constants_from_dense(table: np.ndarray):
+    """Constants of a dense (dim, dim, dim) table: its exact nonzeros."""
+    I, J, K = np.nonzero(table)
+    return _make_constants(table.shape[0], I, J, K, table[I, J, K])
+
+
+def sym_product_rep(desc, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Coordinates of (x y + y x) / 2, computed row by row in the matrix
+    representation (quaternionic through its complex embedding)."""
+    n, width = desc.size, _ENTRY_WIDTH[desc.family]
+    if width == 8:
+        a, b = _to_rep(xs, n, width), _to_rep(ys, n, width)
+        prod = oct_matrix_multiply(a, b) + oct_matrix_multiply(b, a)
+        return _from_rep(0.5 * prod, n, width)
+    a, b = _to_view(xs, n, width), _to_view(ys, n, width)
+    return _from_view(0.5 * (a @ b + b @ a), n, width)
+
+
+def matrix_constants_by_products(desc):
+    """Constants of a matrix or octonionic family, multiplying the basis
+    pairs that share a matrix index (all other products vanish)."""
+    dim, n = desc.dim, desc.size
+    diag = np.repeat(np.arange(n)[:, None], 2, axis=1)
+    off = np.repeat(
+        np.stack(np.triu_indices(n, k=1), axis=1), _ENTRY_WIDTH[desc.family], axis=0
+    )
+    touches = np.zeros((dim, n), dtype=bool)
+    touches[np.arange(dim)[:, None], np.concatenate([diag, off])] = True
+    left, right = np.nonzero(np.triu(touches @ touches.T))
+    eye = np.eye(dim)
+    step = max(1, KERNEL_CHUNK_TERMS // (16 * dim))
+    parts = []
+    for lo in range(0, left.size, step):
+        a, b = left[lo : lo + step], right[lo : lo + step]
+        coords = sym_product_rep(desc, eye[a], eye[b])
+        pair, k = np.nonzero(coords)
+        parts.append((a[pair], b[pair], k, coords[pair, k]))
+    I, J, K, V = (np.concatenate(arrays) for arrays in zip(*parts))
+    mirror = I != J
+    return _make_constants(
+        dim,
+        np.concatenate([I, J[mirror]]),
+        np.concatenate([J, I[mirror]]),
+        np.concatenate([K, K[mirror]]),
+        np.concatenate([V, V[mirror]]),
+    )
+
+
+def oracle_constants(desc):
+    """Structure constants of any descriptor built without the closed form:
+    matrix families by basis products, spin factors from the dense table of
+    (s, x) o (t, y) = (s t + x . y, s y + t x), sums block by block."""
+    if desc.family is Family.SPIN:
+        dim = desc.dim
+        idx, vec = np.arange(dim), np.arange(1, dim)
+        table = np.zeros((dim, dim, dim))
+        table[0, idx, idx] = table[idx, 0, idx] = table[vec, vec, 0] = 1.0
+        return constants_from_dense(table)
+    if desc.family is Family.SUM:
+        parts, start = [], 0
+        for summand in desc.summands:
+            sc = oracle_constants(summand)
+            parts.append((sc.I + start, sc.J + start, sc.K + start, sc.V))
+            start += summand.dim
+        return _make_constants(desc.dim, *(np.concatenate(x) for x in zip(*parts)))
+    return matrix_constants_by_products(desc)

@@ -155,6 +155,48 @@ def test_unknown_family_is_named(tmp_path):
     assert "clifford" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "algebra,message",
+    [
+        ({"family": "complex", "size": 2.5}, "requires an integer size, got 2.5"),
+        ({"family": "complex", "size": True}, "requires an integer size, got True"),
+        ({"family": "complex", "size": "2"}, "requires an integer size, got '2'"),
+        ({"family": "complex", "size": 2, "shape": "square"}, ".algebra.shape: unknown field"),
+    ],
+    ids=["fractional", "bool", "string", "unknown-key"],
+)
+def test_loose_algebra_record_is_usage_error(tmp_path, capsys, algebra, message):
+    target = tmp_path / "algebra.json"
+    target.write_text(
+        json.dumps({"schema_version": 1, "systems": [{"name": "x", "algebra": algebra}]}),
+        encoding="utf-8",
+    )
+    code = main(["--input", str(target), "--suites", "algebra"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("symcone: model file error: systems[0].algebra")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "1e400"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_tol_must_be_finite_and_positive(monkeypatch, capsys, via, value):
+    argv = ["--input", "quabit-pair"]
+    if via == "flag":
+        argv.append(f"--tol={value}")
+    else:
+        monkeypatch.setenv("SYMCONE_TOL", value)
+    # at an infinite tol every certificate gated on it would pass, the
+    # quabit composite's expected failures included
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert "tol must be a finite positive number" in captured.err
+
+
 def test_environment_overrides_match_flags(tmp_path):
     import os
 
@@ -234,6 +276,43 @@ def test_malformed_environment_default_is_usage_error():
     assert proc.returncode == EXIT_USAGE
     assert "--tol" in proc.stderr and "'abc'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_blas_thread_count_keeps_verdicts_and_witnesses(tmp_path):
+    # Reports are byte-identical only at a fixed BLAS thread count: the Lie
+    # basis's SVDs and matmuls round differently on one and on two threads,
+    # which moves residuals near 1e-15. The verdicts must not move.
+    import os
+
+    target = tmp_path / "kv.json"
+    systems = [("real", 8), ("complex", 4), ("spin", 4)]
+    target.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "systems": [
+                    {"name": f"{family} {size}", "algebra": {"family": family, "size": size}}
+                    for family, size in systems
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    outcomes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = _run("--input", str(target), "--suites", "kv", "--format", "structured", env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        report = json.loads(proc.stdout)
+        outcomes.append(
+            [
+                (system["name"], cert["check"], cert["status"], cert["ok"], bool(cert["witnesses"]))
+                for system in report["systems"]
+                for cert in system["certificates"]
+            ]
+        )
+    assert len(outcomes[0]) == 5 * len(systems)
+    assert outcomes[0] == outcomes[1]
 
 
 _REAL2_SYSTEM = """{{"schema_version": 1, "systems": [{{

@@ -9,6 +9,7 @@ so the einsum-based embedding has an independent oracle.
 import numpy as np
 import pytest
 
+from oracle import quat_multiply
 from symcone import (
     Element,
     from_matrix,
@@ -36,7 +37,6 @@ from symcone.composites import (
     tensor_adjoint_check,
     tensor_lmap_check,
 )
-from symcone.hypercomplex import quat_multiply
 from symcone.models import evaluate, pure_state_of, uniform_state
 from symcone.spectral import random_jordan_frame
 

@@ -7,10 +7,7 @@ independent transcription, not against themselves.
 
 import numpy as np
 
-from symcone.hypercomplex import (
-    COMPLEX_TABLE,
-    embed_quat_matrix,
-    extract_quat_matrix,
+from oracle import (
     oct_conj,
     oct_multiply,
     quat_conj,
@@ -18,6 +15,7 @@ from symcone.hypercomplex import (
     quat_matrix_multiply,
     quat_multiply,
 )
+from symcone.hypercomplex import COMPLEX_TABLE, embed_quat_matrix, extract_quat_matrix
 
 ATOL = 1e-12
 

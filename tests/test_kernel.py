@@ -1,9 +1,11 @@
 """The sparse structure constants and the one product kernel behind them.
 
 Products are checked against plain matrix arithmetic (octonion arithmetic for
-the 27-dimensional algebra, the closed form for spin factors), and the
-sparse build is checked entry for entry against a dense table built the
-direct way: every pair of basis matrices multiplied and symmetrized.
+the 27-dimensional algebra, the closed form for spin factors). The
+closed-form build of the matrix-family constants is checked bit for bit
+against the direct build in ``oracle``, which multiplies every pair of basis
+matrices that share an index, and entry for entry against a dense table of
+all basis products.
 """
 
 import tracemalloc
@@ -11,6 +13,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracle import (
+    constants_from_dense,
+    oct_matrix_multiply,
+    oracle_constants,
+    quat_matrix_multiply,
+)
 from symcone import (
     Element,
     Family,
@@ -22,14 +30,13 @@ from symcone import (
     structure_lie_basis,
     to_matrix,
 )
-from symcone import hypercomplex as hc
 from symcone.algebra import (
     _build_constants,
-    _constants_from_dense,
     _context,
     _product_batch,
     from_matrix,
 )
+from test_algebra import ALL_FAMILIES
 
 ATOL = 1e-12
 
@@ -61,9 +68,9 @@ def _oracle_product(desc, x, y):
     a = to_matrix(Element(desc, x))
     b = to_matrix(Element(desc, y))
     if desc.family is Family.QUAT_HERM:
-        ab, ba = hc.quat_matrix_multiply(a, b), hc.quat_matrix_multiply(b, a)
+        ab, ba = quat_matrix_multiply(a, b), quat_matrix_multiply(b, a)
     elif desc.family is Family.ALBERT:
-        ab, ba = hc.oct_matrix_multiply(a, b), hc.oct_matrix_multiply(b, a)
+        ab, ba = oct_matrix_multiply(a, b), oct_matrix_multiply(b, a)
     else:
         ab, ba = a @ b, b @ a
     return from_matrix(desc, 0.5 * (ab + ba)).coords
@@ -95,18 +102,41 @@ def _dense_reference(desc):
         make_algebra("real", 4),
         make_algebra("complex", 3),
         make_algebra("quaternion", 2),
+        make_algebra("quaternion", 3),
         make_algebra("spin", 3),
+        make_algebra("albert"),
         direct_sum(make_algebra("real", 2), make_algebra("spin", 2)),
     ],
     ids=format_descriptor,
 )
 def test_sparse_build_holds_the_nonzeros_of_the_dense_table(desc):
     table = _dense_reference(desc)
-    want = _constants_from_dense(table)
+    want = constants_from_dense(table)
     got = _context(desc).constants
     for name in ("I", "J", "K", "out_starts", "out_keys", "op_starts", "op_keys"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     np.testing.assert_allclose(got.V, want.V, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    ALL_FAMILIES
+    + [
+        make_algebra("real", 18),
+        make_algebra("complex", 12),
+        make_algebra("complex", 16),
+        make_algebra("quaternion", 5),
+    ],
+    ids=format_descriptor,
+)
+def test_closed_form_constants_equal_the_basis_products_bit_for_bit(desc):
+    want = oracle_constants(desc)
+    if desc.family is Family.SUM:
+        got = _context(desc).constants
+    else:
+        got = _build_constants(desc)[0]
+    for name in CONSTANT_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_constants_stay_small_at_dim_256():
@@ -121,9 +151,11 @@ def test_constants_stay_small_at_dim_256():
 
 @pytest.mark.parametrize("family, size", [("real", 18), ("complex", 12)])
 def test_context_build_peak_stays_near_a_megabyte(family, size):
-    # Basis pairs are multiplied a chunk at a time. With KERNEL_CHUNK_TERMS
-    # // dim pairs a chunk the build peaked at 11 and 12 MB here (d = 171 and
-    # 144), which set the peak RSS of whole runs ending in such a build.
+    # The closed-form build holds a few arrays of about one entry per nonzero
+    # (5832 and 6084 here, d = 171 and 144) and peaks near 0.9 MB. Building
+    # by basis-matrix products peaked at 11 and 12 MB with KERNEL_CHUNK_TERMS
+    # // dim pairs a chunk, which set the peak RSS of whole runs ending in
+    # such a build.
     desc = make_algebra(family, size)
     tracemalloc.start()
     try:

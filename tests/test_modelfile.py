@@ -99,6 +99,39 @@ def test_unknown_family_names_the_tag():
         parse_model_text(text)
 
 
+@pytest.mark.parametrize("size", [2.5, True, "2", 2.0, None], ids=repr)
+def test_algebra_size_must_be_an_integer(size):
+    spec = json.loads(MINIMAL)
+    spec["systems"][0]["algebra"]["size"] = size
+    with pytest.raises(ModelFileError, match=r"^systems\[0\]\.algebra: family 'complex'"):
+        parse_model_text(json.dumps(spec))
+
+
+@pytest.mark.parametrize(
+    "algebra,path",
+    [
+        ({"family": "complex", "size": 2, "bogus": 1}, "systems[0].algebra.bogus"),
+        ({"family": "spin", "size": 2, "summands": []}, "systems[0].algebra.summands"),
+        (
+            {"family": "sum", "summands": [{"family": "real", "size": 1}], "size": 2},
+            "systems[0].algebra.size",
+        ),
+        (
+            {"family": "sum", "summands": [{"family": "real", "size": 1, "rank": 1}]},
+            "systems[0].algebra.summands[0].rank",
+        ),
+    ],
+    ids=["plain", "summands-on-spin", "size-on-sum", "in-summand"],
+)
+def test_unknown_algebra_field_is_named(algebra, path):
+    spec = json.loads(MINIMAL)
+    spec["systems"][0]["algebra"] = algebra
+    del spec["systems"][0]["tests"]
+    with pytest.raises(ModelFileError) as exc:
+        parse_model_text(json.dumps(spec))
+    assert str(exc.value) == f"{path}: unknown field"
+
+
 def test_empty_systems_rejected():
     with pytest.raises(ModelFileError, match="systems"):
         parse_model_text('{"schema_version": 1, "systems": []}')
