@@ -56,7 +56,6 @@ __all__ = [
     "norm",
     "quadratic_representation",
     "random_element",
-    "check_formal_reality",
     "to_matrix",
     "from_matrix",
     "descriptor_to_record",
@@ -586,13 +585,6 @@ def random_element(
     algebra: AlgebraDescriptor, seed: int | np.random.Generator = 0
 ) -> Element:
     return Element(algebra, np.random.default_rng(seed).standard_normal(algebra.dim))
-
-
-def check_formal_reality(a: Element, b: Element, tol: float = 1e-9) -> bool:
-    """Sum-of-squares positivity: a^2 + b^2 = 0 only if a = b = 0."""
-    _require_same_algebra(a, b)
-    passed = _formal_reality_core(a.algebra, a.coords[None, :], b.coords[None, :], tol)
-    return bool(passed[0])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .algebra import (
     _product_batch,
     _quadratic_batch,
     norm,
-    unit,
 )
 from .certificates import ConeCertificate
 from .spectral import (
@@ -59,10 +58,8 @@ __all__ = [
     "check_self_duality",
     "automorphism_to_point",
     "adjoint",
-    "check_adjoint_automorphism",
     "check_homogeneity",
     "check_order_unit",
-    "effect_interval_check",
     "random_interior_point",
 ]
 
@@ -332,46 +329,6 @@ def _cone_image(
     return min(0.0, float(rel.min(initial=np.inf))), witness
 
 
-def check_adjoint_automorphism(
-    algebra: AlgebraDescriptor,
-    g: LinearOperator,
-    samples: int = 100,
-    seed: int = 0,
-    tol: float = PSD_TOL,
-) -> ConeCertificate:
-    """The trace-form adjoint of a cone automorphism preserves the cone.
-
-    ``cone_min_eigenvalue`` is the least relative eigenvalue of the images
-    of sampled squares, clamped at 0 as ``_cone_image`` returns it: it reads
-    0 whenever every image is in the cone.
-    """
-    ctx = _context(algebra)
-    rng = np.random.default_rng(seed)
-    adj = adjoint(algebra, g)
-
-    xs = rng.standard_normal((samples, algebra.dim))
-    rel_min, witness = _cone_image(algebra, adj.matrix[None, None], xs[None], tol)
-
-    ys = rng.standard_normal((samples, algebra.dim))
-    zs = rng.standard_normal((samples, algebra.dim))
-    lhs = np.sum((ys @ g.matrix.T) * ctx.gram * zs, axis=1)
-    rhs = np.sum(ys * ctx.gram * (zs @ adj.matrix.T), axis=1)
-    pairing_gap = float(np.abs(lhs - rhs).max() / (1.0 + np.abs(lhs).max()))
-
-    witnesses = [] if witness is None else [witness.tolist()]
-    passed = rel_min >= -tol and pairing_gap <= tol
-    return ConeCertificate(
-        check_name="adjoint_automorphism",
-        passed=passed,
-        samples=samples,
-        seed=seed,
-        tol=tol,
-        worst_residual=min(rel_min, -pairing_gap),
-        witnesses=witnesses,
-        details={"cone_min_eigenvalue": rel_min, "pairing_gap": pairing_gap},
-    )
-
-
 def _point_transports(
     algebra: AlgebraDescriptor, frames: np.ndarray, lams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -403,7 +360,8 @@ def check_homogeneity(
     quadratic representations P(w^{1/2}) and P(w^{-1/2}) = P(w^{1/2})^{-1}
     are built batched as 2 L^2 - L_{a o a}. Each point gets ``directions``
     sampled squares, and their images under both operators must stay in the
-    cone. Points go in chunks of at most KERNEL_CHUNK_TERMS operator entries.
+    cone. Points go in chunks of at most KERNEL_CHUNK_TERMS entries of
+    operators and draws.
     """
     ctx = _context(algebra)
     rng = np.random.default_rng(seed)
@@ -413,7 +371,7 @@ def check_homogeneity(
     worst_transport = 0.0
     worst_cone = 0.0
     witnesses: list[list[float]] = []
-    step = max(1, KERNEL_CHUNK_TERMS // (dim * dim))
+    step = max(1, KERNEL_CHUNK_TERMS // (dim * (2 * dim + directions)))
     for lo in range(0, samples, step):
         rows = slice(lo, lo + step)
         points, forward, inverse = _point_transports(algebra, frames[rows], lams[rows])
@@ -466,10 +424,3 @@ def check_order_unit(
         tol=tol,
         worst_residual=worst,
     )
-
-
-def effect_interval_check(a: Element, tol: float = PSD_TOL) -> bool:
-    """Membership in the order interval [0, u]."""
-    if min_eigenvalue(a) < -tol:
-        return False
-    return min_eigenvalue(unit(a.algebra) - a) >= -tol

@@ -264,7 +264,9 @@ def check_p_bracket(
     coeffs = rng.standard_normal((samples, 2, p))
     x, y = (np.tensordot(coeffs[:, i], lie.sym_basis, axes=(1, 0)) for i in (0, 1))
     comm = (x @ y - y @ x).reshape(samples, d * d)
-    scale = np.maximum(np.linalg.norm(comm, axis=1), 1e-30)
+    # relative to the factors' Frobenius norms, not to the bracket, which is
+    # rounding noise where the symmetric part commutes
+    scale = 1.0 + np.sqrt(np.einsum("sij,sij->s", x, x) * np.einsum("sij,sij->s", y, y))
     resid = comm - (comm @ skew_flat.T) @ skew_flat
     worst = float((np.linalg.norm(resid, axis=1) / scale).max(initial=0.0))
     return ConeCertificate(

@@ -1,28 +1,29 @@
 """Spectral decomposition, idempotents, and Jordan frames.
 
-One batched core, ``_spectrum``, is the only code that knows the families:
-matrix families go through a hermitian eigensolver (the quaternionic case
-through its complex embedding), spin factors have a closed form, the
-octonionic algebra reads its eigenvalues off a Rayleigh-Ritz step on the
-power span of each row (off its multiplication operator near multiple
-roots) and its idempotents off Lagrange interpolation, and direct sums go
-blockwise. It returns the eigenvalues of a batch of coordinate rows,
-ascending and repeated by multiplicity, and, when asked, one idempotent per
+One batched core, ``_spectrum``, is the only code that knows the families
+and the only decomposition route: matrix families go through a hermitian
+eigensolver (the quaternionic case through its complex embedding), spin
+factors have a closed form, the octonionic algebra reads its eigenvalues
+off a Rayleigh-Ritz step on the power span of each row (off its
+multiplication operator near multiple roots) and its idempotents off
+closed forms in the row and the unit, and direct sums go blockwise. It
+returns the eigenvalues of a batch of coordinate rows, ascending and
+repeated by multiplicity, and, when asked, one idempotent slot per
 eigenvalue; membership scans ask for eigenvalues only, which skips the
 eigenvectors. Rows go in bounded chunks.
 
+The spectral projectors of a Jordan algebra element are polynomials in it
+(Faraut and Koranyi, Analysis on Symmetric Cones, Thm III.1.2), so a
+multiple root needs no second algorithm: where an octonionic row's
+eigenvalues merge, the merged projector itself fills the group's first
+slot and the group's other slots are zero.
+
 ``spectral_decompose`` is the core on one row with eigenvalues closer than
 MERGE_TOL_SCALE * (1 + ||a||) merged into one group, whose (possibly
-non-primitive) projector is the sum of its idempotents; merging sets the
-``degenerate`` flag. An element whose octonionic block has no separated
-spectrum goes through the generic route instead: find the first linear
-dependence among the Jordan powers u, a, a o a, ..., read eigenvalues off
-the resulting minimal polynomial, and build the spectral idempotents by
-Lagrange interpolation in Jordan products. The generic route is available
-for every family through ``method="generic"`` and is the reference the
-test suite checks the core against. ``_top_group`` applies the same merge
-rule to a batch of rows from their eigenvalues alone, and
-``_idempotent_rows`` tests a batch of rows for (primitive) idempotency.
+non-primitive) projector is the sum of its slots; merging sets the
+``degenerate`` flag. ``_top_group`` applies the same merge rule to a batch
+of rows from their eigenvalues alone, and ``_idempotent_rows`` tests a
+batch of rows for (primitive) idempotency.
 
 ``_interior_rows`` is the interior screen: it certifies, without an
 eigensolve, rows whose least eigenvalue exceeds INTERIOR_TOL_SCALE * (1 +
@@ -54,12 +55,7 @@ from .algebra import (
     _left_mult_batch,
     _norms,
     _product_batch,
-    _product_coords,
     _to_view,
-    jordan_product,
-    norm,
-    trace_form,
-    unit,
 )
 
 __all__ = [
@@ -67,13 +63,11 @@ __all__ = [
     "SpectralDecomposition",
     "spectral_decompose",
     "eigenvalues_batch",
-    "is_idempotent",
     "is_primitive",
     "random_jordan_frame",
     "canonical_regular_element",
     "canonical_frame",
     "frame_pool",
-    "spectral_reconstruction_residual",
 ]
 
 MERGE_TOL_SCALE = 1e-8
@@ -90,12 +84,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     idempotents: list[Element]
     degenerate: bool
-
-    def reconstruct(self) -> Element:
-        coords = sum(
-            lam * e.coords for lam, e in zip(self.eigenvalues, self.idempotents)
-        )
-        return Element(self.idempotents[0].algebra, coords)
 
 
 def _merge_groups(lam: np.ndarray, tol) -> np.ndarray:
@@ -114,89 +102,16 @@ def _group_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return np.split(np.arange(values.size), np.flatnonzero(np.diff(labels)) + 1)
 
 
-def spectral_decompose(
-    a: Element, merge_tol: float | None = None, method: str = "auto"
-) -> SpectralDecomposition:
-    if merge_tol is None:
-        # the rule of _top_group
-        scale = _norms(a.coords[None, :], _context(a.algebra).gram)[0]
-        merge_tol = MERGE_TOL_SCALE * (1.0 + scale)
-    if method not in ("auto", "generic"):
-        raise ValueError(f"unknown spectral method {method!r}")
-    if method == "auto":
-        lam, idem = _spectrum(a.algebra, a.coords[None, :], idempotents=True)
-        # NaN idempotents mark an octonionic block without a separated spectrum
-        if np.isfinite(idem).all():
-            groups = _group_indices(lam[0], merge_tol)
-            return SpectralDecomposition(
-                np.array([lam[0, g].mean() for g in groups]),
-                [Element(a.algebra, idem[0, g].sum(axis=0)) for g in groups],
-                degenerate=any(g.size > 1 for g in groups),
-            )
-    return _generic_decompose(a, merge_tol)
-
-
-def _generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
-    """Minimal polynomial route, valid in every family.
-
-    Powers of a single element associate, so the subalgebra generated by a is
-    a polynomial ring; the first dependence among u, a, a^2, ... gives the
-    minimal polynomial, whose roots are the distinct eigenvalues.
-    """
-    ctx = _context(a.algebra)
-    rank = a.algebra.rank
-    scale = norm(a)
-    if scale == 0.0:
-        return SpectralDecomposition(np.array([0.0]), [unit(a.algebra)], True)
-    coords = a.coords / scale
-    raw_powers = [ctx.unit_coords.copy()]
-    current = coords.copy()
-    for degree in range(1, rank + 1):
-        raw_powers.append(current.copy())
-        stacked = np.stack(raw_powers, axis=1)
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        # the minimal polynomial has degree at most rank, so a^rank is fitted
-        # by the lower powers whether or not the test calls it dependent
-        if sv[-1] < 1e-10 * sv[0] or degree == rank:
-            target = raw_powers[degree]
-            coeffs = np.linalg.lstsq(stacked[:, :degree], target, rcond=None)[0]
-            break
-        current = _product_coords(ctx.constants, coords, current)
-    # monic polynomial: lambda^degree - sum_k coeffs[k] lambda^k
-    poly = np.zeros(degree + 1)
-    poly[0] = 1.0
-    poly[1:] = -coeffs[::-1]
-    roots = np.roots(poly)
-    roots = np.real(roots)
-    # one Newton polish per root, kept only where it shrinks the value
-    # (near multiple roots the raw step divides noise by noise)
-    deriv = np.polyder(poly)
-    vals = np.polyval(poly, roots)
-    dvals = np.polyval(deriv, roots)
-    safe = np.abs(dvals) > 1e-30
-    trial = roots.copy()
-    trial[safe] = roots[safe] - vals[safe] / dvals[safe]
-    better = np.abs(np.polyval(poly, trial)) < np.abs(vals)
-    roots = np.where(better, trial, roots)
-    roots = np.sort(roots) * scale
-    groups = _group_indices(roots, tol)
-    eigenvalues = np.array([roots[g].mean() for g in groups])
-    degenerate = any(g.size > 1 for g in groups)
-    unit_coords = ctx.unit_coords
-    idempotents = []
-    if eigenvalues.size == 1:
-        idempotents.append(unit(a.algebra))
-        degenerate = degenerate or rank > 1
-    else:
-        for i, lam in enumerate(eigenvalues):
-            prod = unit_coords.copy()
-            for j, mu in enumerate(eigenvalues):
-                if j == i:
-                    continue
-                factor = (a.coords - mu * unit_coords) / (lam - mu)
-                prod = _product_coords(ctx.constants, prod, factor)
-            idempotents.append(Element(a.algebra, prod))
-    return SpectralDecomposition(eigenvalues, idempotents, degenerate)
+def spectral_decompose(a: Element) -> SpectralDecomposition:
+    # the rule of _top_group
+    scale = _norms(a.coords[None, :], _context(a.algebra).gram)[0]
+    lam, idem = _spectrum(a.algebra, a.coords[None, :], idempotents=True)
+    groups = _group_indices(lam[0], MERGE_TOL_SCALE * (1.0 + scale))
+    return SpectralDecomposition(
+        np.array([lam[0, g].mean() for g in groups]),
+        [Element(a.algebra, idem[0, g].sum(axis=0)) for g in groups],
+        degenerate=any(g.size > 1 for g in groups),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +125,12 @@ def _spectrum(
     """Eigenvalues and, if asked, idempotents of a batch of coordinate rows.
 
     Returns eigenvalues of shape (n, rank), ascending and repeated by
-    multiplicity, and with ``idempotents`` one idempotent per eigenvalue,
-    shape (n, rank, dim), else None. The idempotents of equal eigenvalues
-    sum to their spectral projector; with a separated spectrum they are the
-    primitive idempotents of the row's frame. Rows whose octonionic block
-    has no separated spectrum get NaN idempotents.
+    multiplicity, and with ``idempotents`` one idempotent slot per
+    eigenvalue, shape (n, rank, dim), else None. The slots of a group of
+    equal eigenvalues sum to its spectral projector; with a separated
+    spectrum they are the primitive idempotents of the row's frame. An
+    octonionic block whose eigenvalues merge holds each merged projector in
+    its group's first slot and zeros in the group's other slots.
 
     Rows go in chunks that hold at most KERNEL_CHUNK_TERMS idempotent
     entries, so eigensolver inputs and projectors stay a few megabytes
@@ -291,9 +207,17 @@ def _albert_spectrum(
     (Going through characteristic-polynomial coefficients instead would
     lose half the digits at multiple roots.)
 
-    The idempotents are the Lagrange products (a - lambda_j u) o (a -
-    lambda_l u) / ((lambda_k - lambda_j) (lambda_k - lambda_l)), set to NaN
-    where gaps fall below FRAME_SEPARATION.
+    The idempotents are closed forms, after grouping the eigenvalues with
+    ``_merge_groups`` at MERGE_TOL_SCALE * (1 + |a|), the rule of
+    ``spectral_decompose`` (a block's norm is at most its sum row's, so a
+    block never merges coarser than the whole row):
+
+    * three groups: the Lagrange products (a - lambda_j u) o (a - lambda_l
+      u) / ((lambda_k - lambda_j) (lambda_k - lambda_l));
+    * two groups with means mu_lo < mu_hi: P_lo = (a - mu_hi u) / (mu_lo -
+      mu_hi) and P_hi = u - P_lo, each in its group's first slot and zero
+      in the group's other slot, so mu_lo P_lo + mu_hi P_hi = a exactly;
+    * one group: u in the first slot.
     """
     ctx = _context(algebra)
     # each operator takes dim^2 entries, and a row's Ritz step fewer, so
@@ -312,7 +236,9 @@ def _albert_spectrum(
     if not idempotents:
         return lam, None
     u = ctx.unit_coords
-    separated = _separated(lam)
+    labels = _merge_groups(lam, MERGE_TOL_SCALE * (1.0 + _norms(xs, ctx.gram)))
+    last = labels[:, -1]
+    three = last == 2
     idem = np.empty((xs.shape[0], 3, algebra.dim))
     for k in range(3):
         j, l = [m for m in range(3) if m != k]
@@ -320,8 +246,16 @@ def _albert_spectrum(
             ctx.constants, xs - lam[:, j, None] * u, xs - lam[:, l, None] * u
         )
         denom = (lam[:, k] - lam[:, j]) * (lam[:, k] - lam[:, l])
-        idem[:, k] = prod / np.where(separated, denom, 1.0)[:, None]
-    idem[~separated] = np.nan
+        idem[:, k] = prod / np.where(three, denom, 1.0)[:, None]
+    idem[~three] = 0.0
+    two = np.flatnonzero(last == 1)
+    low = labels[two] == 0
+    mu_lo = np.where(low, lam[two], 0.0).sum(axis=1) / low.sum(axis=1)
+    mu_hi = np.where(low, 0.0, lam[two]).sum(axis=1) / (~low).sum(axis=1)
+    p_lo = (xs[two] - mu_hi[:, None] * u) / (mu_lo - mu_hi)[:, None]
+    idem[two, 0] = p_lo
+    idem[two, low.sum(axis=1)] = u - p_lo
+    idem[last == 0, 0] = u
     return lam, idem
 
 
@@ -524,10 +458,6 @@ def _idempotent_rows(
     return idempotent, idempotent & (np.abs(traces - 1.0) <= tol * (1.0 + algebra.rank))
 
 
-def is_idempotent(p: Element, tol: float = 1e-9) -> bool:
-    return bool(_idempotent_rows(p.algebra, p.coords[None, :], tol)[0][0])
-
-
 def is_primitive(p: Element, tol: float = 1e-9) -> bool:
     return bool(_idempotent_rows(p.algebra, p.coords[None, :], tol)[1][0])
 
@@ -588,26 +518,3 @@ def frame_pool(
     frames = _frames(algebra, n_frames, np.random.default_rng(seed))
     return frames.reshape(n_frames * algebra.rank, algebra.dim)
 
-
-def spectral_reconstruction_residual(a: Element) -> dict[str, float]:
-    """Residuals of the defining properties of a spectral decomposition."""
-    dec = spectral_decompose(a)
-    scale = 1.0 + norm(a)
-    recon = norm(dec.reconstruct() - a) / scale
-    total = dec.idempotents[0]
-    for e in dec.idempotents[1:]:
-        total = total + e
-    partition = norm(total - unit(a.algebra)) / (1.0 + a.algebra.rank)
-    ortho = 0.0
-    idem = 0.0
-    for i, e in enumerate(dec.idempotents):
-        idem = max(idem, norm(jordan_product(e, e) - e))
-        for f in dec.idempotents[i + 1 :]:
-            ortho = max(ortho, abs(trace_form(e, f)))
-    return {
-        "reconstruction": recon,
-        "partition_of_unit": partition,
-        "orthogonality": ortho,
-        "idempotency": idem,
-        "degenerate": float(dec.degenerate),
-    }

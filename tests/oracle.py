@@ -4,7 +4,9 @@ Nothing here is used by the package. It holds the plain quaternion and
 octonion arithmetic, quaternionic and octonionic matrix products, and the
 direct way of building structure constants: every pair of basis matrices
 that share an index multiplied and symmetrized, with the nonzero
-coordinates of each product kept.
+coordinates of each product kept. It also holds the minimal-polynomial
+spectral decomposition, which needs nothing family-specific beyond the
+Jordan product.
 """
 
 import numpy as np
@@ -13,13 +15,19 @@ from symcone import hypercomplex as hc
 from symcone.algebra import (
     _ENTRY_WIDTH,
     KERNEL_CHUNK_TERMS,
+    Element,
     Family,
+    _context,
     _from_rep,
     _from_view,
     _make_constants,
+    _product_coords,
     _to_rep,
     _to_view,
+    norm,
+    unit,
 )
+from symcone.spectral import SpectralDecomposition, _group_indices
 
 
 def quat_conj(x: np.ndarray) -> np.ndarray:
@@ -120,3 +128,66 @@ def oracle_constants(desc):
             start += summand.dim
         return _make_constants(desc.dim, *(np.concatenate(x) for x in zip(*parts)))
     return matrix_constants_by_products(desc)
+
+
+def generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
+    """Minimal polynomial route, valid in every family.
+
+    Powers of a single element associate, so the subalgebra generated by a is
+    a polynomial ring; the first dependence among u, a, a^2, ... gives the
+    minimal polynomial, whose roots are the distinct eigenvalues.
+    """
+    ctx = _context(a.algebra)
+    rank = a.algebra.rank
+    scale = norm(a)
+    if scale == 0.0:
+        return SpectralDecomposition(np.array([0.0]), [unit(a.algebra)], True)
+    coords = a.coords / scale
+    raw_powers = [ctx.unit_coords.copy()]
+    current = coords.copy()
+    for degree in range(1, rank + 1):
+        raw_powers.append(current.copy())
+        stacked = np.stack(raw_powers, axis=1)
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        # the minimal polynomial has degree at most rank, so a^rank is fitted
+        # by the lower powers whether or not the test calls it dependent
+        if sv[-1] < 1e-10 * sv[0] or degree == rank:
+            target = raw_powers[degree]
+            coeffs = np.linalg.lstsq(stacked[:, :degree], target, rcond=None)[0]
+            break
+        current = _product_coords(ctx.constants, coords, current)
+    # monic polynomial: lambda^degree - sum_k coeffs[k] lambda^k
+    poly = np.zeros(degree + 1)
+    poly[0] = 1.0
+    poly[1:] = -coeffs[::-1]
+    roots = np.roots(poly)
+    roots = np.real(roots)
+    # one Newton polish per root, kept only where it shrinks the value
+    # (near multiple roots the raw step divides noise by noise)
+    deriv = np.polyder(poly)
+    vals = np.polyval(poly, roots)
+    dvals = np.polyval(deriv, roots)
+    safe = np.abs(dvals) > 1e-30
+    trial = roots.copy()
+    trial[safe] = roots[safe] - vals[safe] / dvals[safe]
+    better = np.abs(np.polyval(poly, trial)) < np.abs(vals)
+    roots = np.where(better, trial, roots)
+    roots = np.sort(roots) * scale
+    groups = _group_indices(roots, tol)
+    eigenvalues = np.array([roots[g].mean() for g in groups])
+    degenerate = any(g.size > 1 for g in groups)
+    unit_coords = ctx.unit_coords
+    idempotents = []
+    if eigenvalues.size == 1:
+        idempotents.append(unit(a.algebra))
+        degenerate = degenerate or rank > 1
+    else:
+        for i, lam in enumerate(eigenvalues):
+            prod = unit_coords.copy()
+            for j, mu in enumerate(eigenvalues):
+                if j == i:
+                    continue
+                factor = (a.coords - mu * unit_coords) / (lam - mu)
+                prod = _product_coords(ctx.constants, prod, factor)
+            idempotents.append(Element(a.algebra, prod))
+    return SpectralDecomposition(eigenvalues, idempotents, degenerate)

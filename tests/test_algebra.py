@@ -32,8 +32,8 @@ from symcone import (
     unit,
 )
 from symcone.algebra import (
+    _formal_reality_core,
     certify_formal_reality,
-    check_formal_reality,
     commutativity_residuals,
     descriptor_to_record,
     jordan_identity_residuals,
@@ -230,16 +230,14 @@ def test_formal_reality_pauli_example():
     b = from_matrix(desc, SIGMA_Y)
     total = jordan_product(a, a) + jordan_product(b, b)
     np.testing.assert_allclose(total.coords, 2.0 * unit(desc).coords, atol=ATOL)
-    assert check_formal_reality(a, b)
+    assert _formal_reality_core(desc, a.coords[None, :], b.coords[None, :], 1e-9).all()
 
 
 @pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
 def test_formal_reality_random_pairs(desc):
-    rng = np.random.default_rng(27)
-    for _ in range(20):
-        a = random_element(desc, rng)
-        b = random_element(desc, rng)
-        assert check_formal_reality(a, b)
+    # the pairs an a, b, a, b, ... loop of random_element draws
+    pairs = np.random.default_rng(27).standard_normal((20, 2, desc.dim))
+    assert _formal_reality_core(desc, pairs[:, 0], pairs[:, 1], 1e-9).all()
     cert = certify_formal_reality(desc, 20, seed=27)
     assert cert.passed and cert.worst_residual == 0.0
 

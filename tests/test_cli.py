@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, env overrides."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -494,25 +495,22 @@ _ALBERT_AND_QUBIT_PAIR = {
 
 
 def test_suites_take_the_batched_spectral_and_transport_paths(monkeypatch):
-    # The model checks read top eigenvalue groups off one batched eigenvalue
-    # call, so the octonionic outcomes never reach the minimal-polynomial
-    # route; tensor_adjoint builds its automorphisms with the batched
-    # transport builder, not one element at a time.
+    # The batched spectral core is the only decomposition route, and
+    # tensor_adjoint builds its automorphisms with the batched transport
+    # builder, not one element at a time.
     import symcone.cone
     import symcone.spectral
 
-    calls = {}
-    for module, name in (
-        (symcone.spectral, "_generic_decompose"),
-        (symcone.cone, "automorphism_to_point"),
-    ):
-        calls[name] = 0
+    assert not hasattr(symcone.spectral, "_generic_decompose")
+    assert len(inspect.signature(symcone.spectral.spectral_decompose).parameters) == 1
+    calls = {"automorphism_to_point": 0}
+    transport = symcone.cone.automorphism_to_point
 
-        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls["automorphism_to_point"] += 1
+        return transport(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(symcone.cone, "automorphism_to_point", counting)
     spec = parse_model_text(json.dumps(_ALBERT_AND_QUBIT_PAIR))
     report = run_model_spec(spec, RunConfig(samples=20))
     assert report["summary"]["ok"]
@@ -524,4 +522,4 @@ def test_suites_take_the_batched_spectral_and_transport_paths(monkeypatch):
     assert checks[("albert", "unital_sharp_outcomes")] == "pass"
     assert checks[("albert", "uniform_unital_outcomes_primitive")] == "pass"
     assert checks[("pair", "tensor_adjoint")] == "pass"
-    assert calls == {"_generic_decompose": 0, "automorphism_to_point": 0}
+    assert calls == {"automorphism_to_point": 0}

@@ -147,10 +147,27 @@ def test_skew_part_stabilizes_unit(desc):
     assert cert.passed, cert.details
 
 
-@pytest.mark.parametrize("desc", RECON_TARGETS, ids=format_descriptor)
+@pytest.mark.parametrize(
+    "desc",
+    RECON_TARGETS
+    + [
+        # associative: the symmetric generators commute, so every bracket
+        # is rounding noise and the skew part is empty
+        make_algebra("spin", 1),
+        direct_sum(make_algebra("real", 1), make_algebra("spin", 1)),
+    ],
+    ids=format_descriptor,
+)
 def test_sym_bracket_lands_in_skew(desc):
     cert = check_p_bracket(structure_lie_basis(desc), samples=30, seed=71)
     assert cert.passed, cert.details
+
+
+def test_sym_bracket_check_fails_without_the_skew_part():
+    lie = structure_lie_basis(make_algebra("complex", 2))
+    emptied = dataclasses.replace(lie, skew_basis=lie.skew_basis[:0])
+    cert = check_p_bracket(emptied, samples=30, seed=71)
+    assert not cert.passed and cert.worst_residual > 1e-2
 
 
 @pytest.mark.parametrize("desc", RECON_TARGETS, ids=format_descriptor)

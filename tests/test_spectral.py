@@ -5,6 +5,7 @@ import pytest
 
 from symcone import (
     Element,
+    Family,
     canonical_frame,
     direct_sum,
     format_descriptor,
@@ -21,19 +22,20 @@ from symcone import (
 )
 from symcone import cone, spectral
 from symcone.algebra import _context, _left_mult_batch, _norms
-from symcone.cone import check_homogeneity
+from symcone.cone import automorphism_to_point, check_homogeneity
 from symcone.hypercomplex import embed_quat_matrix
 from symcone.spectral import (
     INTERIOR_TOL_SCALE,
+    MERGE_TOL_SCALE,
+    _idempotent_rows,
     _interior_rows,
     canonical_regular_element,
     eigenvalues_batch,
     frame_pool,
-    is_idempotent,
     is_primitive,
-    spectral_reconstruction_residual,
 )
 
+from oracle import generic_decompose
 from test_algebra import ALL_FAMILIES
 
 ATOL = 1e-9
@@ -112,10 +114,11 @@ def test_decomposition_properties(desc):
     for _ in range(5):
         a = random_element(desc, rng)
         decomp = spectral_decompose(a)
+        projs = np.stack([p.coords for p in decomp.idempotents])
+        assert _idempotent_rows(desc, projs, 1e-8)[0].all()
         recon = np.zeros(desc.dim)
         total = np.zeros(desc.dim)
         for lam, p in zip(decomp.eigenvalues, decomp.idempotents):
-            assert is_idempotent(p, tol=1e-8)
             recon += lam * p.coords
             total += p.coords
         np.testing.assert_allclose(recon, a.coords, atol=1e-8)
@@ -126,19 +129,19 @@ def test_decomposition_properties(desc):
                 assert np.linalg.norm(jordan_product(p, q).coords) < 1e-8
 
 
+def _merge_tol(a):
+    """The merge tolerance of ``spectral_decompose``."""
+    return MERGE_TOL_SCALE * (1.0 + norm(a))
+
+
 @pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)
 def test_generic_route_agrees_with_family_route(desc):
     rng = np.random.default_rng(35)
     for _ in range(5):
         a = random_element(desc, rng)
         fam = _full_spectrum(spectral_decompose(a))
-        gen = _full_spectrum(spectral_decompose(a, method="generic"))
+        gen = _full_spectrum(generic_decompose(a, _merge_tol(a)))
         np.testing.assert_allclose(fam, gen, atol=1e-7)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError, match="unknown spectral method"):
-        spectral_decompose(unit(make_algebra("real", 2)), method="fancy")
 
 
 def test_unit_is_degenerate_single_eigenvalue():
@@ -153,7 +156,7 @@ def test_primitivity_examples():
     assert is_primitive(unit(rank1))
     qubit = make_algebra("complex", 2)
     u = unit(qubit)
-    assert is_idempotent(u) and not is_primitive(u)
+    assert _idempotent_rows(qubit, u.coords[None, :], 1e-9)[0][0] and not is_primitive(u)
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     p = from_matrix(qubit, 0.5 * (np.eye(2) + sigma_x))
     assert is_primitive(p)
@@ -266,9 +269,19 @@ def test_albert_idempotent_eigenvalues_are_clean():
 
 @pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)
 def test_reconstruction_residuals(desc):
-    a = random_element(desc, seed=41)
-    res = spectral_reconstruction_residual(a)
-    assert max(res.values()) < 1e-8
+    # The batched core on a batch of random rows: the slots are orthogonal
+    # idempotents that sum to the unit and rebuild each row.
+    rows = np.random.default_rng(41).standard_normal((50, desc.dim))
+    lam, idem = spectral._spectrum(desc, rows, idempotents=True)
+    gram = _context(desc).gram
+    scale = 1.0 + _norms(rows, gram)
+    assert (_norms(np.einsum("nk,nkd->nd", lam, idem) - rows, gram) / scale).max() < 1e-8
+    assert np.abs(idem.sum(axis=1) - unit(desc).coords).max() < 1e-8
+    flat = idem.reshape(-1, desc.dim)
+    assert _idempotent_rows(desc, flat, 1e-8)[0].all()
+    pairing = np.einsum("nkd,nld->nkl", idem * gram, idem)
+    off = ~np.eye(desc.rank, dtype=bool)
+    assert np.abs(pairing[:, off]).max() < 1e-8
 
 
 def _operator_spectrum(rows):
@@ -293,6 +306,85 @@ def test_albert_eigenvalues_near_double_roots(gap):
     for want in (low, high):
         rows = np.einsum("nk,nkd->nd", want, frames)
         np.testing.assert_allclose(eigenvalues_batch(desc, rows), want, rtol=0, atol=1e-13)
+
+
+def _albert_block_frames(desc, count):
+    """``count`` frames of ``desc`` (albert, or albert plus complex 2) whose
+    first three idempotents are an octonionic frame."""
+    if desc.family is Family.SUM:
+        blocks = zip(desc.summands, _context(desc).block_slices)
+    else:
+        blocks = [(desc, slice(None))]
+    frames = np.zeros((count, desc.rank, desc.dim))
+    first = 0
+    for seed, (block, sl) in enumerate(blocks, 44):
+        pool = frame_pool(block, count, seed=seed).reshape(count, block.rank, block.dim)
+        frames[:, first : first + block.rank, sl] = pool
+        first += block.rank
+    return frames
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [make_algebra("albert"), direct_sum(make_algebra("albert"), make_algebra("complex", 2))],
+    ids=format_descriptor,
+)
+def test_albert_decompositions_near_double_roots(desc):
+    # Interior points sum_k lambda_k e_k whose octonionic block has a close
+    # pair at the bottom or at the top, on both sides of the merge
+    # tolerance: every decomposition must hold true projectors that
+    # rebuild the point and transport the unit onto it.
+    frames = _albert_block_frames(desc, 40)
+    rng = np.random.default_rng(45)
+    base = rng.uniform(0.5, 2.0, 40)
+    rest = base[:, None] + rng.uniform(0.2, 3.0, (40, desc.rank - 3))
+    u = unit(desc).coords
+    for gap in [0.0, 1e-12, 1e-10, 1e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-3]:
+        low = np.column_stack([base, base + gap, base + 1.0, rest])
+        high = np.column_stack([base, base + 1.0, base + 1.0 + gap, rest])
+        for lams in (low, high):
+            for w in np.einsum("nk,nkd->nd", lams, frames):
+                a = Element(desc, w)
+                dec = spectral_decompose(a)
+                projs = [p.coords for p in dec.idempotents]
+                for p in dec.idempotents:
+                    assert norm(jordan_product(p, p) - p) <= 1e-6
+                recon = dec.eigenvalues @ np.stack(projs)
+                assert np.linalg.norm(recon - w) <= 1e-7
+                np.testing.assert_allclose(sum(projs), u, rtol=0, atol=1e-7)
+                moved = automorphism_to_point(a).matrix @ u
+                assert norm(Element(desc, moved - w)) <= 1e-8 * (1.0 + norm(a))
+
+
+def _repeated_root_spectra(rank, rng, count):
+    """Spectra with an exact double root at the bottom and, from rank 3 on,
+    at the top and an exact triple root, as (pattern, values) pairs."""
+    distinct = rng.uniform(-2.0, 2.0, (count, 1)) + np.cumsum(
+        rng.uniform(0.5, 1.5, (count, rank)), axis=1
+    )
+    patterns = [[0, 0] + list(range(1, rank - 1))]
+    if rank >= 3:
+        patterns.append(list(range(rank - 1)) + [rank - 2])
+        patterns.append([0, 0, 0] + list(range(1, rank - 2)))
+    return [(pattern, distinct[:, pattern]) for pattern in patterns]
+
+
+@pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
+def test_repeated_roots_agree_with_minimal_polynomial_oracle(desc):
+    # The merged eigenvalues and projectors of a multiple root do not depend
+    # on a basis, so the core and the minimal-polynomial oracle must agree.
+    frames = frame_pool(desc, 10, seed=49).reshape(10, desc.rank, desc.dim)
+    for pattern, lams in _repeated_root_spectra(desc.rank, np.random.default_rng(50), 10):
+        for want, w in zip(lams, np.einsum("nk,nkd->nd", lams, frames)):
+            a = Element(desc, w)
+            dec = spectral_decompose(a)
+            ref = generic_decompose(a, _merge_tol(a))
+            assert len(dec.eigenvalues) == len(ref.eigenvalues) == len(set(pattern))
+            assert dec.degenerate
+            np.testing.assert_allclose(dec.eigenvalues, np.unique(want), rtol=0, atol=1e-8)
+            np.testing.assert_allclose(dec.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-8)
+            for p, q in zip(dec.idempotents, ref.idempotents):
+                np.testing.assert_allclose(p.coords, q.coords, rtol=0, atol=1e-8)
 
 
 def test_albert_ritz_spectrum_matches_operator_eigensolve():
