@@ -214,9 +214,11 @@ def _albert_spectrum(
 
     * three groups: the Lagrange products (a - lambda_j u) o (a - lambda_l
       u) / ((lambda_k - lambda_j) (lambda_k - lambda_l));
-    * two groups with means mu_lo < mu_hi: P_lo = (a - mu_hi u) / (mu_lo -
-      mu_hi) and P_hi = u - P_lo, each in its group's first slot and zero
-      in the group's other slot, so mu_lo P_lo + mu_hi P_hi = a exactly;
+    * two groups: the Lagrange product of the eigenvalue k that is alone in
+      its group, which is e_k exactly however far apart lambda_j and
+      lambda_l are, and u - e_k in the merged group's first slot, zero in
+      its other slot; with the group's mean as its eigenvalue the point is
+      rebuilt to within half the group's spread;
     * one group: u in the first slot.
     """
     ctx = _context(algebra)
@@ -237,8 +239,7 @@ def _albert_spectrum(
         return lam, None
     u = ctx.unit_coords
     labels = _merge_groups(lam, MERGE_TOL_SCALE * (1.0 + _norms(xs, ctx.gram)))
-    last = labels[:, -1]
-    three = last == 2
+    alone = (labels[:, :, None] == labels[:, None, :]).sum(axis=2) == 1
     idem = np.empty((xs.shape[0], 3, algebra.dim))
     for k in range(3):
         j, l = [m for m in range(3) if m != k]
@@ -246,16 +247,11 @@ def _albert_spectrum(
             ctx.constants, xs - lam[:, j, None] * u, xs - lam[:, l, None] * u
         )
         denom = (lam[:, k] - lam[:, j]) * (lam[:, k] - lam[:, l])
-        idem[:, k] = prod / np.where(three, denom, 1.0)[:, None]
-    idem[~three] = 0.0
-    two = np.flatnonzero(last == 1)
-    low = labels[two] == 0
-    mu_lo = np.where(low, lam[two], 0.0).sum(axis=1) / low.sum(axis=1)
-    mu_hi = np.where(low, 0.0, lam[two]).sum(axis=1) / (~low).sum(axis=1)
-    p_lo = (xs[two] - mu_hi[:, None] * u) / (mu_lo - mu_hi)[:, None]
-    idem[two, 0] = p_lo
-    idem[two, low.sum(axis=1)] = u - p_lo
-    idem[last == 0, 0] = u
+        idem[:, k] = prod / np.where(alone[:, k], denom, 1.0)[:, None]
+    idem[~alone] = 0.0
+    # the merged group's first slot is 1 when slot 0 is alone, else 0
+    merged = np.flatnonzero(~alone.all(axis=1))
+    idem[merged, alone[merged, 0].astype(np.intp)] = u - idem[merged].sum(axis=1)
     return lam, idem
 
 

@@ -204,14 +204,23 @@ def test_point_transport_is_self_adjoint():
 @pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)
 def test_adjoint_automorphism_certificate(desc):
     # The adjoint of a product of two transports, which is not self-adjoint,
-    # carries sampled squares into the cone.
+    # carries sampled squares into the cone and is the adjoint in the trace
+    # form: <g y, z> = <y, g* z>.
     rng = np.random.default_rng(63)
     g1 = automorphism_to_point(random_interior_point(desc, rng))
     g2 = automorphism_to_point(random_interior_point(desc, rng))
-    adj = adjoint(desc, type(g1)(g1.matrix @ g2.matrix, desc, desc))
-    xs = np.random.default_rng(64).standard_normal((1, 60, desc.dim))
-    rel_min, witness = _cone_image(desc, adj.matrix[None, None], xs, PSD_TOL)
+    g = g1.matrix @ g2.matrix
+    adj = adjoint(desc, type(g1)(g, desc, desc)).matrix
+    draws = np.random.default_rng(64)
+    xs = draws.standard_normal((1, 60, desc.dim))
+    rel_min, witness = _cone_image(desc, adj[None, None], xs, PSD_TOL)
     assert rel_min == 0.0 and witness is None
+    ys = draws.standard_normal((60, desc.dim))
+    zs = draws.standard_normal((60, desc.dim))
+    gram = _context(desc).gram
+    lhs = np.sum((ys @ g.T) * gram * zs, axis=1)
+    rhs = np.sum(ys * gram * (zs @ adj.T), axis=1)
+    assert np.abs(lhs - rhs).max() / (1.0 + np.abs(lhs).max()) <= PSD_TOL
 
 
 @pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)

@@ -332,28 +332,42 @@ def _albert_block_frames(desc, count):
 def test_albert_decompositions_near_double_roots(desc):
     # Interior points sum_k lambda_k e_k whose octonionic block has a close
     # pair at the bottom or at the top, on both sides of the merge
-    # tolerance: every decomposition must hold true projectors that
-    # rebuild the point and transport the unit onto it.
+    # tolerance, or a chain of three in which only one pair merges: every
+    # decomposition must hold true projectors that rebuild the point and
+    # transport the unit onto it.
     frames = _albert_block_frames(desc, 40)
     rng = np.random.default_rng(45)
     base = rng.uniform(0.5, 2.0, 40)
     rest = base[:, None] + rng.uniform(0.2, 3.0, (40, desc.rank - 3))
     u = unit(desc).coords
+    spectra = []
     for gap in [0.0, 1e-12, 1e-10, 1e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-3]:
-        low = np.column_stack([base, base + gap, base + 1.0, rest])
-        high = np.column_stack([base, base + 1.0, base + 1.0 + gap, rest])
-        for lams in (low, high):
-            for w in np.einsum("nk,nkd->nd", lams, frames):
-                a = Element(desc, w)
-                dec = spectral_decompose(a)
-                projs = [p.coords for p in dec.idempotents]
-                for p in dec.idempotents:
-                    assert norm(jordan_product(p, p) - p) <= 1e-6
-                recon = dec.eigenvalues @ np.stack(projs)
-                assert np.linalg.norm(recon - w) <= 1e-7
-                np.testing.assert_allclose(sum(projs), u, rtol=0, atol=1e-7)
-                moved = automorphism_to_point(a).matrix @ u
-                assert norm(Element(desc, moved - w)) <= 1e-8 * (1.0 + norm(a))
+        spectra.append(np.column_stack([base, base + gap, base + 1.0, rest]))
+        spectra.append(np.column_stack([base, base + 1.0, base + 1.0 + gap, rest]))
+    # The octonionic block merges within 1e-8 (1 + |block|), the whole row
+    # within 1e-8 (1 + |row|), norms taken at a triple root base: 0.9 of
+    # the first merges in both, 1.05 of the second in neither.
+    block = desc.summands[0] if desc.family is Family.SUM else desc
+    cols = _context(desc).block_slices[0] if desc.family is Family.SUM else slice(None)
+    triple = np.column_stack([base, base, base, rest])
+    flat = np.einsum("nk,nkd->nd", triple, frames)
+    t_block = MERGE_TOL_SCALE * (1.0 + _norms(flat[:, cols], _context(block).gram))
+    t_row = MERGE_TOL_SCALE * (1.0 + _norms(flat, _context(desc).gram))
+    for first, second in [(0.9 * t_block, 1.05 * t_row), (1.05 * t_row, 0.9 * t_block)]:
+        block_lams = [base, base + first, base + first + second]
+        spectra.append(np.column_stack(block_lams + [rest]))
+    for lams in spectra:
+        for w in np.einsum("nk,nkd->nd", lams, frames):
+            a = Element(desc, w)
+            dec = spectral_decompose(a)
+            projs = [p.coords for p in dec.idempotents]
+            for p in dec.idempotents:
+                assert norm(jordan_product(p, p) - p) <= 1e-6
+            recon = dec.eigenvalues @ np.stack(projs)
+            assert np.linalg.norm(recon - w) <= 1e-7
+            np.testing.assert_allclose(sum(projs), u, rtol=0, atol=1e-7)
+            moved = automorphism_to_point(a).matrix @ u
+            assert norm(Element(desc, moved - w)) <= 1e-8 * (1.0 + norm(a))
 
 
 def _repeated_root_spectra(rank, rng, count):
