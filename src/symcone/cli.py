@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable
 
 from .demos import DEMO_NAMES, demo_text, is_demo
 from .modelfile import ModelFileError, parse_model_file, parse_model_text
@@ -34,14 +35,24 @@ def _env_default(name: str, fallback):
     return value if value is not None else fallback
 
 
-def _nonnegative_int(text: str) -> int:
+def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+def _usable_cores() -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,9 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed",
-        type=_nonnegative_int,
+        type=_int_at_least(0, "nonnegative"),
         default=_env_default("SEED", "0"),
         help="base random seed (default 0)",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=_int_at_least(1, "positive"),
+        default=_env_default("JOBS", None),
+        help=(
+            "worker processes that run the certificates; the report does not "
+            "depend on it (default: the usable cores for the symcone command, "
+            "1 when main() is called with arguments)"
+        ),
     )
     parser.add_argument(
         "--format",
@@ -97,6 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line on ``argv``, or on ``sys.argv`` when it is None.
+
+    Only the latter, the ``symcone`` command's own process, forks certificate
+    workers unless ``--jobs`` says otherwise: a caller that passes ``argv``
+    runs in a process that is not symcone's alone (a test runner, a tracer
+    that wraps functions in this process), so it runs serially by default.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -133,10 +161,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"symcone: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    jobs = args.jobs or (_usable_cores() if argv is None else 1)
     try:
-        report = run_model_spec(spec, cfg, source=source)
-    # a sampler that runs out of draws raises RuntimeError; numpy's
-    # LinAlgError is a ValueError
+        report = run_model_spec(spec, cfg, source=source, jobs=jobs)
+    # a sampler that runs out of draws, and a certificate worker that ends
+    # without reporting, raise RuntimeError; numpy's LinAlgError is a
+    # ValueError
     except (ValueError, RuntimeError) as exc:
         print(f"symcone: {exc}", file=sys.stderr)
         return EXIT_USAGE

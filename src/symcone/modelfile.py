@@ -246,6 +246,7 @@ def parse_model_text(text: str) -> ModelFileSpec:
     )
     systems = [_parse_system(rec, i) for i, rec in enumerate(systems_raw)]
     seen: set[str] = set()
+    plain: set[str] = set()  # the non-composite names among ``seen``
     for i, sys_spec in enumerate(systems):
         _require(
             sys_spec.name not in seen,
@@ -255,10 +256,12 @@ def parse_model_text(text: str) -> ModelFileSpec:
         if sys_spec.is_composite:
             for part in sys_spec.composite_parts:
                 _require(
-                    part in seen,
+                    part in plain,
                     f"systems[{i}].composite.parts",
                     f"part {part!r} must name an earlier non-composite system",
                 )
+        else:
+            plain.add(sys_spec.name)
         seen.add(sys_spec.name)
     return ModelFileSpec(systems=systems, name=name)
 

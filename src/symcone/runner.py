@@ -7,25 +7,36 @@ tolerance rule; the subject is the system's ``ProbModel`` or, for a
 composite, its ``CompositeSystem``. The suites, ``CERTIFICATE_NAMES`` and
 the checks on ``expect`` maps all come from the table.
 
-Each described system is built in input order; composites pick up the
-already built part models, and a plain system's declared states must be
-states of its model. A system runs the rows of its kind that belong
-to the selected suites, in table order: plain systems the algebra, cone,
-kv (reconstruction) and model suites plus a qubit-witness note in the
-composite suite; composite systems only the composite suite, since their
-interesting content is the embedding. A certificate whose failure is
-marked expected in the input flips its contribution to the exit code.
-Reports contain no timestamps or machine identifiers, so identical input
-and configuration give byte-identical structured output.
+A run has two phases. First, in input order, every ``expect`` map is
+checked and every system is built, with its report header: composites
+pick up the already built part models, and a plain system's declared
+states must be states of its model. So every input error is raised before
+any certificate runs. Then each system runs the rows of its kind that
+belong to the selected suites, in table order: plain systems the algebra,
+cone, kv (reconstruction) and model suites plus a qubit-witness note in
+the composite suite; composite systems only the composite suite, since
+their interesting content is the embedding. A system's certificates draw
+from a seed fixed by its index, so the systems are independent: the
+second phase runs them either in this process or in forked workers that
+take the systems in input order as they come free, and the results are
+put back in input order. A certificate whose failure is marked expected
+in the input flips its contribution to the exit code. Reports contain no
+timestamps, machine identifiers or worker counts, so identical input and
+configuration give byte-identical structured output.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
+import pickle
+import select
+import signal
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable, NoReturn
 
 import numpy as np
 
@@ -358,17 +369,171 @@ def _build_model(spec: SystemSpec, index: int) -> ProbModel:
     return model
 
 
-def run_model_spec(spec: ModelFileSpec, cfg: RunConfig, source: str = "<memory>") -> dict:
+@dataclass
+class _Worker:
+    pid: int  # 0 once reaped
+    results: BinaryIO  # read end of its result pipe
+
+
+def _serve(
+    run: Callable[[int], Any], tasks: int, results: int, inherited: list[int]
+) -> NoReturn:
+    """A forked worker's loop: close the ``inherited`` descriptors that
+    belong to the parent, then claim system indices from the shared
+    ``tasks`` pipe and write the pickled ``(index, result, traceback)`` of
+    each to ``results`` (``traceback`` is None, or the text of the exception
+    sent as ``result``), until end of file. Never returns into the caller's
+    stack."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(results, "wb") as out:
+            while raw := os.read(tasks, 4):
+                index = int.from_bytes(raw, "little")
+                try:
+                    message = (index, run(index), None)
+                except Exception as exc:
+                    import traceback
+
+                    message = (index, exc, traceback.format_exc())
+                pickle.dump(message, out)
+                out.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_in_workers(run: Callable[[int], Any], names: list[str], jobs: int) -> list:
+    """``[run(i) for i in range(len(names))]``, computed by up to ``jobs``
+    forked workers while this process only collects the results.
+
+    The workers claim the indices, in input order, from one task pipe as
+    they come free, so a long system does not hold the others up, and send
+    each result back at once over their own result pipes. An exception in a
+    worker is raised here with its type and message, and the worker's
+    traceback as its cause; a worker that ends without reporting a system it
+    claimed raises RuntimeError naming that system. Of the faults, the one
+    at the lowest index is raised, as soon as every index below it is done,
+    as the serial loop would raise it. Every worker is reaped before this
+    returns or raises.
+    """
+    todo = b"".join(index.to_bytes(4, "little") for index in range(len(names)))
+    done: dict[int, Any] = {}
+    faults: dict[int, BaseException] = {}
+    ended: list[str] = []  # how the workers that did not finish ended
+    workers: dict[int, _Worker] = {}  # by result pipe descriptor
+    # This process keeps a read end open, so feeding the pipe never fails
+    # for want of a reader, even when every worker has died.
+    tasks_r, tasks_w = os.pipe()
+    os.set_blocking(tasks_w, False)
+
+    def feed() -> None:
+        """Write what the task pipe takes; close it once all is written."""
+        nonlocal todo, tasks_w
+        try:
+            while todo:
+                # a write of at most PIPE_BUF bytes is all or nothing, so no
+                # index is split between two workers' reads
+                chunk = todo[:select.PIPE_BUF]
+                todo = todo[os.write(tasks_w, chunk):]
+        except BlockingIOError:
+            return
+        os.close(tasks_w)  # the workers read end of file once it is drained
+        tasks_w = -1
+
+    def settled() -> bool:
+        return bool(faults) and all(index in done for index in range(min(faults)))
+
+    # Objects made before the fork stay out of collections while the
+    # workers live, so that no collection, in a worker or here, writes to
+    # (and so copies) the pages they share.
+    gc.freeze()
+    try:
+        for _ in range(min(jobs, len(names))):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                inherited = [result_r, *workers] + ([tasks_w] if tasks_w >= 0 else [])
+                _serve(run, tasks_r, result_w, inherited)
+            os.close(result_w)
+            workers[result_r] = _Worker(pid, os.fdopen(result_r, "rb"))
+        feed()
+        poller = select.poll()
+        for fd in workers:
+            poller.register(fd, select.POLLIN)
+        if tasks_w >= 0:
+            poller.register(tasks_w, select.POLLOUT)
+        running = len(workers)
+        while running and not settled():
+            for fd, _ in poller.poll():
+                if fd == tasks_w:
+                    feed()
+                    if tasks_w < 0:
+                        poller.unregister(fd)
+                    continue
+                worker = workers[fd]
+                try:
+                    index, result, trace = pickle.load(worker.results)
+                except (EOFError, pickle.UnpicklingError):
+                    # the worker has left: at end of file, or while it ran
+                    # a system
+                    poller.unregister(fd)
+                    running -= 1
+                    code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
+                    worker.pid = 0
+                    if code:
+                        ended.append(f"exit code {code}" if code > 0 else f"signal {-code}")
+                    continue
+                if trace is None:
+                    done[index] = result
+                else:
+                    result.__cause__ = RuntimeError(f"raised in a certificate worker:\n{trace}")
+                    faults[index] = result
+        for index, name in enumerate(names):
+            if index in faults:
+                raise faults[index]
+            if index not in done:
+                # indices are claimed in input order, so the first one
+                # missing was claimed by a worker that died
+                raise RuntimeError(
+                    f"a certificate worker ended ({', '.join(ended)}) "
+                    f"before reporting system {name!r}"
+                )
+        return [done[index] for index in range(len(names))]
+    finally:
+        for worker in workers.values():
+            if worker.pid:
+                os.kill(worker.pid, signal.SIGKILL)
+                os.waitpid(worker.pid, 0)
+            worker.results.close()
+        os.close(tasks_r)
+        if tasks_w >= 0:
+            os.close(tasks_w)
+        gc.unfreeze()
+
+
+def run_model_spec(
+    spec: ModelFileSpec, cfg: RunConfig, source: str = "<memory>", jobs: int = 1
+) -> dict:
     """Execute the configured suites and assemble the report dictionary.
+
+    With ``jobs`` 1 the certificates run in this process; with more, up to
+    ``jobs`` forked workers run them (see ``_run_in_workers``), which only a
+    process that owns its interpreter, such as the command line's, should
+    ask for. The report does not depend on ``jobs``.
 
     Raises ValueError, before running anything, when an ``expect`` map
     names a certificate that no suite reports for that kind of system, and
     when the model is built, for a declared state that is not a state.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for sys_spec in spec.systems:
         _check_expect(sys_spec)
     built: dict[str, ProbModel] = {}
-    systems_out = []
+    systems_out: list[dict] = []
+    subjects: list[ProbModel | CompositeSystem] = []
     for index, sys_spec in enumerate(spec.systems):
         entry: dict = {"name": sys_spec.name}
         if sys_spec.is_composite:
@@ -397,18 +562,31 @@ def run_model_spec(spec: ModelFileSpec, cfg: RunConfig, source: str = "<memory>"
                 "tests": len(model.tests),
                 "outcomes": len(model.outcomes),
             }
+        systems_out.append(entry)
+        subjects.append(subject)
+
+    def _run_checks(index: int) -> list[dict]:
+        """The report entries of system ``index``: the rows of its kind in
+        the selected suites, in table order."""
+        kind, subject = systems_out[index]["kind"], subjects[index]
         seed = cfg.seed + 1000 * index
         certs: list[dict] = []
         for check in _CHECKS:
-            if check.kind != entry["kind"] or check.suite not in cfg.suites:
+            if check.kind != kind or check.suite not in cfg.suites:
                 continue
             outcome = check.run(subject, cfg, seed)
             if isinstance(outcome, ConeCertificate):
-                certs.append(_cert_entry(outcome, check.suite, sys_spec.expect))
+                certs.append(_cert_entry(outcome, check.suite, spec.systems[index].expect))
             elif outcome is not None:
                 certs.append(_skip_entry(check.name, check.suite, outcome))
+        return certs
+
+    if jobs == 1:
+        all_certs = [_run_checks(index) for index in range(len(subjects))]
+    else:
+        all_certs = _run_in_workers(_run_checks, [s.name for s in spec.systems], jobs)
+    for entry, certs in zip(systems_out, all_certs):
         entry["certificates"] = certs
-        systems_out.append(entry)
 
     named = [(s["name"], c) for s in systems_out for c in s["certificates"]]
     count = Counter(c["status"] for _, c in named)

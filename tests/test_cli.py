@@ -2,15 +2,18 @@
 
 import inspect
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from symcone.cli import EXIT_FAILURES, EXIT_OK, EXIT_USAGE, main
 from symcone.demos import DEMO_NAMES, demo_text
 from symcone.modelfile import parse_model_text, serialize_model_spec
-from symcone.runner import RunConfig, run_model_spec
+from symcone.runner import RunConfig, _run_in_workers, run_model_spec
 
 
 def _run(*argv, env=None):
@@ -199,8 +202,6 @@ def test_tol_must_be_finite_and_positive(monkeypatch, capsys, via, value):
 
 
 def test_environment_overrides_match_flags(tmp_path):
-    import os
-
     base = _run("--input", "spin-vs-qubit", "--format", "structured", "--seed", "9")
     env = dict(os.environ)
     env.update(
@@ -208,6 +209,7 @@ def test_environment_overrides_match_flags(tmp_path):
             "SYMCONE_INPUT": "spin-vs-qubit",
             "SYMCONE_FORMAT": "structured",
             "SYMCONE_SEED": "9",
+            "SYMCONE_JOBS": "3",
         }
     )
     via_env = _run(env=env)
@@ -270,13 +272,12 @@ def test_unknown_expect_name_is_usage_error(tmp_path, capsys):
 
 
 def test_malformed_environment_default_is_usage_error():
-    import os
-
-    env = dict(os.environ, SYMCONE_TOL="abc")
-    proc = _run("--input", "qubit-pair", env=env)
-    assert proc.returncode == EXIT_USAGE
-    assert "--tol" in proc.stderr and "'abc'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for name, value in [("TOL", "abc"), ("JOBS", "two"), ("JOBS", "0")]:
+        env = dict(os.environ, **{f"SYMCONE_{name}": value})
+        proc = _run("--input", "qubit-pair", env=env)
+        assert proc.returncode == EXIT_USAGE, name
+        assert f"--{name.lower()}" in proc.stderr and f"'{value}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_blas_thread_count_keeps_verdicts_and_witnesses(tmp_path):
@@ -476,6 +477,189 @@ def test_sampler_error_is_usage_error(monkeypatch, capsys):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err.startswith("symcone: no cleanly separated spectrum")
+
+
+def test_composite_of_a_composite_is_usage_error(tmp_path):
+    target = tmp_path / "nested.json"
+    target.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "systems": [
+                    {"name": "a", "algebra": {"family": "complex", "size": 2}},
+                    {"name": "b", "algebra": {"family": "complex", "size": 2}},
+                    {"name": "p", "composite": {"parts": ["a", "b"], "carrier": "candidate"}},
+                    {"name": "q", "composite": {"parts": ["p", "a"], "carrier": "candidate"}},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    proc = _run("--input", str(target))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert (
+        "systems[3].composite.parts: part 'p' must name an earlier non-composite system"
+        in proc.stderr
+    )
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_jobs_must_be_a_positive_integer(monkeypatch, capsys, via, value):
+    argv = ["--input", "qubit-pair", "--suites", "algebra"]
+    if via == "flag":
+        argv.append(f"--jobs={value}")
+    else:
+        monkeypatch.setenv("SYMCONE_JOBS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert "argument --jobs: " in captured.err and repr(value) in captured.err
+
+
+# Four plain systems and a composite whose expected failure keeps the exit
+# code at 0; albert's certificates take longest, so the workers take the
+# systems out of step with one another.
+_FORK_MODEL = {
+    "schema_version": 1,
+    "name": "fork-model",
+    "systems": [
+        {"name": "albert", "algebra": {"family": "albert", "size": 3},
+         "tests": {"mode": "sampled", "count": 2, "seed": 11}},
+        {"name": "rebit-a", "algebra": {"family": "real", "size": 2}},
+        {"name": "rebit-b", "algebra": {"family": "real", "size": 2}},
+        {"name": "spin", "algebra": {"family": "spin", "size": 4}},
+        {"name": "pair", "composite": {"parts": ["rebit-a", "rebit-b"], "carrier": "candidate"},
+         "expect": {"local_tomography": "fail"}},
+    ],
+}
+
+
+@pytest.fixture
+def fork_model(tmp_path):
+    target = tmp_path / "fork-model.json"
+    target.write_text(json.dumps(_FORK_MODEL), encoding="utf-8")
+    return str(target)
+
+
+@pytest.fixture
+def no_worker_left():
+    yield
+    # a reaped worker leaves this process without children
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _within(seconds, call):
+    """``call()``, or TimeoutError once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("source", ["model-file", "rebit-pair"])
+def test_reports_do_not_depend_on_jobs(fork_model, no_worker_left, source):
+    source = fork_model if source == "model-file" else source
+    runs = [
+        _run("--input", source, "--format", "structured", *jobs)
+        for jobs in (["--jobs", "1"], ["--jobs", "3"], [])
+    ]
+    assert runs[0].returncode == (EXIT_OK if source == fork_model else EXIT_FAILURES)
+    assert runs[0].stderr == ""
+    for proc in runs[1:]:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            runs[0].returncode, runs[0].stdout, runs[0].stderr
+        )
+    report = json.loads(runs[0].stdout)
+    if source == fork_model:
+        assert len(report["systems"]) == 5
+        assert report["summary"]["failed"] == 1 and report["summary"]["ok"]
+
+
+def test_run_model_spec_forks_to_the_same_report(fork_model, no_worker_left):
+    spec = parse_model_text(open(fork_model, encoding="utf-8").read())
+    cfg = RunConfig(suites=("algebra", "composite"))
+    serial = run_model_spec(spec, cfg)
+    for jobs in (2, 9):
+        assert _within(60, lambda: run_model_spec(spec, cfg, jobs=jobs)) == serial
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_model_spec(spec, cfg, jobs=0)
+
+
+def test_sampler_error_in_a_worker_is_usage_error(monkeypatch, capsys, no_worker_left):
+    import symcone.spectral
+
+    monkeypatch.setattr(symcone.spectral, "MAX_FRAME_ATTEMPTS", 0)
+    outcomes = []
+    for jobs in ("1", "2"):
+        code = _within(60, lambda: main(["--input", "qubit-pair", "--suites", "cone",
+                                         "--jobs", jobs]))
+        outcomes.append((code, capsys.readouterr()))
+    (serial_code, serial), (forked_code, forked) = outcomes
+    assert serial_code == forked_code == EXIT_USAGE
+    assert forked.out == serial.out == ""
+    assert forked.err == serial.err
+    assert forked.err.startswith("symcone: no cleanly separated spectrum")
+
+
+def test_worker_that_dies_is_named(monkeypatch, capsys, fork_model, no_worker_left):
+    import symcone.runner
+
+    check_self_duality = symcone.runner.check_self_duality
+
+    def dies_on_spin(algebra, **kwargs):
+        if algebra.family.value == "spin":
+            os._exit(3)
+        return check_self_duality(algebra, **kwargs)
+
+    monkeypatch.setattr(symcone.runner, "check_self_duality", dies_on_spin)
+    code = _within(60, lambda: main(["--input", fork_model, "--suites", "cone",
+                                      "--jobs", "2"]))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        "symcone: a certificate worker ended (exit code 3) before reporting "
+        "system 'spin'\n"
+    )
+
+
+def test_workers_keep_input_order_and_raise_the_first_fault(no_worker_left):
+    # more indices than a 64 KiB task pipe holds at once
+    names = [f"s{i}" for i in range(40000)]
+    assert _run_in_workers(lambda i: -i, names, 3) == [-i for i in range(40000)]
+
+    def faulty(index):
+        if index == 0:
+            time.sleep(0.5)  # the other worker meets the fault meanwhile
+        if index == 100:
+            raise ValueError("bad system")
+        if index in (20000, 30000):
+            os._exit(4)
+        return index
+
+    # raised once systems 0-99 are done, not before, and without waiting
+    # for the rest
+    with pytest.raises(ValueError, match="^bad system$") as exc:
+        _within(60, lambda: _run_in_workers(faulty, names, 2))
+    assert "in faulty" in str(exc.value.__cause__)
+    # one worker dies on system 20000; whether or not the other one then
+    # dies on 30000, 20000 is the first system without a report
+    with pytest.raises(RuntimeError, match="exit code 4.* before reporting system 's20000'$"):
+        _within(60, lambda: _run_in_workers(
+            lambda i: i if i == 100 else faulty(i), names, 2))
 
 
 _ALBERT_AND_QUBIT_PAIR = {
