@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable
 
 from .demos import DEMO_NAMES, demo_text, is_demo
 from .modelfile import ModelFileError, parse_model_file, parse_model_text
@@ -35,24 +34,42 @@ def _env_default(name: str, fallback):
     return value if value is not None else fallback
 
 
-def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
-        return value
-
-    return parse
-
-
-def _usable_cores() -> int:
+def _nonnegative_int(text: str) -> int:
     try:
-        return len(os.sched_getaffinity(0))
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+# The variables that size a BLAS thread pool: OpenBLAS's, MKL's, and the
+# OpenMP one that both read.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _console_jobs() -> int:
+    """Certificate workers for the ``symcone`` command: as many as leave a
+    whole BLAS thread pool to each worker on the usable cores.
+
+    A BLAS pool is as large as the largest positive integer among the
+    ``_BLAS_THREAD_VARIABLES``, or the usable cores when none is set. So an
+    unpinned BLAS runs the certificates in this process: workers that each
+    start a pool of every core slow one another down (on a 2-core host,
+    the perfbench desk input took 5.2 s with two such workers and 1.1 s
+    in one process).
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return 1
+    pinned = [
+        int(value)
+        for value in (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES)
+        if value.isdigit() and int(value) > 0
+    ]
+    return max(1, cores // max(pinned, default=cores))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,19 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed",
-        type=_int_at_least(0, "nonnegative"),
+        type=_nonnegative_int,
         default=_env_default("SEED", "0"),
         help="base random seed (default 0)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_int_at_least(1, "positive"),
-        default=_env_default("JOBS", None),
-        help=(
-            "worker processes that run the certificates; the report does not "
-            "depend on it (default: the usable cores for the symcone command, "
-            "1 when main() is called with arguments)"
-        ),
     )
     parser.add_argument(
         "--format",
@@ -120,10 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run the command line on ``argv``, or on ``sys.argv`` when it is None.
 
-    Only the latter, the ``symcone`` command's own process, forks certificate
-    workers unless ``--jobs`` says otherwise: a caller that passes ``argv``
-    runs in a process that is not symcone's alone (a test runner, a tracer
-    that wraps functions in this process), so it runs serially by default.
+    Only the latter, the ``symcone`` command's own process, may fork
+    certificate workers (see ``_console_jobs``): a caller that passes
+    ``argv`` runs in a process that is not symcone's alone (a test runner,
+    a tracer that wraps functions in this process), so it runs the
+    certificates in that process.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -161,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"symcone: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    jobs = args.jobs or (_usable_cores() if argv is None else 1)
+    jobs = _console_jobs() if argv is None else 1
     try:
         report = run_model_spec(spec, cfg, source=source, jobs=jobs)
     # a sampler that runs out of draws, and a certificate worker that ends

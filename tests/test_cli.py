@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import symcone.cli as cli
 from symcone.cli import EXIT_FAILURES, EXIT_OK, EXIT_USAGE, main
 from symcone.demos import DEMO_NAMES, demo_text
 from symcone.modelfile import parse_model_text, serialize_model_spec
@@ -209,7 +210,6 @@ def test_environment_overrides_match_flags(tmp_path):
             "SYMCONE_INPUT": "spin-vs-qubit",
             "SYMCONE_FORMAT": "structured",
             "SYMCONE_SEED": "9",
-            "SYMCONE_JOBS": "3",
         }
     )
     via_env = _run(env=env)
@@ -272,12 +272,11 @@ def test_unknown_expect_name_is_usage_error(tmp_path, capsys):
 
 
 def test_malformed_environment_default_is_usage_error():
-    for name, value in [("TOL", "abc"), ("JOBS", "two"), ("JOBS", "0")]:
-        env = dict(os.environ, **{f"SYMCONE_{name}": value})
-        proc = _run("--input", "qubit-pair", env=env)
-        assert proc.returncode == EXIT_USAGE, name
-        assert f"--{name.lower()}" in proc.stderr and f"'{value}'" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    env = dict(os.environ, SYMCONE_TOL="abc")
+    proc = _run("--input", "qubit-pair", env=env)
+    assert proc.returncode == EXIT_USAGE
+    assert "--tol" in proc.stderr and "'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_blas_thread_count_keeps_verdicts_and_witnesses(tmp_path):
@@ -505,20 +504,23 @@ def test_composite_of_a_composite_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
-@pytest.mark.parametrize("via", ["flag", "env"])
-def test_jobs_must_be_a_positive_integer(monkeypatch, capsys, via, value):
-    argv = ["--input", "qubit-pair", "--suites", "algebra"]
-    if via == "flag":
-        argv.append(f"--jobs={value}")
-    else:
-        monkeypatch.setenv("SYMCONE_JOBS", value)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    captured = capsys.readouterr()
-    assert exc.value.code == EXIT_USAGE
-    assert captured.out == ""
-    assert "argument --jobs: " in captured.err and repr(value) in captured.err
+def test_console_jobs_leave_each_worker_a_blas_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for name in cli._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    assert cli._console_jobs() == 1  # an unpinned pool takes every core
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert cli._console_jobs() == 8
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert cli._console_jobs() == 2  # the largest pool counts
+    monkeypatch.setenv("MKL_NUM_THREADS", "16")
+    assert cli._console_jobs() == 1
+    # values that size no pool are not read as pins
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "two")
+    monkeypatch.setenv("MKL_NUM_THREADS", "0")
+    assert cli._console_jobs() == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._console_jobs() == 1
 
 
 # Four plain systems and a composite whose expected failure keeps the exit
@@ -569,20 +571,38 @@ def _within(seconds, call):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _console_main(monkeypatch, argv, jobs):
+    """``main()`` as the symcone command runs it, with ``jobs`` workers."""
+    monkeypatch.setattr(sys, "argv", ["symcone", *argv])
+    monkeypatch.setattr(cli, "_console_jobs", lambda: jobs)
+    return _within(60, main)
+
+
 @pytest.mark.parametrize("source", ["model-file", "rebit-pair"])
-def test_reports_do_not_depend_on_jobs(fork_model, no_worker_left, source):
+def test_reports_do_not_depend_on_jobs(monkeypatch, capsys, fork_model, no_worker_left, source):
     source = fork_model if source == "model-file" else source
-    runs = [
-        _run("--input", source, "--format", "structured", *jobs)
-        for jobs in (["--jobs", "1"], ["--jobs", "3"], [])
-    ]
-    assert runs[0].returncode == (EXIT_OK if source == fork_model else EXIT_FAILURES)
-    assert runs[0].stderr == ""
-    for proc in runs[1:]:
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            runs[0].returncode, runs[0].stdout, runs[0].stderr
-        )
-    report = json.loads(runs[0].stdout)
+    argv = ["--input", source, "--format", "structured"]
+    # in this process: serial, and the console path with three workers
+    runs = [(main(argv), capsys.readouterr())]
+    runs.append((_console_main(monkeypatch, argv, 3), capsys.readouterr()))
+    assert runs[0][0] == (EXIT_OK if source == fork_model else EXIT_FAILURES)
+    assert runs[0][1].err == ""
+    assert runs[1] == runs[0]
+    # the symcone command on one BLAS thread, which forks a worker per
+    # usable core, and main(argv) in a process of its own at the same BLAS
+    # thread count (reports are byte-identical only at a fixed count)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    serial = subprocess.run(
+        [sys.executable, "-c", "import sys; from symcone.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    console = _run(*argv, env=env)
+    assert (console.returncode, console.stdout, console.stderr) == (
+        serial.returncode, serial.stdout, serial.stderr
+    )
+    assert console.returncode == runs[0][0]
+    report = json.loads(runs[0][1].out)
     if source == fork_model:
         assert len(report["systems"]) == 5
         assert report["summary"]["failed"] == 1 and report["summary"]["ok"]
@@ -602,11 +622,9 @@ def test_sampler_error_in_a_worker_is_usage_error(monkeypatch, capsys, no_worker
     import symcone.spectral
 
     monkeypatch.setattr(symcone.spectral, "MAX_FRAME_ATTEMPTS", 0)
-    outcomes = []
-    for jobs in ("1", "2"):
-        code = _within(60, lambda: main(["--input", "qubit-pair", "--suites", "cone",
-                                         "--jobs", jobs]))
-        outcomes.append((code, capsys.readouterr()))
+    argv = ["--input", "qubit-pair", "--suites", "cone"]
+    outcomes = [(main(argv), capsys.readouterr())]
+    outcomes.append((_console_main(monkeypatch, argv, 2), capsys.readouterr()))
     (serial_code, serial), (forked_code, forked) = outcomes
     assert serial_code == forked_code == EXIT_USAGE
     assert forked.out == serial.out == ""
@@ -625,8 +643,7 @@ def test_worker_that_dies_is_named(monkeypatch, capsys, fork_model, no_worker_le
         return check_self_duality(algebra, **kwargs)
 
     monkeypatch.setattr(symcone.runner, "check_self_duality", dies_on_spin)
-    code = _within(60, lambda: main(["--input", fork_model, "--suites", "cone",
-                                      "--jobs", "2"]))
+    code = _console_main(monkeypatch, ["--input", fork_model, "--suites", "cone"], 2)
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
