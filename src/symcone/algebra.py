@@ -26,7 +26,11 @@ build and the constants grow with the number of nonzeros (about
 width^2 n^3) instead of dim^3. Products, multiplication operators and the
 quadratic representation all go through one kernel that gathers
 x[I] * y[J] * V and sums the runs of equal K (or of equal (K, J) for
-operators) with ``np.add.reduceat``.
+operators) with ``np.add.reduceat``. The product is commutative, so a square
+x o x runs the same kernel on the constants folded over unordered pairs
+{I, J}, about half as many terms; and since <x o y, z> is symmetric in all
+three arguments, the cubic trace <a o a, a> of a rank-3 algebra is a sum over
+unordered triples {I, J, K}.
 """
 
 from __future__ import annotations
@@ -293,6 +297,11 @@ class _Constants:
     Entries are sorted by (K, J, I), so entries of equal K are contiguous runs
     (one per coordinate of a product) and entries of equal (K, J) are
     contiguous runs (one per entry of a multiplication operator).
+
+    The ``sq_`` arrays are the same constants folded over unordered pairs:
+    one entry per (K, {I, J}), with sq_I <= sq_J and weight V(I, J, K) +
+    V(J, I, K) (V(I, I, K) on the diagonal), sorted by (K, sq_J, sq_I). The
+    square x o x is their sum of x[sq_I] x[sq_J] sq_V over each run of K.
     """
 
     dim: int
@@ -304,68 +313,118 @@ class _Constants:
     out_keys: np.ndarray    # its K
     op_starts: np.ndarray   # first entry of each run of equal (K, J)
     op_keys: np.ndarray     # its K * dim + J
+    sq_I: np.ndarray
+    sq_J: np.ndarray
+    sq_V: np.ndarray
+    sq_starts: np.ndarray   # first folded entry of each run of equal K
+    sq_keys: np.ndarray     # its K
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(keys, prepend=-1))
 
 
+def _fold(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``codes``, ascending, with the weights of equal codes
+    summed."""
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = _run_starts(codes)
+    return codes[starts], np.add.reduceat(weights[order], starts)
+
+
+def _split_codes(codes: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index triples (a, b, c), each below ``dim``, of the codes
+    (a dim + b) dim + c."""
+    major, rest = np.divmod(codes, dim * dim)
+    return (major, *np.divmod(rest, dim))
+
+
 def _make_constants(
     dim: int, I: np.ndarray, J: np.ndarray, K: np.ndarray, V: np.ndarray
 ) -> _Constants:
-    """Sort coordinate-form constants, find their runs, and freeze them."""
+    """Fold coordinate-form constants over unordered pairs, sort them, find
+    their runs, and freeze them."""
+    I, J, K = (np.asarray(a, dtype=np.intp) for a in (I, J, K))
+    V = np.asarray(V, dtype=float)
+    # the fold goes first, while no sorted copy is held, and builds its codes
+    # (K dim + max(I, J)) dim + min(I, J) in place: a context build then
+    # peaks no higher than the sort below
+    codes = np.maximum(I, J)
+    codes += K * dim
+    codes *= dim
+    codes += np.minimum(I, J)
+    codes, sq_V = _fold(codes, V)
+    sq_K, sq_J, sq_I = _split_codes(codes, dim)
+    del codes
     order = np.lexsort((I, J, K))
-    I, J, K = (np.asarray(a, dtype=np.intp)[order] for a in (I, J, K))
-    V = np.asarray(V, dtype=float)[order]
+    I, J, K, V = (a[order] for a in (I, J, K, V))
+    del order
     out_starts = _run_starts(K)
     op = K * dim + J
     op_starts = _run_starts(op)
-    arrays = (I, J, K, V, out_starts, K[out_starts], op_starts, op[op_starts])
+    sq_starts = _run_starts(sq_K)
+    arrays = (
+        I, J, K, V, out_starts, K[out_starts], op_starts, op[op_starts],
+        sq_I, sq_J, sq_V, sq_starts, sq_K[sq_starts],
+    )
     for arr in arrays:
         arr.flags.writeable = False
     return _Constants(dim, *arrays)
 
 
-def _contract(sc: _Constants, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
-    """The product kernel, batched over rows.
-
-    With ``ys``: the products xs o ys, shape (n, dim). Without: the
-    multiplication operators L_x flattened to (n, dim * dim), with
-    L_x[k, j] = sum_i x_i T[i, j, k] at column k * dim + j.
-    """
-    if ys is None:
-        starts, keys, width = sc.op_starts, sc.op_keys, sc.dim * sc.dim
-    else:
-        starts, keys, width = sc.out_starts, sc.out_keys, sc.dim
+def _contract(
+    xs: np.ndarray,
+    ys: np.ndarray | None,
+    I: np.ndarray,
+    J: np.ndarray,
+    V: np.ndarray,
+    starts: np.ndarray,
+    keys: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """The product kernel, batched over rows: column keys[r] of the
+    (n, width) result sums xs[:, I[t]] * ys[:, J[t]] * V[t] (without
+    ``ys``, xs[:, I[t]] * V[t]) over the entries t of run r, from starts[r]
+    to the next start."""
     n = xs.shape[0]
     # Work entry-major, (entries, rows): gathering whole coordinate rows and
     # summing runs of contiguous rows is about twice as fast as row-major.
     out = np.zeros((width, n))
-    if sc.V.size == 0:
+    if V.size == 0:
         return out.T
-    values = sc.V[:, None]
-    step = max(1, KERNEL_CHUNK_TERMS // sc.V.size)
+    values = V[:, None]
+    step = max(1, KERNEL_CHUNK_TERMS // V.size)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        terms = np.take(xs[rows].T, sc.I, axis=0)
+        terms = np.take(xs[rows].T, I, axis=0)
         if ys is not None:
-            terms *= np.take(ys[rows].T, sc.J, axis=0)
+            terms *= np.take(ys[rows].T, J, axis=0)
         terms *= values
         out[keys, rows] = np.add.reduceat(terms, starts, axis=0)
     return out.T
 
 
 def _product_batch(sc: _Constants, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return _contract(sc, xs, ys)
+    """The products xs o ys, row by row, shape (n, dim)."""
+    return _contract(xs, ys, sc.I, sc.J, sc.V, sc.out_starts, sc.out_keys, sc.dim)
+
+
+def _square_batch(sc: _Constants, xs: np.ndarray) -> np.ndarray:
+    """The squares xs o xs, row by row, from the constants folded over
+    unordered pairs."""
+    return _contract(xs, xs, sc.sq_I, sc.sq_J, sc.sq_V, sc.sq_starts, sc.sq_keys, sc.dim)
 
 
 def _product_coords(sc: _Constants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _contract(sc, x[None, :], y[None, :])[0]
+    return _product_batch(sc, x[None, :], y[None, :])[0]
 
 
 def _left_mult_batch(sc: _Constants, xs: np.ndarray) -> np.ndarray:
-    """Stack of multiplication operators L_x, shape (n, dim, dim)."""
-    return _contract(sc, xs).reshape(-1, sc.dim, sc.dim)
+    """Stack of multiplication operators L_x, shape (n, dim, dim), with
+    L_x[k, j] = sum_i x_i T[i, j, k]."""
+    flat = _contract(xs, None, sc.I, sc.J, sc.V, sc.op_starts, sc.op_keys, sc.dim**2)
+    return flat.reshape(-1, sc.dim, sc.dim)
 
 
 def _left_mult_matrix(sc: _Constants, x: np.ndarray) -> np.ndarray:
@@ -384,6 +443,9 @@ class _Context:
     gram: np.ndarray           # (dim,) diagonal of the trace-form Gram matrix
     unit_coords: np.ndarray    # (dim,)
     block_slices: tuple[slice, ...] = ()
+    # of a simple rank-3 algebra: <a o a, a> = sum of W a_A a_B a_C over the
+    # unordered triples A <= B <= C, as the arrays (A, B, C, W)
+    cubic: tuple[np.ndarray, ...] | None = None
 
 
 _CONTEXT_CACHE: dict[AlgebraDescriptor, _Context] = {}
@@ -494,11 +556,34 @@ def _context(desc: AlgebraDescriptor) -> _Context:
     else:
         constants, gram, unit_coords = _build_constants(desc)
         block_slices = ()
-    gram.flags.writeable = False
-    unit_coords.flags.writeable = False
-    ctx = _Context(desc, constants, gram, unit_coords, block_slices)
+    cubic = None
+    if desc.family is not Family.SUM and desc.rank == 3:
+        # V(I, J, K) gram[K] = <b_I o b_J, b_K> is symmetric in I, J, K, so
+        # every ordering of a triple multiplies the same monomial
+        sc, dim = constants, desc.dim
+        low, mid, high = np.sort([sc.I, sc.J, sc.K], axis=0)
+        codes, weights = _fold((high * dim + mid) * dim + low, sc.V * gram[sc.K])
+        high, mid, low = _split_codes(codes, dim)
+        cubic = (low, mid, high, weights)
+    for arr in (gram, unit_coords, *(cubic or ())):
+        arr.flags.writeable = False
+    ctx = _Context(desc, constants, gram, unit_coords, block_slices, cubic)
     _CONTEXT_CACHE[desc] = ctx
     return ctx
+
+
+def _cubic_trace(ctx: _Context, xs: np.ndarray) -> np.ndarray:
+    """<a o a, a> = tr a^3 of each row of a simple rank-3 algebra."""
+    A, B, C, W = ctx.cubic
+    out = np.empty(xs.shape[0])
+    step = max(1, KERNEL_CHUNK_TERMS // W.size)
+    for lo in range(0, xs.shape[0], step):
+        rows = xs[lo : lo + step].T
+        terms = np.take(rows, A, axis=0)
+        terms *= np.take(rows, B, axis=0)
+        terms *= np.take(rows, C, axis=0)
+        out[lo : lo + step] = W @ terms
+    return out
 
 
 def _metric_adjoint(gram: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -578,7 +663,7 @@ def quadratic_representation(a: Element) -> LinearOperator:
 def _quadratic_batch(sc: _Constants, xs: np.ndarray) -> np.ndarray:
     """Stack of quadratic representations P(x) = 2 L_x^2 - L_{x o x}."""
     left = _left_mult_batch(sc, xs)
-    return 2.0 * left @ left - _left_mult_batch(sc, _product_batch(sc, xs, xs))
+    return 2.0 * left @ left - _left_mult_batch(sc, _square_batch(sc, xs))
 
 
 def random_element(
@@ -614,7 +699,7 @@ def _jordan_identity_core(
     sc: _Constants, gram: np.ndarray, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
     """Residuals of x^2 o (x o y) = x o (x^2 o y) under the product ``sc``."""
-    asq = _product_batch(sc, xs, xs)
+    asq = _square_batch(sc, xs)
     lhs = _product_batch(sc, asq, _product_batch(sc, xs, ys))
     rhs = _product_batch(sc, xs, _product_batch(sc, asq, ys))
     return _norms(lhs - rhs, gram) / (1.0 + _norms(xs, gram) ** 3 * _norms(ys, gram))
@@ -669,7 +754,7 @@ def _formal_reality_core(
     """
     ctx = _context(algebra)
     sc = ctx.constants
-    ssq = _product_batch(sc, xs, xs) + _product_batch(sc, ys, ys)
+    ssq = _square_batch(sc, xs) + _square_batch(sc, ys)
     total = np.sum(xs * ctx.gram * xs, axis=1) + np.sum(ys * ctx.gram * ys, axis=1)
     bound = total / np.sqrt(algebra.rank)
     return (total <= tol) | (_norms(ssq, ctx.gram) >= bound * (1.0 - 1e-12) - tol)

@@ -53,12 +53,12 @@ def _console_jobs() -> int:
     """Certificate workers for the ``symcone`` command: as many as leave a
     whole BLAS thread pool to each worker on the usable cores.
 
-    A BLAS pool is as large as the largest positive integer among the
-    ``_BLAS_THREAD_VARIABLES``, or the usable cores when none is set. So an
-    unpinned BLAS runs the certificates in this process: workers that each
-    start a pool of every core slow one another down (on a 2-core host,
-    the perfbench desk input took 5.2 s with two such workers and 1.1 s
-    in one process).
+    A BLAS pool is as large as the largest positive integer, in ASCII
+    digits, among the ``_BLAS_THREAD_VARIABLES``, or the usable cores when
+    none is set. So an unpinned BLAS runs the certificates in this process:
+    workers that each start a pool of every core slow one another down (on
+    a 2-core host, the perfbench desk input took 5.2 s with two such
+    workers and 1.1 s in one process).
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -67,7 +67,7 @@ def _console_jobs() -> int:
     pinned = [
         int(value)
         for value in (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES)
-        if value.isdigit() and int(value) > 0
+        if value.isascii() and value.isdigit() and int(value) > 0
     ]
     return max(1, cores // max(pinned, default=cores))
 

@@ -11,6 +11,7 @@ and the audits below quantify exactly which composite requirements survive.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,21 @@ class CompositeSystem:
         coords_b = np.atleast_2d(coords_b)
         kron = coords_a[:, :, None] * coords_b[:, None, :]
         return kron.reshape(coords_a.shape[0], -1) @ self.embed.T
+
+
+def _embedded_lifts(
+    cs: CompositeSystem,
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The maps m -> E (m x id_B) and m -> E (id_A x m) for the embedding E,
+    by one matmul each on E reshaped to (carrier dim, dim A, dim B), with
+    no Kronecker matrix formed."""
+    dim_c = cs.embed.shape[0]
+    cube = cs.embed.reshape(dim_c, cs.part_a.algebra.dim, cs.part_b.algebra.dim)
+    rows = cs.embed.reshape(-1, cs.part_b.algebra.dim)
+    return (
+        lambda m: (m.T @ cube).reshape(dim_c, -1),
+        lambda m: (rows @ m).reshape(dim_c, -1),
+    )
 
 
 def _kron_columns(part_a: AlgebraDescriptor, part_b: AlgebraDescriptor) -> np.ndarray:
@@ -308,13 +324,8 @@ def tensor_adjoint_check(
     rng = np.random.default_rng(seed)
     gram_c = _context(cs.carrier).gram
     dim = cs.carrier.dim
-    eye_a = np.eye(cs.part_a.algebra.dim)
-    eye_b = np.eye(cs.part_b.algebra.dim)
     sides = []
-    for part, lift in (
-        (cs.part_a.algebra, lambda m: np.kron(m, eye_b)),
-        (cs.part_b.algebra, lambda m: np.kron(eye_a, m)),
-    ):
+    for part, lift in zip((cs.part_a.algebra, cs.part_b.algebra), _embedded_lifts(cs)):
         frames = _frames(part, 2 * samples, rng)
         lams = rng.uniform(0.5, 2.0, size=(2 * samples, part.rank))
         roots = _point_transports(part, frames, lams)[1]
@@ -329,9 +340,9 @@ def tensor_adjoint_check(
     for i in range(samples):
         for side, (part, g, lift) in enumerate(sides):
             g_adj = _metric_adjoint(_context(part).gram, g[i])
-            big = cs.embed @ lift(g[i]) @ inv_embed
+            big = lift(g[i]) @ inv_embed
             big_adj = _metric_adjoint(gram_c, big)
-            lifted = cs.embed @ lift(g_adj) @ inv_embed
+            lifted = lift(g_adj) @ inv_embed
             scale = 1.0 + float(np.abs(big).max())
             worst = max(worst, float(np.abs(big_adj - lifted).max()) / scale)
             ops[side, 0] = big_adj
@@ -363,22 +374,20 @@ def tensor_lmap_check(
     rng = np.random.default_rng(seed)
     ctx_a = _context(cs.part_a.algebra)
     ctx_b = _context(cs.part_b.algebra)
-    eye_a = np.eye(cs.part_a.algebra.dim)
-    eye_b = np.eye(cs.part_b.algebra.dim)
+    lift_a, lift_b = _embedded_lifts(cs)
     # per side: the part's constants, its element paired with the other
-    # side's unit, and the factorwise lift of its multiplication operator
+    # side's unit, and the embedded factorwise lift of its multiplication
+    # operator
     sides = (
-        (ctx_a.constants, lambda x: cs.pair_coords(x, ctx_b.unit_coords),
-         lambda m: np.kron(m, eye_b)),
-        (ctx_b.constants, lambda x: cs.pair_coords(ctx_a.unit_coords, x),
-         lambda m: np.kron(eye_a, m)),
+        (ctx_a.constants, lambda x: cs.pair_coords(x, ctx_b.unit_coords), lift_a),
+        (ctx_b.constants, lambda x: cs.pair_coords(ctx_a.unit_coords, x), lift_b),
     )
     worst = 0.0
     for _ in range(samples):
         for sc, pair, lift in sides:
             x = rng.standard_normal(sc.dim)
             lhs = _left_mult_matrix(ctx_c.constants, pair(x)[0]) @ cs.embed
-            rhs = cs.embed @ lift(_left_mult_matrix(sc, x))
+            rhs = lift(_left_mult_matrix(sc, x))
             gap = float(np.abs(lhs - rhs).max()) / (1.0 + float(np.abs(x).max()))
             worst = max(worst, gap)
     name = "tensor_lmap" if cs.locally_tomographic else "tensor_lmap_embedded"

@@ -34,8 +34,8 @@ from .algebra import (
     _context,
     _metric_adjoint,
     _norms,
-    _product_batch,
     _quadratic_batch,
+    _square_batch,
     norm,
 )
 from .certificates import ConeCertificate
@@ -121,26 +121,30 @@ def sample_off_boundary(
     rng: np.random.Generator,
     membership_map: np.ndarray | None = None,
     max_rounds: int = 200,
-) -> np.ndarray:
-    """Gaussian coordinate rows redrawn out of the boundary margin band.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian coordinate rows redrawn out of the boundary margin band, and
+    the minimum eigenvalue of each (after ``membership_map`` if given).
 
-    Rows are kept when their minimum eigenvalue (after ``membership_map`` if
-    given) is either nonnegative or below -boundary_margin. The draws stay
-    independent of any frame pool they are later paired against.
+    Rows are kept when that eigenvalue is either nonnegative or below
+    -boundary_margin. The draws stay independent of any frame pool they are
+    later paired against.
     """
     margin = boundary_margin(algebra)
-    out = np.empty((0, algebra.dim))
+    rows, mins = [], []
+    kept = 0
     for _ in range(max_rounds):
-        if out.shape[0] >= count:
+        if kept >= count:
             break
         xs = rng.standard_normal((count, algebra.dim))
         probe = xs if membership_map is None else xs @ membership_map.T
         lam_min = eigenvalues_batch(algebra, probe)[:, 0]
         keep = (lam_min >= 0.0) | (lam_min <= -margin)
-        out = np.concatenate([out, xs[keep]], axis=0)
-    if out.shape[0] < count:
+        rows.append(xs[keep])
+        mins.append(lam_min[keep])
+        kept += rows[-1].shape[0]
+    if kept < count:
         raise RuntimeError("boundary-margin resampling failed to converge")
-    return out[:count]
+    return np.concatenate(rows)[:count], np.concatenate(mins)[:count]
 
 
 def _pairing_minima(
@@ -194,7 +198,7 @@ def check_self_duality(
     tinv = np.linalg.inv(tmat)
 
     xs = rng.standard_normal((samples, dim))
-    members = _product_batch(ctx.constants, xs, xs) @ tmat.T
+    members = _square_batch(ctx.constants, xs) @ tmat.T
     rel_min, partner = _pairing_minima(members, members, ctx.gram, normalize=True)
     i = int(np.argmin(rel_min))
     worst_pairing = float(rel_min[i])
@@ -203,11 +207,11 @@ def check_self_duality(
         witnesses = [members[i].tolist(), members[partner[i]].tolist()]
 
     rays = frame_pool(algebra, max(samples, 256), rng) @ tmat.T
-    cand = sample_off_boundary(algebra, samples, rng, membership_map=tinv)
+    cand, cand_min = sample_off_boundary(algebra, samples, rng, membership_map=tinv)
     accepted = _pairing_minima(cand, rays, ctx.gram)[0] >= -tol
     worst_member = 0.0
     if accepted.any():
-        lam_min = eigenvalues_batch(algebra, cand[accepted] @ tinv.T)[:, 0]
+        lam_min = cand_min[accepted]
         worst_member = float(lam_min.min())
         if worst_member < -tol:
             bad = np.where(accepted)[0][np.argmin(lam_min)]
@@ -246,8 +250,7 @@ def check_membership_agreement(
     ctx = _context(algebra)
     rng = np.random.default_rng(seed)
     pool = frame_pool(algebra, frames, rng)
-    cand = sample_off_boundary(algebra, samples, rng)
-    lam_min = eigenvalues_batch(algebra, cand)[:, 0]
+    cand, lam_min = sample_off_boundary(algebra, samples, rng)
     spectral_in = lam_min >= -tol
     dual_in = _pairing_minima(cand, pool, ctx.gram)[0] >= -tol
     disagree = spectral_in != dual_in
@@ -308,7 +311,7 @@ def _cone_image(
     m, k, dim = xs.shape
     q = ops.shape[1]
     flat = xs.reshape(-1, dim)
-    squares = _product_batch(_context(algebra).constants, flat, flat).reshape(m, k, dim)
+    squares = _square_batch(_context(algebra).constants, flat).reshape(m, k, dim)
     pending, rows = [], []
     step = max(1, KERNEL_CHUNK_TERMS // (algebra.rank * dim * q * k))
     for lo in range(0, m, step):

@@ -120,27 +120,26 @@ def _orthonormal_rows(stack: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _close_span(
-    seed_rows: np.ndarray,
+    basis: np.ndarray,
     act: Callable[[np.ndarray], Iterable[np.ndarray]],
     tol: float,
     max_rounds: int = MAX_CLOSURE_ROUNDS,
 ) -> tuple[np.ndarray, int]:
-    """Smallest span holding ``seed_rows`` that ``act`` maps into itself.
+    """Smallest span holding the orthonormal rows ``basis`` that ``act``
+    maps into itself.
 
     ``act(basis)`` yields the candidate rows of the current orthonormal
     basis in blocks. Each round projects every candidate onto the span with
-    matmuls, keeps the residuals above ``tol`` times the largest seed norm,
-    compresses them with a Gaussian sketch of at most four times as many rows
-    as the seed span (drawn from a fixed seed, so the basis is reproducible)
-    and appends the sketch's orthonormalized directions. A direction the
-    sketch misses stays a residual and is found by the next round, so the
-    span is returned only after a full pass over the candidates adds
-    nothing. Returns the basis rows and the number of rounds that added
-    directions.
+    matmuls, keeps the residuals above ``tol`` (relative to the unit seed
+    rows), compresses them with a Gaussian sketch of at most four times as
+    many rows as the seed span (drawn from a fixed seed, so the basis is
+    reproducible) and appends the sketch's orthonormalized directions. A
+    direction the sketch misses stays a residual and is found by the next
+    round, so the span is returned only after a full pass over the
+    candidates adds nothing. Returns the basis rows, the seed rows first,
+    and the number of rounds that added directions.
     """
-    floor = tol * float(np.linalg.norm(seed_rows, axis=1).max(initial=0.0))
-    basis = _orthonormal_rows(seed_rows, tol)
-    width = min(4 * basis.shape[0], seed_rows.shape[1])
+    width = min(4 * basis.shape[0], basis.shape[1])
     rng = np.random.default_rng(_SKETCH_SEED)
     rounds = 0
     for _ in range(max_rounds):
@@ -148,7 +147,7 @@ def _close_span(
         found = False
         for block in act(basis):
             resid = block - (block @ basis.T) @ basis
-            resid = resid[np.linalg.norm(resid, axis=1) > floor]
+            resid = resid[np.linalg.norm(resid, axis=1) > tol]
             if resid.shape[0]:
                 found = True
                 sketch += rng.standard_normal((width, resid.shape[0])) @ resid
@@ -171,9 +170,11 @@ def lie_closure(
     new directions. A span that holds the generators and is mapped into
     itself by each ad G_i holds every bracket of them, so the closure checks
     [G_i, B_j] for the orthonormalized generators G_i against every basis
-    operator B_j only, never all pairs of the basis. Raises if the span
-    keeps growing past ``max_rounds`` (a tolerance misconfiguration:
-    bracket closure of a finite-dimensional Lie algebra must stabilize).
+    operator B_j only, never all pairs of the basis. The G_i are the first
+    basis rows and [G_j, G_i] = -[G_i, G_j], so among them each pair is
+    bracketed once. Raises if the span keeps growing past ``max_rounds`` (a
+    tolerance misconfiguration: bracket closure of a finite-dimensional Lie
+    algebra must stabilize).
     """
     if tol <= 0.0:
         raise ValueError("closure rank tolerance must be positive")
@@ -183,10 +184,12 @@ def lie_closure(
 
     def brackets(basis: np.ndarray) -> Iterator[np.ndarray]:
         ops = basis.reshape(-1, d, d)
-        step = max(1, KERNEL_CHUNK_TERMS // basis.size)
-        for s in range(0, gens.shape[0], step):
-            chunk = gens[s:s + step, None]
-            yield (chunk @ ops - ops @ chunk).reshape(-1, d * d)
+        index = np.arange(ops.shape[0])
+        left, right = np.nonzero(index[: gens.shape[0], None] < index)
+        step = max(1, KERNEL_CHUNK_TERMS // (d * d))
+        for lo in range(0, left.size, step):
+            x, y = ops[left[lo : lo + step]], ops[right[lo : lo + step]]
+            yield (x @ y - y @ x).reshape(-1, d * d)
 
     basis, rounds = _close_span(gens.reshape(-1, d * d), brackets, tol, max_rounds)
     return basis.reshape(-1, d, d), rounds

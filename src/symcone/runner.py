@@ -163,10 +163,12 @@ def _uniform_state_values(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCe
     traces = np.sum(rows * ctx.gram * ctx.unit_coords, axis=1)
     sizes = np.bincount(owner)
     # the tests of one size are the rows of one array: a row sum adds in the
-    # order a sum of that test alone does (np.add.reduceat would not)
+    # order a sum of that test alone does (np.add.reduceat would not); the
+    # sizes are sorted in Python, since np.unique imports numpy.ma, 13 ms in
+    # every process
     totals = [
         probs[sizes[owner] == size].reshape(-1, size).sum(axis=1)
-        for size in np.unique(sizes)
+        for size in sorted(set(sizes.tolist()))
     ]
     pooled = np.array([x.coords for x in model.outcomes]).reshape(-1, model.algebra.dim)
     pooled_traces = np.sum(pooled * ctx.gram * ctx.unit_coords, axis=1)

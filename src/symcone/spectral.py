@@ -27,10 +27,10 @@ batch of rows for (primitive) idempotency.
 
 ``_interior_rows`` is the interior screen: it certifies, without an
 eigensolve, rows whose least eigenvalue exceeds INTERIOR_TOL_SCALE * (1 +
-|a|), by a batched Cholesky factorization (matrix families), t - |v| (spin
-factors) or the characteristic coefficients (octonionic algebra). The margin
-is five orders above the screen's rounding, so a certified row is interior
-for certain; a row it does not certify decides nothing.
+|a|), by the characteristic coefficients read off the power traces (rank at
+most 3) or a batched Cholesky factorization (matrix families of higher
+rank). The margin is five orders above the screen's rounding, so a certified
+row is interior for certain; a row it does not certify decides nothing.
 
 Frames are the idempotents of random standard-normal elements. Draws whose
 spectrum is not cleanly separated are redrawn rather than refined, since
@@ -51,10 +51,12 @@ from .algebra import (
     Family,
     _context,
     _Context,
+    _cubic_trace,
     _from_view,
     _left_mult_batch,
     _norms,
     _product_batch,
+    _square_batch,
     _to_view,
 )
 
@@ -279,7 +281,7 @@ def _ritz_spectrum(ctx: _Context, xs: np.ndarray) -> np.ndarray:
     v1 = c - a01[:, None] * q0
     r11 = np.linalg.norm(v1, axis=1)
     q1 = v1 / np.where(r11 > 0.0, r11, 1.0)[:, None]
-    cc = _product_batch(sc, c, c)
+    cc = _square_batch(sc, c)
     v2 = cc
     for _ in range(2):
         v2 = v2 - (v2 @ q0)[:, None] * q0
@@ -341,40 +343,44 @@ def _interior_rows(
     orders above the rounding it makes, so a passing row is interior for
     certain, and an eigensolve would have put its lambda_min above 0 too.
 
-    * Matrix families: the unblocked Cholesky factorization of the matrix
-      view minus delta s I completes with positive pivots. A completed
-      factorization is the exact one of a matrix within a small multiple
-      of n^2 eps s (Higham, Accuracy and Stability of Numerical Algorithms,
-      ch. 10). It runs over the batch, one pivot per step, so a failing row
-      fails alone (``np.linalg.cholesky`` raises for the whole stack).
-    * Spin factors: t - |v| > delta s.
-    * Albert: the coefficients c1 = tr a, c2 and c3 = det a of the
-      characteristic polynomial, from tr a, <a, a> and <a o a, a>, exceed
-      delta s, delta s^2 and delta s^3. Then no root is <= 0, and the least
-      one is c3 over the product of the other two, each below s.
+    * Rank r <= 3 (spin factors, the octonionic algebra, matrix families of
+      size up to 3): the elementary symmetric polynomials of the
+      eigenvalues, from the power traces p1 = tr a, p2 = <a, a> and p3 =
+      <a o a, a> (Faraut and Koranyi, Analysis on Symmetric Cones, ch. II),
+      e1 = p1, e2 = (p1^2 - p2) / 2 and e3 = (p1^3 - 3 p1 p2 + 2 p3) / 6,
+      exceed delta s, delta s^2 and delta s^3 up to e_r. Then the
+      characteristic polynomial has no root <= 0, and the least root is e_r
+      over the product of the other r - 1, each below s.
+    * Matrix families of rank >= 4: the unblocked Cholesky factorization
+      of the matrix view minus delta s I completes with positive pivots. A
+      completed factorization is the exact one of a matrix within a small
+      multiple of n^2 eps s (Higham, Accuracy and Stability of Numerical
+      Algorithms, ch. 10). It runs over the batch, one pivot per step, so a
+      failing row fails alone (``np.linalg.cholesky`` raises for the whole
+      stack).
     * Direct sums: every block passes against the whole row's s.
     """
     ctx = _context(algebra)
     if scale is None:
         scale = 1.0 + _norms(coords, ctx.gram)
     floor = INTERIOR_TOL_SCALE * scale
-    fam = algebra.family
-    if fam is Family.SPIN:
-        return coords[:, 0] - np.linalg.norm(coords[:, 1:], axis=1) > floor
-    if fam is Family.ALBERT:
-        square = _product_batch(ctx.constants, coords, coords)
-        p1 = coords @ (ctx.gram * ctx.unit_coords)
-        p2 = np.sum(coords * ctx.gram * coords, axis=1)
-        p3 = np.sum(square * ctx.gram * coords, axis=1)
-        c2 = 0.5 * (p1 * p1 - p2)
-        c3 = (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
-        return (p1 > floor) & (c2 > floor * scale) & (c3 > floor * scale**2)
-    if fam is Family.SUM:
+    if algebra.family is Family.SUM:
         ok = np.ones(coords.shape[0], dtype=bool)
         for desc, sl in zip(algebra.summands, ctx.block_slices):
             ok &= _interior_rows(desc, coords[:, sl], scale)
         return ok
-    mats = _to_view(coords, algebra.size, _ENTRY_WIDTH[fam])
+    rank = algebra.rank
+    if rank <= 3:
+        p1 = coords @ (ctx.gram * ctx.unit_coords)
+        ok = p1 > floor
+        if rank >= 2:
+            p2 = np.sum(coords * ctx.gram * coords, axis=1)
+            ok &= 0.5 * (p1 * p1 - p2) > floor * scale
+        if rank == 3:
+            p3 = _cubic_trace(ctx, coords)
+            ok &= (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0 > floor * scale**2
+        return ok
+    mats = _to_view(coords, algebra.size, _ENTRY_WIDTH[algebra.family])
     diag = np.arange(mats.shape[-1])
     mats[:, diag, diag] -= floor[:, None]
     ok = np.ones(coords.shape[0], dtype=bool)
@@ -448,7 +454,7 @@ def _idempotent_rows(
     the trace norm, and whether it is primitive: also of trace 1 within
     tol (1 + rank)."""
     ctx = _context(algebra)
-    gaps = _norms(_product_batch(ctx.constants, coords, coords) - coords, ctx.gram)
+    gaps = _norms(_square_batch(ctx.constants, coords) - coords, ctx.gram)
     idempotent = gaps <= tol * (1.0 + _norms(coords, ctx.gram) ** 2)
     traces = coords @ (ctx.gram * ctx.unit_coords)
     return idempotent, idempotent & (np.abs(traces - 1.0) <= tol * (1.0 + algebra.rank))

@@ -515,12 +515,30 @@ def test_console_jobs_leave_each_worker_a_blas_pool(monkeypatch):
     assert cli._console_jobs() == 2  # the largest pool counts
     monkeypatch.setenv("MKL_NUM_THREADS", "16")
     assert cli._console_jobs() == 1
-    # values that size no pool are not read as pins
+    # values that size no pool are not read as pins; "²" is a digit to
+    # str.isdigit but not to int()
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "two")
     monkeypatch.setenv("MKL_NUM_THREADS", "0")
     assert cli._console_jobs() == 8
+    monkeypatch.setenv("MKL_NUM_THREADS", "²")
+    assert cli._console_jobs() == 8
     monkeypatch.delattr(os, "sched_getaffinity")
     assert cli._console_jobs() == 1
+
+
+def test_model_suite_run_leaves_numpy_ma_unimported():
+    # importing numpy.ma takes about 13 ms, in the run and again in every
+    # forked certificate worker
+    script = (
+        "import sys; from symcone.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy.ma' in sys.modules); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--input", "qubit-pair", "--suites", "model"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # Four plain systems and a composite whose expected failure keeps the exit

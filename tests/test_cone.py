@@ -22,7 +22,7 @@ from symcone import (
     unit,
 )
 from symcone import spectral
-from symcone.algebra import _context, _product_batch
+from symcone.algebra import _context, _square_batch
 from symcone.cone import (
     PSD_TOL,
     _cone_image,
@@ -83,7 +83,7 @@ def test_min_eigenvalue_shift_lands_on_boundary():
 @pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)
 def test_dual_agrees_with_spectral_membership(desc):
     rng = np.random.default_rng(53)
-    rows = sample_off_boundary(desc, 100, rng)
+    rows, _ = sample_off_boundary(desc, 100, rng)
     for row in rows:
         a = Element(desc, row)
         assert dual_cone_contains(a) == cone_contains(a)
@@ -250,8 +250,9 @@ def from_first_diag(desc):
 @pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)
 def test_off_boundary_sampler_avoids_band(desc):
     rng = np.random.default_rng(66)
-    rows = sample_off_boundary(desc, 100, rng)
-    lam_min = eigenvalues_batch(desc, rows)[:, 0]
+    rows, lam_min = sample_off_boundary(desc, 100, rng)
+    # the eigenvalues it returns are those of an eigensolve of the kept rows
+    assert np.array_equal(lam_min, eigenvalues_batch(desc, rows)[:, 0])
     margin = boundary_margin(desc)
     assert np.all((lam_min >= 0.0) | (lam_min <= -margin))
 
@@ -269,7 +270,7 @@ def _cone_image_reference(algebra, ops, xs, tol):
     the interior screen."""
     m, k, dim = xs.shape
     flat = xs.reshape(-1, dim)
-    squares = _product_batch(_context(algebra).constants, flat, flat).reshape(m, k, dim)
+    squares = _square_batch(_context(algebra).constants, flat).reshape(m, k, dim)
     images = squares[:, None] @ np.swapaxes(ops, -1, -2)
     lam = eigenvalues_batch(algebra, images.reshape(-1, dim))
     rel = (lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))).reshape(-1, k)

@@ -33,7 +33,9 @@ from symcone import (
 from symcone.algebra import (
     _build_constants,
     _context,
+    _cubic_trace,
     _product_batch,
+    _square_batch,
     from_matrix,
 )
 from test_algebra import ALL_FAMILIES
@@ -88,6 +90,41 @@ def test_kernel_matches_plain_arithmetic(desc):
         a, b = Element(desc, x), Element(desc, y)
         np.testing.assert_allclose(jordan_product(a, b).coords, w, rtol=0, atol=ATOL)
         np.testing.assert_allclose(left_mult_operator(a).matrix @ y, w, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    ALL_FAMILIES
+    + [
+        direct_sum(make_algebra("spin", 3), make_algebra("albert")),
+        direct_sum(make_algebra("quaternion", 3), make_algebra("real", 4), make_algebra("spin", 2)),
+        make_algebra("complex", 12),
+        make_algebra("real", 18),
+    ],
+    ids=format_descriptor,
+)
+def test_folded_square_matches_the_product(desc):
+    ctx = _context(desc)
+    xs = np.random.default_rng(6).standard_normal((40, desc.dim))
+    want = _product_batch(ctx.constants, xs, xs)
+    gap = np.abs(_square_batch(ctx.constants, xs) - want).max(axis=1)
+    assert (gap <= 1e-15 * (1.0 + np.sum(xs * ctx.gram * xs, axis=1))).all()
+    # each unordered pair of coordinates once
+    assert ctx.constants.sq_V.size < ctx.constants.V.size
+    assert (ctx.constants.sq_I <= ctx.constants.sq_J).all()
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [make_algebra(fam, 3) for fam in ("real", "complex", "quaternion", "albert")],
+    ids=format_descriptor,
+)
+def test_cubic_trace_is_the_trace_of_the_cube(desc):
+    ctx = _context(desc)
+    xs = np.random.default_rng(7).standard_normal((40, desc.dim))
+    want = np.sum(_product_batch(ctx.constants, xs, xs) * ctx.gram * xs, axis=1)
+    norms = np.sqrt(np.sum(xs * ctx.gram * xs, axis=1))
+    assert (np.abs(_cubic_trace(ctx, xs) - want) <= 1e-14 * (1.0 + norms**3)).all()
 
 
 def _dense_reference(desc):

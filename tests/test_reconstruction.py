@@ -36,6 +36,8 @@ from symcone.reconstruction import (
     structure_lie_basis,
 )
 
+from test_algebra import ALL_FAMILIES
+
 # (descriptor args, expected skew dim): sym dim always equals carrier dim.
 SKEW_DIMS = [
     (("real", 2), 1),        # so(2)
@@ -101,6 +103,27 @@ def test_closure_grows_until_stable():
             coeffs = flat @ comm.reshape(-1)
             residual = comm - (coeffs[:, None, None] * basis).sum(axis=0)
             assert np.abs(residual).max() < 1e-8
+
+
+@pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
+def test_closed_span_holds_the_bracket_of_every_basis_pair(desc):
+    # The closure brackets the generators against the basis only, and pairs
+    # of generators once; the span must still hold [B_i, B_j] for all pairs.
+    gens = group_lie_generators(desc)
+    basis, _ = lie_closure(gens)
+    d, g = desc.dim, basis.shape[0]
+    flat = basis.reshape(g, d * d)
+    np.testing.assert_allclose(flat @ flat.T, np.eye(g), rtol=0, atol=1e-12)
+    # the orthonormalized generators are the first rows (L_x u = x, so the
+    # d generators are independent)
+    gens = gens.reshape(d, d * d)
+    assert np.abs(gens - (gens @ flat[:d].T) @ flat[:d]).max() <= 1e-12
+    left, right = np.triu_indices(g, 1)
+    for lo in range(0, left.size, 256):
+        x, y = basis[left[lo : lo + 256]], basis[right[lo : lo + 256]]
+        comm = (x @ y - y @ x).reshape(-1, d * d)
+        resid = comm - (comm @ flat.T) @ flat
+        assert np.linalg.norm(resid, axis=1).max() <= 1e-9
 
 
 def test_closure_that_needs_a_round_fails_without_one():

@@ -458,3 +458,52 @@ def test_interior_screen_is_sound_and_certifies_clear_interiors(desc):
     assert not certified[lam_min <= 0.0].any()
     assert certified[lam_min >= 1e-6 * scale].all()
     assert certified[ratio >= 1e-6].all()
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        make_algebra("real", 1),
+        make_algebra("real", 3),
+        make_algebra("complex", 2),
+        make_algebra("quaternion", 3),
+        make_algebra("spin", 6),
+        make_algebra("albert"),
+        direct_sum(make_algebra("spin", 3), make_algebra("real", 4)),
+        direct_sum(make_algebra("albert"), make_algebra("complex", 2), make_algebra("real", 1)),
+        direct_sum(make_algebra("quaternion", 3), make_algebra("complex", 5)),
+    ],
+    ids=format_descriptor,
+)
+def test_power_trace_screen_certifies_only_interior_rows(desc, monkeypatch):
+    # Random rows, and the same rows moved along the unit so that their
+    # least eigenvalue lands at ratios r of s around the margin, and frame
+    # rows with one or two eigenvalues at r s; every certified row must have
+    # an eigensolved least eigenvalue above 0. Blocks of rank <= 3 never
+    # form the matrix view.
+    rng = np.random.default_rng(74)
+    ctx = _context(desc)
+    ratios = np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-9, 5e-9, 1e-8, 2e-8, 1e-7, 1e-6, 1.0])
+    xs = rng.standard_normal((40 * ratios.size, desc.dim))
+    scale = 1.0 + _norms(xs, ctx.gram)
+    shift = np.repeat(ratios, 40) * scale - eigenvalues_batch(desc, xs)[:, 0]
+    moved = xs + shift[:, None] * ctx.unit_coords
+    frames = frame_pool(desc, 40 * ratios.size, seed=75).reshape(-1, desc.rank, desc.dim)
+    lams = rng.uniform(0.5, 2.0, size=(frames.shape[0], desc.rank))
+    low = rng.permuted(np.arange(desc.rank)[None].repeat(frames.shape[0], 0), axis=1)
+    rows = np.arange(frames.shape[0])
+    lams[rows, low[:, 0]] = np.repeat(ratios, 40) * (1.0 + np.linalg.norm(lams, axis=1))
+    if desc.rank > 1:
+        lams[rows, low[:, 1]] = 10.0 * lams[rows, low[:, 0]]
+    pairs = np.einsum("nk,nkd->nd", lams, frames)
+    batches = (xs, moved, pairs)
+    lam_min = [eigenvalues_batch(desc, batch)[:, 0] for batch in batches]
+    views = []
+    to_view = spectral._to_view
+    monkeypatch.setattr(spectral, "_to_view", lambda xs, n, width: (
+        views.append(n) or to_view(xs, n, width)))
+    certified = [_interior_rows(desc, batch) for batch in batches]
+    for ok, least in zip(certified, lam_min):
+        assert (least[ok] > 0.0).all()
+    assert certified[1].any() and certified[2].any()
+    assert all(n >= 4 for n in views)
