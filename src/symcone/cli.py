@@ -28,6 +28,8 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 
+FORMATS = ("text", "structured")
+
 
 def _env_default(name: str, fallback):
     value = os.environ.get(f"SYMCONE_{name}")
@@ -112,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "structured"),
+        choices=FORMATS,
         default=_env_default("FORMAT", "text"),
         help="report format (default text)",
     )
@@ -135,6 +137,13 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse checks choices on the values given, not on a default taken
+    # from the environment
+    if args.format not in FORMATS:
+        parser.error(
+            f"argument --format: invalid choice: {args.format!r} "
+            f"(choose from {', '.join(map(repr, FORMATS))})"
+        )
 
     if args.list_demos:
         for name in DEMO_NAMES:

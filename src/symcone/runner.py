@@ -17,12 +17,14 @@ cone, kv (reconstruction) and model suites plus a qubit-witness note in
 the composite suite; composite systems only the composite suite, since
 their interesting content is the embedding. A system's certificates draw
 from a seed fixed by its index, so the systems are independent: the
-second phase runs them either in this process or in forked workers that
-take the systems in input order as they come free, and the results are
-put back in input order. A certificate whose failure is marked expected
-in the input flips its contribution to the exit code. Reports contain no
-timestamps, machine identifiers or worker counts, so identical input and
-configuration give byte-identical structured output.
+second phase runs them either in this process or in forked workers, to
+which this process hands the systems in input order as the workers come
+free, and the results are put back in input order; a worker that dies is
+a fault of the system it held, raised like any other. A certificate whose
+failure is marked expected in the input flips its contribution to the
+exit code. Reports contain no timestamps, machine identifiers or worker
+counts, so identical input and configuration give byte-identical
+structured output.
 """
 
 from __future__ import annotations
@@ -374,31 +376,33 @@ def _build_model(spec: SystemSpec, index: int) -> ProbModel:
 @dataclass
 class _Worker:
     pid: int  # 0 once reaped
+    tasks: BinaryIO  # write end of its task pipe, closed once it has no more
+    tasks_read: int  # this process's copy of the task pipe's read end
     results: BinaryIO  # read end of its result pipe
+    index: int | None = None  # the system it holds
 
 
 def _serve(
     run: Callable[[int], Any], tasks: int, results: int, inherited: list[int]
 ) -> NoReturn:
-    """A forked worker's loop: close the ``inherited`` descriptors that
-    belong to the parent, then claim system indices from the shared
-    ``tasks`` pipe and write the pickled ``(index, result, traceback)`` of
-    each to ``results`` (``traceback`` is None, or the text of the exception
-    sent as ``result``), until end of file. Never returns into the caller's
-    stack."""
+    """A forked worker's loop: close the ``inherited`` descriptors, which
+    belong to the parent and to the workers forked before this one, then
+    read system indices from its own ``tasks`` pipe and write the pickled
+    ``(result, traceback)`` of each to ``results`` (``traceback`` is None,
+    or the text of the exception sent as ``result``), until end of file.
+    Never returns into the caller's stack."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
         with os.fdopen(results, "wb") as out:
             while raw := os.read(tasks, 4):
-                index = int.from_bytes(raw, "little")
                 try:
-                    message = (index, run(index), None)
+                    message = (run(int.from_bytes(raw, "little")), None)
                 except Exception as exc:
                     import traceback
 
-                    message = (index, exc, traceback.format_exc())
+                    message = (exc, traceback.format_exc())
                 pickle.dump(message, out)
                 out.flush()
         status = 0
@@ -408,41 +412,34 @@ def _serve(
 
 def _run_in_workers(run: Callable[[int], Any], names: list[str], jobs: int) -> list:
     """``[run(i) for i in range(len(names))]``, computed by up to ``jobs``
-    forked workers while this process only collects the results.
+    forked workers while this process only hands out the indices and
+    collects the results.
 
-    The workers claim the indices, in input order, from one task pipe as
-    they come free, so a long system does not hold the others up, and send
-    each result back at once over their own result pipes. An exception in a
-    worker is raised here with its type and message, and the worker's
-    traceback as its cause; a worker that ends without reporting a system it
-    claimed raises RuntimeError naming that system. Of the faults, the one
-    at the lowest index is raised, as soon as every index below it is done,
-    as the serial loop would raise it. Every worker is reaped before this
-    returns or raises.
+    Each worker has a task pipe and a result pipe of its own. This process
+    hands the next index, in input order, to whichever worker has just
+    reported, so a long system does not hold the others up, and it always
+    knows which system each worker holds. An exception in a worker is
+    raised here with its type and message, and the worker's traceback as
+    its cause; a worker that ends while it holds a system is a RuntimeError
+    that names the system and the worker's exit status. Of the faults, the
+    one at the lowest index is raised, as soon as every index below it is
+    done, as the serial loop would raise it. Every worker is reaped before
+    this returns or raises.
     """
-    todo = b"".join(index.to_bytes(4, "little") for index in range(len(names)))
+    todo = iter(range(len(names)))
     done: dict[int, Any] = {}
     faults: dict[int, BaseException] = {}
-    ended: list[str] = []  # how the workers that did not finish ended
     workers: dict[int, _Worker] = {}  # by result pipe descriptor
-    # This process keeps a read end open, so feeding the pipe never fails
-    # for want of a reader, even when every worker has died.
-    tasks_r, tasks_w = os.pipe()
-    os.set_blocking(tasks_w, False)
 
-    def feed() -> None:
-        """Write what the task pipe takes; close it once all is written."""
-        nonlocal todo, tasks_w
-        try:
-            while todo:
-                # a write of at most PIPE_BUF bytes is all or nothing, so no
-                # index is split between two workers' reads
-                chunk = todo[:select.PIPE_BUF]
-                todo = todo[os.write(tasks_w, chunk):]
-        except BlockingIOError:
-            return
-        os.close(tasks_w)  # the workers read end of file once it is drained
-        tasks_w = -1
+    def hand_out(worker: _Worker) -> None:
+        """Send ``worker`` the next index; once none is left, or a fault is
+        known, close its task pipe so that it ends."""
+        worker.index = None if faults else next(todo, None)
+        if worker.index is None:
+            worker.tasks.close()
+        else:
+            # never blocks: the pipe holds at most this one index
+            worker.tasks.write(worker.index.to_bytes(4, "little"))
 
     def settled() -> bool:
         return bool(faults) and all(index in done for index in range(min(faults)))
@@ -452,56 +449,54 @@ def _run_in_workers(run: Callable[[int], Any], names: list[str], jobs: int) -> l
     # (and so copies) the pages they share.
     gc.freeze()
     try:
+        poller = select.poll()
         for _ in range(min(jobs, len(names))):
+            # This process keeps each task pipe's read end open, so handing
+            # an index to a worker that has just died does not fail for want
+            # of a reader; the worker's end of file then reports it.
+            tasks_r, tasks_w = os.pipe()
             result_r, result_w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                inherited = [result_r, *workers] + ([tasks_w] if tasks_w >= 0 else [])
+                inherited = [tasks_w, result_r, *(
+                    fd for w in workers.values()
+                    for fd in (w.tasks.fileno(), w.tasks_read, w.results.fileno()))]
                 _serve(run, tasks_r, result_w, inherited)
             os.close(result_w)
-            workers[result_r] = _Worker(pid, os.fdopen(result_r, "rb"))
-        feed()
-        poller = select.poll()
-        for fd in workers:
-            poller.register(fd, select.POLLIN)
-        if tasks_w >= 0:
-            poller.register(tasks_w, select.POLLOUT)
-        running = len(workers)
-        while running and not settled():
+            workers[result_r] = _Worker(
+                pid, os.fdopen(tasks_w, "wb", buffering=0), tasks_r, os.fdopen(result_r, "rb"))
+            poller.register(result_r, select.POLLIN)
+        # no worker gets a system before all are forked: handing one out
+        # during the forks raised that worker's peak RSS on the perfbench
+        # scale input from 39.4 to 42.7 MB (2 cores, one BLAS thread)
+        for worker in workers.values():
+            hand_out(worker)
+        while any(worker.pid for worker in workers.values()) and not settled():
             for fd, _ in poller.poll():
-                if fd == tasks_w:
-                    feed()
-                    if tasks_w < 0:
-                        poller.unregister(fd)
-                    continue
                 worker = workers[fd]
                 try:
-                    index, result, trace = pickle.load(worker.results)
+                    result, trace = pickle.load(worker.results)
                 except (EOFError, pickle.UnpicklingError):
-                    # the worker has left: at end of file, or while it ran
-                    # a system
+                    # the worker has left: at end of its task pipe, or while
+                    # it held a system
                     poller.unregister(fd)
-                    running -= 1
                     code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
                     worker.pid = 0
-                    if code:
-                        ended.append(f"exit code {code}" if code > 0 else f"signal {-code}")
+                    if worker.index is not None:
+                        status = f"exit code {code}" if code >= 0 else f"signal {-code}"
+                        faults[worker.index] = RuntimeError(
+                            f"a certificate worker ended ({status}) "
+                            f"before reporting system {names[worker.index]!r}"
+                        )
                     continue
                 if trace is None:
-                    done[index] = result
+                    done[worker.index] = result
                 else:
                     result.__cause__ = RuntimeError(f"raised in a certificate worker:\n{trace}")
-                    faults[index] = result
-        for index, name in enumerate(names):
-            if index in faults:
-                raise faults[index]
-            if index not in done:
-                # indices are claimed in input order, so the first one
-                # missing was claimed by a worker that died
-                raise RuntimeError(
-                    f"a certificate worker ended ({', '.join(ended)}) "
-                    f"before reporting system {name!r}"
-                )
+                    faults[worker.index] = result
+                hand_out(worker)
+        if faults:
+            raise faults[min(faults)]
         return [done[index] for index in range(len(names))]
     finally:
         for worker in workers.values():
@@ -509,9 +504,8 @@ def _run_in_workers(run: Callable[[int], Any], names: list[str], jobs: int) -> l
                 os.kill(worker.pid, signal.SIGKILL)
                 os.waitpid(worker.pid, 0)
             worker.results.close()
-        os.close(tasks_r)
-        if tasks_w >= 0:
-            os.close(tasks_w)
+            worker.tasks.close()
+            os.close(worker.tasks_read)
         gc.unfreeze()
 
 

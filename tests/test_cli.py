@@ -272,11 +272,17 @@ def test_unknown_expect_name_is_usage_error(tmp_path, capsys):
 
 
 def test_malformed_environment_default_is_usage_error():
-    env = dict(os.environ, SYMCONE_TOL="abc")
-    proc = _run("--input", "qubit-pair", env=env)
-    assert proc.returncode == EXIT_USAGE
-    assert "--tol" in proc.stderr and "'abc'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    # argparse checks the choices of --format on given values only, not on
+    # defaults
+    for variable, flag, value in (
+        ("SYMCONE_TOL", "--tol", "abc"),
+        ("SYMCONE_FORMAT", "--format", "bogus"),
+    ):
+        proc = _run("--input", "qubit-pair", env=dict(os.environ, **{variable: value}))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert flag in proc.stderr and repr(value) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_blas_thread_count_keeps_verdicts_and_witnesses(tmp_path):
@@ -672,7 +678,8 @@ def test_worker_that_dies_is_named(monkeypatch, capsys, fork_model, no_worker_le
 
 
 def test_workers_keep_input_order_and_raise_the_first_fault(no_worker_left):
-    # more indices than a 64 KiB task pipe holds at once
+    # many more indices than workers: each worker is handed a new index
+    # every time it reports one
     names = [f"s{i}" for i in range(40000)]
     assert _run_in_workers(lambda i: -i, names, 3) == [-i for i in range(40000)]
 
@@ -695,6 +702,36 @@ def test_workers_keep_input_order_and_raise_the_first_fault(no_worker_left):
     with pytest.raises(RuntimeError, match="exit code 4.* before reporting system 's20000'$"):
         _within(60, lambda: _run_in_workers(
             lambda i: i if i == 100 else faulty(i), names, 2))
+
+
+def test_worker_that_dies_ends_the_run_once_earlier_systems_are_done(no_worker_left):
+    names = [f"s{i}" for i in range(400)]
+
+    def dies_on(*fatal):
+        def run(index):
+            time.sleep(0.01 + 0.01 * (index % 2))
+            if index in fatal:
+                os._exit(fatal.index(index) + 3)
+            return index
+
+        return run
+
+    # the worker that survives does not run the other 394 systems (about
+    # 4 s) before the fault is raised
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError) as exc:
+        _within(60, lambda: _run_in_workers(dies_on(5), names, 2))
+    assert time.perf_counter() - start < 1.5
+    assert str(exc.value) == (
+        "a certificate worker ended (exit code 3) before reporting system 's5'"
+    )
+    # both workers die, on systems 5 and 6: the message carries the exit
+    # status of the worker that held system 5 alone
+    with pytest.raises(RuntimeError) as exc:
+        _within(60, lambda: _run_in_workers(dies_on(5, 6), names, 2))
+    assert str(exc.value) == (
+        "a certificate worker ended (exit code 3) before reporting system 's5'"
+    )
 
 
 _ALBERT_AND_QUBIT_PAIR = {
