@@ -137,7 +137,8 @@ def _close_span(
     direction the sketch misses stays a residual and is found by the next
     round, so the span is returned only after a full pass over the
     candidates adds nothing. Returns the basis rows, the seed rows first,
-    and the number of rounds that added directions.
+    and the number of rounds that added directions. The residuals are formed
+    in place, so the blocks that ``act`` yields may be overwritten.
     """
     width = min(4 * basis.shape[0], basis.shape[1])
     rng = np.random.default_rng(_SKETCH_SEED)
@@ -145,12 +146,15 @@ def _close_span(
     for _ in range(max_rounds):
         sketch = np.zeros((width, basis.shape[1]))
         found = False
-        for block in act(basis):
-            resid = block - (block @ basis.T) @ basis
-            resid = resid[np.linalg.norm(resid, axis=1) > tol]
+        for resid in act(basis):
+            resid -= (resid @ basis.T) @ basis
+            keep = np.linalg.norm(resid, axis=1) > tol
+            if not keep.all():
+                resid = resid[keep]
             if resid.shape[0]:
                 found = True
                 sketch += rng.standard_normal((width, resid.shape[0])) @ resid
+            del resid  # not held while act forms the next block
         if not found:
             return basis, rounds
         rounds += 1
@@ -189,7 +193,11 @@ def lie_closure(
         step = max(1, KERNEL_CHUNK_TERMS // (d * d))
         for lo in range(0, left.size, step):
             x, y = ops[left[lo : lo + step]], ops[right[lo : lo + step]]
-            yield (x @ y - y @ x).reshape(-1, d * d)
+            out = x @ y
+            out -= y @ x
+            del x, y  # not held while the block is projected,
+            yield out.reshape(-1, d * d)
+            del out  # nor this block while the next is formed
 
     basis, rounds = _close_span(gens.reshape(-1, d * d), brackets, tol, max_rounds)
     return basis.reshape(-1, d, d), rounds

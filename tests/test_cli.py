@@ -107,15 +107,19 @@ def test_expected_failure_renders_in_text(tmp_path, capsys):
 
 
 def test_missing_input_is_usage_error():
+    # parser.error raises SystemExit, which the command lets exit as usual
     proc = _run()
     assert proc.returncode == EXIT_USAGE
-    assert "--input" in proc.stderr
+    assert proc.stdout == ""
+    assert "--input" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_unreadable_file_is_usage_error():
+    # main returns the code, and the command ends with it after a flush
     proc = _run("--input", "/nonexistent/model.json")
     assert proc.returncode == EXIT_USAGE
-    assert "cannot read input" in proc.stderr
+    assert proc.stdout == ""
+    assert "cannot read input" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_empty_suites_is_usage_error():
@@ -600,6 +604,63 @@ def _console_main(monkeypatch, argv, jobs):
     monkeypatch.setattr(sys, "argv", ["symcone", *argv])
     monkeypatch.setattr(cli, "_console_jobs", lambda: jobs)
     return _within(60, main)
+
+
+def test_console_prints_what_main_returns(capsys, no_worker_left):
+    # The command ends with os._exit, so only the flush before it puts the
+    # buffered text report on a pipe.
+    argv = ["--input", "rebit-pair", "--format", "text"]
+    code = main(argv)
+    want = capsys.readouterr().out
+    proc = _run(*argv)
+    assert code == proc.returncode == EXIT_FAILURES
+    assert proc.stdout == want
+    assert proc.stderr == ""
+
+
+def test_console_skips_the_interpreter_teardown(no_worker_left):
+    script = (
+        "import atexit, sys\n"
+        "import symcone.cli\n"
+        "atexit.register(print, 'teardown')\n"
+        "sys.argv = ['symcone', '--list-demos']\n"
+        "symcone.cli.console()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.split() == list(DEMO_NAMES)
+
+
+def test_installed_command_is_the_console_entry():
+    tomllib = pytest.importorskip("tomllib")
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"symcone": "symcone.cli:console"}
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_closed_stdout_is_usage_error(no_worker_left, fmt):
+    # Exit 1 would say that a certificate failed.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symcone.cli", "--input", "qubit-pair", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()  # long before the child, still importing, writes
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    finally:
+        proc.stderr.close()
+    assert code == EXIT_USAGE
+    assert err.startswith("symcone: cannot write the report: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("source", ["model-file", "rebit-pair"])
