@@ -23,7 +23,6 @@ from .algebra import (
     left_mult_operator,
     make_algebra,
     norm,
-    parse_descriptor,
     quadratic_representation,
     random_element,
     to_matrix,
@@ -66,7 +65,6 @@ from .modelfile import (
     SystemSpec,
     parse_model_file,
     parse_model_text,
-    serialize_model_spec,
 )
 from .reconstruction import (
     LieAlgebraBasis,
@@ -116,7 +114,6 @@ __all__ = [
     "mix",
     "model_from_tests",
     "norm",
-    "parse_descriptor",
     "parse_model_file",
     "parse_model_text",
     "product_effect",
@@ -131,7 +128,6 @@ __all__ = [
     "random_state",
     "reconstruct_product",
     "run_model_spec",
-    "serialize_model_spec",
     "spectral_decompose",
     "spin_qubit_isomorphism",
     "structure_lie_basis",

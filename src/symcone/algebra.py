@@ -65,7 +65,6 @@ __all__ = [
     "descriptor_to_record",
     "record_to_descriptor",
     "format_descriptor",
-    "parse_descriptor",
 ]
 
 SQRT2 = float(np.sqrt(2.0))
@@ -808,7 +807,8 @@ def from_matrix(algebra: AlgebraDescriptor, mat: np.ndarray) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# Descriptor serialization: dict records and a compact one-line text form.
+# Descriptors as dict records (read and written) and as one line of text
+# (written only: reports, messages and test ids).
 # ---------------------------------------------------------------------------
 
 
@@ -855,36 +855,3 @@ def format_descriptor(desc: AlgebraDescriptor) -> str:
         inner = ", ".join(format_descriptor(s) for s in desc.summands)
         return f"sum({inner})"
     return f"{desc.family.value} {desc.size}"
-
-
-def parse_descriptor(text: str) -> AlgebraDescriptor:
-    text = text.strip()
-    if text.startswith("sum(") and text.endswith(")"):
-        inner = text[4:-1]
-        parts: list[str] = []
-        depth = 0
-        current = ""
-        for ch in inner:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                parts.append(current)
-                current = ""
-            else:
-                current += ch
-        if current.strip():
-            parts.append(current)
-        return direct_sum(*(parse_descriptor(p) for p in parts))
-    pieces = text.split()
-    if len(pieces) == 1 and pieces[0] == Family.ALBERT.value:
-        return make_algebra(Family.ALBERT)
-    if len(pieces) != 2:
-        raise ValueError(f"cannot parse algebra descriptor from {text!r}")
-    try:
-        size = int(pieces[1])
-    except ValueError:
-        raise ValueError(f"bad size in algebra descriptor {text!r}") from None
-    return make_algebra(pieces[0], size)
-

@@ -200,9 +200,11 @@ def main(argv: list[str] | None = None) -> int:
         report = run_model_spec(spec, cfg, source=source, jobs=jobs)
     # a sampler that runs out of draws, and a certificate worker that ends
     # without reporting, raise RuntimeError; numpy's LinAlgError is a
-    # ValueError
-    except (ValueError, RuntimeError) as exc:
-        print(f"symcone: {exc}", file=sys.stderr)
+    # ValueError; a certificate too large for memory (a huge --samples)
+    # raises MemoryError, in this process or in a worker
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        # Python's own MemoryError carries no message
+        print(f"symcone: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
     render = report_to_json if args.format == "structured" else render_report_text

@@ -1,12 +1,13 @@
 """Structured input files describing systems to certify.
 
-A model file is JSON with a schema version, a list of named systems, and
-per-system directives: an algebra descriptor with a test mode (sampled
-frames or explicit outcome coordinates), optional extra states, an optional
-composite directive referring to two earlier systems, and an optional map
-of certificate names whose failure is expected. Parsing is strict and
-errors carry line/column positions where the underlying reader provides
-them, or a record path otherwise.
+A model file is UTF-8 JSON with a schema version, a list of named
+systems, and per-system directives: an algebra descriptor with a test mode
+(sampled frames or explicit outcome coordinates), optional extra states,
+an optional composite directive referring to two earlier systems, and an
+optional map of certificate names whose failure is expected. Parsing is
+strict and errors carry line/column positions where the underlying reader
+provides them, or a record path otherwise. The package reads model files
+and writes none.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .algebra import (
-    AlgebraDescriptor,
-    descriptor_to_record,
-    record_to_descriptor,
-)
+from .algebra import AlgebraDescriptor, record_to_descriptor
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -28,8 +25,6 @@ __all__ = [
     "ModelFileSpec",
     "parse_model_text",
     "parse_model_file",
-    "spec_to_record",
-    "serialize_model_spec",
 ]
 
 SCHEMA_VERSION = 1
@@ -65,7 +60,6 @@ class SystemSpec:
 class ModelFileSpec:
     systems: list[SystemSpec]
     name: str | None = None
-    schema_version: int = SCHEMA_VERSION
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -81,10 +75,27 @@ def _is_finite_number(x) -> bool:
         return False
 
 
-def _coord_matrix(value, path: str) -> list[list[float]]:
+def _fields(record, allowed, path: str) -> dict:
+    """``record`` itself, once it is an object whose keys are all ``allowed``."""
+    _require(isinstance(record, dict), path, "expected an object")
+    for key in record:
+        _require(key in allowed, f"{path}.{key}", "unknown field")
+    return record
+
+
+def _nonnegative_int(value, path: str) -> int:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0,
+        path,
+        "expected a nonnegative integer",
+    )
+    return value
+
+
+def _coord_matrix(value, path: str, dim: int) -> list[list[float]]:
+    """Rows of ``dim`` finite coordinates each."""
     _require(isinstance(value, list) and value, path, "expected a nonempty array")
     rows = []
-    width = None
     for i, row in enumerate(value):
         _require(
             isinstance(row, list) and row,
@@ -96,22 +107,20 @@ def _coord_matrix(value, path: str) -> list[list[float]]:
             f"{path}[{i}]",
             "coordinates must be finite numbers",
         )
-        if width is None:
-            width = len(row)
-        _require(len(row) == width, f"{path}[{i}]", "ragged coordinate array")
+        _require(len(row) == len(value[0]), f"{path}[{i}]", "ragged coordinate array")
         rows.append([float(x) for x in row])
+    width = len(rows[0])
+    _require(
+        width == dim, path, f"coordinate length {width} does not match dimension {dim}"
+    )
     return rows
 
 
 def _parse_system(record, idx: int) -> SystemSpec:
     path = f"systems[{idx}]"
-    _require(isinstance(record, dict), path, "expected an object")
+    _fields(record, ("name", "algebra", "tests", "states", "composite", "expect"), path)
     name = record.get("name")
     _require(isinstance(name, str) and name != "", f"{path}.name", "expected a nonempty string")
-
-    known = {"name", "algebra", "tests", "states", "composite", "expect"}
-    for key in record:
-        _require(key in known, f"{path}.{key}", "unknown field")
 
     expect = record.get("expect", {})
     _require(isinstance(expect, dict), f"{path}.expect", "expected an object")
@@ -128,8 +137,7 @@ def _parse_system(record, idx: int) -> SystemSpec:
             path,
             "a composite system takes no algebra, tests or states of its own",
         )
-        comp = record["composite"]
-        _require(isinstance(comp, dict), f"{path}.composite", "expected an object")
+        comp = _fields(record["composite"], ("parts", "carrier"), f"{path}.composite")
         parts = comp.get("parts")
         _require(
             isinstance(parts, list)
@@ -144,10 +152,6 @@ def _parse_system(record, idx: int) -> SystemSpec:
             f"{path}.composite.carrier",
             f"only the 'candidate' carrier is supported, got {carrier!r}",
         )
-        for key in comp:
-            _require(
-                key in ("parts", "carrier"), f"{path}.composite.{key}", "unknown field"
-            )
         return SystemSpec(
             name=name,
             composite_parts=(parts[0], parts[1]),
@@ -166,56 +170,27 @@ def _parse_system(record, idx: int) -> SystemSpec:
     _require(isinstance(tests, dict), f"{path}.tests", "expected an object")
     mode = tests.get("mode", "sampled")
     if mode == "sampled":
-        count = tests.get("count", 3)
-        seed = tests.get("seed", 0)
-        _require(
-            isinstance(count, int) and not isinstance(count, bool) and count >= 0,
-            f"{path}.tests.count",
-            "expected a nonnegative integer",
-        )
-        _require(
-            isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-            f"{path}.tests.seed",
-            "expected a nonnegative integer",
-        )
-        for key in tests:
-            _require(
-                key in ("mode", "count", "seed"), f"{path}.tests.{key}", "unknown field"
-            )
-        spec.test_mode = "sampled"
-        spec.test_count = count
-        spec.test_seed = seed
+        _fields(tests, ("mode", "count", "seed"), f"{path}.tests")
+        spec.test_count = _nonnegative_int(tests.get("count", 3), f"{path}.tests.count")
+        spec.test_seed = _nonnegative_int(tests.get("seed", 0), f"{path}.tests.seed")
     elif mode == "explicit":
+        _fields(tests, ("mode", "outcomes"), f"{path}.tests")
         raw = tests.get("outcomes")
         _require(
             isinstance(raw, list) and raw,
             f"{path}.tests.outcomes",
             "expected a nonempty array of tests",
         )
-        for key in tests:
-            _require(key in ("mode", "outcomes"), f"{path}.tests.{key}", "unknown field")
         spec.test_mode = "explicit"
         spec.explicit_tests = [
-            _coord_matrix(t, f"{path}.tests.outcomes[{k}]") for k, t in enumerate(raw)
+            _coord_matrix(t, f"{path}.tests.outcomes[{k}]", algebra.dim)
+            for k, t in enumerate(raw)
         ]
-        for k, t in enumerate(spec.explicit_tests):
-            for row in t:
-                _require(
-                    len(row) == algebra.dim,
-                    f"{path}.tests.outcomes[{k}]",
-                    f"coordinate length {len(row)} does not match dimension {algebra.dim}",
-                )
     else:
         raise ModelFileError(f"{path}.tests.mode: unknown mode {mode!r}")
 
     if "states" in record:
-        spec.states = _coord_matrix(record["states"], f"{path}.states")
-        for row in spec.states:
-            _require(
-                len(row) == algebra.dim,
-                f"{path}.states",
-                f"coordinate length {len(row)} does not match dimension {algebra.dim}",
-            )
+        spec.states = _coord_matrix(record["states"], f"{path}.states", algebra.dim)
     return spec
 
 
@@ -231,10 +206,7 @@ def parse_model_text(text: str) -> ModelFileSpec:
         "$.schema_version",
         f"expected {SCHEMA_VERSION}, got {version!r}",
     )
-    for key in data:
-        _require(
-            key in ("schema_version", "name", "systems"), f"$.{key}", "unknown field"
-        )
+    _fields(data, ("schema_version", "name", "systems"), "$")
     name = data.get("name")
     if name is not None:
         _require(isinstance(name, str), "$.name", "expected a string")
@@ -268,40 +240,8 @@ def parse_model_text(text: str) -> ModelFileSpec:
 
 def parse_model_file(path) -> ModelFileSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_text(fh.read())
-
-
-def spec_to_record(spec: ModelFileSpec) -> dict:
-    systems = []
-    for s in spec.systems:
-        rec: dict = {"name": s.name}
-        if s.is_composite:
-            rec["composite"] = {
-                "parts": list(s.composite_parts),
-                "carrier": "candidate",
-            }
-        else:
-            rec["algebra"] = descriptor_to_record(s.algebra)
-            if s.test_mode == "sampled":
-                rec["tests"] = {
-                    "mode": "sampled",
-                    "count": s.test_count,
-                    "seed": s.test_seed,
-                }
-            else:
-                rec["tests"] = {"mode": "explicit", "outcomes": s.explicit_tests}
-            if s.states:
-                rec["states"] = s.states
-        if s.expect:
-            rec["expect"] = dict(sorted(s.expect.items()))
-        systems.append(rec)
-    record: dict = {"schema_version": spec.schema_version}
-    if spec.name is not None:
-        record["name"] = spec.name
-    record["systems"] = systems
-    return record
-
-
-def serialize_model_spec(spec: ModelFileSpec) -> str:
-    """Canonical text form; serialize(parse(serialize(x))) == serialize(x)."""
-    return json.dumps(spec_to_record(spec), indent=2, sort_keys=True) + "\n"
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_model_text(text)

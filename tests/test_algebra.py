@@ -23,7 +23,6 @@ from symcone import (
     jordan_product,
     left_mult_operator,
     make_algebra,
-    parse_descriptor,
     quadratic_representation,
     random_element,
     to_matrix,
@@ -285,11 +284,6 @@ def test_direct_sum_accepts_iterable():
     bit = direct_sum(parts)
     assert bit == direct_sum(*parts)
     assert (bit.dim, bit.rank) == (2, 2)
-
-
-def test_descriptor_text_round_trip():
-    for desc in ALL_FAMILIES:
-        assert parse_descriptor(format_descriptor(desc)) == desc
 
 
 def test_descriptor_record_round_trip():

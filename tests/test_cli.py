@@ -13,7 +13,7 @@ import pytest
 import symcone.cli as cli
 from symcone.cli import EXIT_FAILURES, EXIT_OK, EXIT_USAGE, main
 from symcone.demos import DEMO_NAMES, demo_text
-from symcone.modelfile import parse_model_text, serialize_model_spec
+from symcone.modelfile import parse_model_text
 from symcone.runner import RunConfig, _run_in_workers, run_model_spec
 
 
@@ -95,12 +95,8 @@ def test_expect_marks_flip_the_rebit_exit_code(capsys):
 
 
 def test_expected_failure_renders_in_text(tmp_path, capsys):
-    spec = parse_model_text(demo_text("rebit-pair"))
-    composite = next(s for s in spec.systems if s.is_composite)
-    composite.expect = {"local_tomography": "fail"}
-    target = tmp_path / "rebit-marked.json"
-    target.write_text(serialize_model_spec(spec), encoding="utf-8")
-    code = main(["--input", str(target), "--suites", "composite", "--format", "text"])
+    path = _write_marked_demo(tmp_path, "rebit-pair", "pair", {"local_tomography": "fail"})
+    code = main(["--input", path, "--suites", "composite", "--format", "text"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "expected" in out
@@ -120,6 +116,17 @@ def test_unreadable_file_is_usage_error():
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
     assert "cannot read input" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_model_file_that_is_not_utf8_is_usage_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"a":1}')
+    proc = _run("--input", str(bad))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "symcone: model file error: not UTF-8 text: invalid start byte at byte 0\n"
+    )
 
 
 def test_empty_suites_is_usage_error():
@@ -232,10 +239,11 @@ def test_suite_subset_runs_fewer_certificates(capsys):
 
 
 def _write_marked_demo(tmp_path, demo, system, expect):
-    spec = parse_model_text(demo_text(demo))
-    next(s for s in spec.systems if s.name == system).expect = expect
+    """Write ``demo`` with the ``expect`` map of ``system`` replaced."""
+    record = json.loads(demo_text(demo))
+    next(s for s in record["systems"] if s["name"] == system)["expect"] = expect
     target = tmp_path / f"{demo}-marked.json"
-    target.write_text(serialize_model_spec(spec), encoding="utf-8")
+    target.write_text(json.dumps(record), encoding="utf-8")
     return str(target)
 
 
@@ -715,6 +723,29 @@ def test_sampler_error_in_a_worker_is_usage_error(monkeypatch, capsys, no_worker
     assert forked.out == serial.out == ""
     assert forked.err == serial.err
     assert forked.err.startswith("symcone: no cleanly separated spectrum")
+
+
+@pytest.mark.parametrize(
+    "message,said",
+    [("Unable to allocate 17.9 GiB for an array", None), ("", "MemoryError")],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_is_usage_error(monkeypatch, capsys, no_worker_left, message, said):
+    # a certificate too large for memory, as a huge --samples makes it;
+    # exit 1 would say that a certificate failed
+    import symcone.runner
+
+    def exhausted(algebra, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(symcone.runner, "check_self_duality", exhausted)
+    argv = ["--input", "qubit-pair", "--suites", "cone"]
+    outcomes = [(main(argv), capsys.readouterr())]
+    outcomes.append((_console_main(monkeypatch, argv, 2), capsys.readouterr()))
+    (serial_code, serial), (forked_code, forked) = outcomes
+    assert serial_code == forked_code == EXIT_USAGE
+    assert forked.out == serial.out == ""
+    assert forked.err == serial.err == f"symcone: {said or message}\n"
 
 
 def test_worker_that_dies_is_named(monkeypatch, capsys, fork_model, no_worker_left):

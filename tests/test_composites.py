@@ -37,7 +37,10 @@ from symcone.composites import (
     tensor_adjoint_check,
     tensor_lmap_check,
 )
+from symcone.demos import demo_text
+from symcone.modelfile import parse_model_text
 from symcone.models import evaluate, pure_state_of, uniform_state
+from symcone.runner import RunConfig, run_model_spec
 from symcone.spectral import random_jordan_frame
 
 ATOL = 1e-10
@@ -266,6 +269,20 @@ def test_nonsignaling_holds_for_arbitrary_carrier_states(qubit_pair):
     assert cert.passed
     assert cert.details["states"] == 100
     assert cert.worst_residual < 1e-10
+
+
+@pytest.mark.parametrize("demo,states", [("qubit-pair", 3), ("rebit-pair", 2), ("quabit-pair", 2)])
+def test_nonsignaling_adds_the_bell_state_to_complex_pairs(demo, states):
+    # the uniform state, an interior state and, on a complex carrier with
+    # parts of equal size, the maximally entangled state
+    report = run_model_spec(parse_model_text(demo_text(demo)), RunConfig(suites=("composite",)))
+    (cert,) = [
+        cert
+        for system in report["systems"]
+        for cert in system["certificates"]
+        if cert["check"] == "nonsignaling_marginals"
+    ]
+    assert cert["details"]["states"] == states
 
 
 def test_maximally_entangled_state_matches_matrix_oracle(qubit_pair):

@@ -1,19 +1,11 @@
-"""Model input files: parsing, validation errors, canonical serialization."""
+"""Model input files: parsing and validation errors."""
 
 import json
 
 import pytest
 
 from symcone.demos import DEMO_NAMES, demo_text, is_demo
-from symcone.modelfile import (
-    ModelFileError,
-    ModelFileSpec,
-    SystemSpec,
-    parse_model_file,
-    parse_model_text,
-    serialize_model_spec,
-    spec_to_record,
-)
+from symcone.modelfile import ModelFileError, parse_model_file, parse_model_text
 
 MINIMAL = """
 {
@@ -44,30 +36,9 @@ def test_all_demos_parse():
         assert spec.name == name
         assert spec.systems
     assert not is_demo("missing-demo")
-
-
-def test_serialization_round_trip_is_idempotent():
-    for name in DEMO_NAMES:
-        spec = parse_model_text(demo_text(name))
-        once = serialize_model_spec(spec)
-        again = serialize_model_spec(parse_model_text(once))
-        assert once == again
-        assert once.endswith("\n")
-
-
-def test_serialization_is_canonical_json():
-    spec = parse_model_text(MINIMAL)
-    text = serialize_model_spec(spec)
-    data = json.loads(text)
-    assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def test_record_round_trip_preserves_fields():
-    spec = parse_model_text(demo_text("qubit-pair"))
-    record = spec_to_record(spec)
-    back = parse_model_text(json.dumps(record))
-    assert [s.name for s in back.systems] == [s.name for s in spec.systems]
-    assert back.systems[2].composite_parts == ("qubit-a", "qubit-b")
+    pair = parse_model_text(demo_text("qubit-pair")).systems[2]
+    assert pair.is_composite and pair.algebra is None
+    assert pair.composite_parts == ("qubit-a", "qubit-b")
 
 
 def test_json_syntax_error_carries_position():
@@ -194,8 +165,18 @@ def test_explicit_tests_and_states_are_validated():
 
     bad = json.loads(json.dumps(good))
     bad["systems"][0]["states"] = [[0.5, 0.0]]
-    with pytest.raises(ModelFileError, match="dimension"):
+    with pytest.raises(ModelFileError) as exc:
         parse_model_text(json.dumps(bad))
+    assert str(exc.value) == (
+        "systems[0].states: coordinate length 2 does not match dimension 3"
+    )
+    short = json.loads(json.dumps(good))
+    short["systems"][0]["tests"]["outcomes"] = [[[1.0, 0.0], [0.0, 1.0]]]
+    with pytest.raises(ModelFileError) as exc:
+        parse_model_text(json.dumps(short))
+    assert str(exc.value) == (
+        "systems[0].tests.outcomes[0]: coordinate length 2 does not match dimension 3"
+    )
 
     worse = json.loads(json.dumps(good))
     worse["systems"][0]["tests"]["outcomes"][0][0] = [1.0, "x", 0.0]
@@ -224,16 +205,7 @@ def test_parse_model_file_reads_disk(tmp_path):
     target.write_text(MINIMAL, encoding="utf-8")
     spec = parse_model_file(target)
     assert spec.systems[0].name == "one"
-
-
-def test_spec_objects_serialize_without_parsing():
-    # A spec assembled in code (not parsed from text) serializes the same way.
-    from symcone import make_algebra
-
-    spec = ModelFileSpec(
-        systems=[SystemSpec(name="s", algebra=make_algebra("spin", 3))],
-        name="hand-built",
-    )
-    text = serialize_model_spec(spec)
-    reparsed = parse_model_text(text)
-    assert reparsed.systems[0].algebra == make_algebra("spin", 3)
+    target.write_bytes(b'\xff\xfe{"a":1}')
+    with pytest.raises(ModelFileError) as exc:
+        parse_model_file(target)
+    assert str(exc.value) == "not UTF-8 text: invalid start byte at byte 0"
