@@ -63,7 +63,6 @@ __all__ = [
     "to_matrix",
     "from_matrix",
     "descriptor_to_record",
-    "record_to_descriptor",
     "format_descriptor",
 ]
 
@@ -807,8 +806,8 @@ def from_matrix(algebra: AlgebraDescriptor, mat: np.ndarray) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# Descriptors as dict records (read and written) and as one line of text
-# (written only: reports, messages and test ids).
+# Descriptors as dict records (read by the model-file reader) and as one
+# line of text (reports, messages and test ids); both written only here.
 # ---------------------------------------------------------------------------
 
 
@@ -819,35 +818,6 @@ def descriptor_to_record(desc: AlgebraDescriptor) -> dict:
             "summands": [descriptor_to_record(s) for s in desc.summands],
         }
     return {"family": desc.family.value, "size": desc.size}
-
-
-def record_to_descriptor(record: dict, path: str = "algebra") -> AlgebraDescriptor:
-    """Inverse of :func:`descriptor_to_record`, strict: a direct sum takes
-    ``family`` and ``summands``, any other family ``family`` and ``size``.
-    Error messages start with the record's ``path`` (a summand's is
-    ``path.summands[k]``), or with the path of the unknown field."""
-    if not isinstance(record, dict) or "family" not in record:
-        raise ValueError(f"{path}: malformed algebra record: {record!r}")
-    family = record["family"]
-    is_sum = family == Family.SUM.value
-    for key in record:
-        if key not in ("family", "summands" if is_sum else "size"):
-            raise ValueError(f"{path}.{key}: unknown field")
-    if is_sum:
-        summands = record.get("summands")
-        if not isinstance(summands, list) or not summands:
-            raise ValueError(f"{path}: direct sum record requires a non-empty summand list")
-        return make_algebra(
-            family,
-            summands=tuple(
-                record_to_descriptor(s, f"{path}.summands[{k}]")
-                for k, s in enumerate(summands)
-            ),
-        )
-    try:
-        return make_algebra(family, record.get("size"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_descriptor(desc: AlgebraDescriptor) -> str:

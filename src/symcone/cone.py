@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-9
+MAX_BOUNDARY_ROUNDS = 200
 
 
 def min_eigenvalue(a: Element) -> float:
@@ -120,19 +121,19 @@ def sample_off_boundary(
     count: int,
     rng: np.random.Generator,
     membership_map: np.ndarray | None = None,
-    max_rounds: int = 200,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian coordinate rows redrawn out of the boundary margin band, and
     the minimum eigenvalue of each (after ``membership_map`` if given).
 
     Rows are kept when that eigenvalue is either nonnegative or below
     -boundary_margin. The draws stay independent of any frame pool they are
-    later paired against.
+    later paired against. Raises after MAX_BOUNDARY_ROUNDS rounds of
+    ``count`` draws that keep fewer than ``count`` rows.
     """
     margin = boundary_margin(algebra)
     rows, mins = [], []
     kept = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_BOUNDARY_ROUNDS):
         if kept >= count:
             break
         xs = rng.standard_normal((count, algebra.dim))

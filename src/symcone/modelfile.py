@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraDescriptor, record_to_descriptor
+from .algebra import AlgebraDescriptor, Family, make_algebra
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -116,6 +116,37 @@ def _coord_matrix(value, path: str, dim: int) -> list[list[float]]:
     return rows
 
 
+def _algebra(record, path: str) -> AlgebraDescriptor:
+    """The descriptor of an algebra record, the inverse of
+    ``algebra.descriptor_to_record``: a direct sum takes ``family`` and
+    ``summands``, any other family ``family`` and ``size``."""
+    _require(
+        isinstance(record, dict) and "family" in record,
+        path,
+        f"malformed algebra record: {record!r}",
+    )
+    family = record["family"]
+    is_sum = family == Family.SUM.value
+    _fields(record, ("family", "summands" if is_sum else "size"), path)
+    if is_sum:
+        summands = record.get("summands")
+        _require(
+            isinstance(summands, list) and summands,
+            path,
+            "direct sum record requires a non-empty summand list",
+        )
+        return make_algebra(
+            family,
+            summands=tuple(
+                _algebra(s, f"{path}.summands[{k}]") for k, s in enumerate(summands)
+            ),
+        )
+    try:
+        return make_algebra(family, record.get("size"))
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
+
+
 def _parse_system(record, idx: int) -> SystemSpec:
     path = f"systems[{idx}]"
     _fields(record, ("name", "algebra", "tests", "states", "composite", "expect"), path)
@@ -159,11 +190,7 @@ def _parse_system(record, idx: int) -> SystemSpec:
         )
 
     _require("algebra" in record, f"{path}.algebra", "missing algebra descriptor")
-    try:
-        algebra = record_to_descriptor(record["algebra"], f"{path}.algebra")
-    except ValueError as exc:
-        raise ModelFileError(str(exc)) from exc
-
+    algebra = _algebra(record["algebra"], f"{path}.algebra")
     spec = SystemSpec(name=name, algebra=algebra, expect=dict(expect))
 
     tests = record.get("tests", {"mode": "sampled"})

@@ -10,8 +10,9 @@ symmetric generator with L_a u = a.
 
 Everything here is numerical: the group is represented by the structure Lie
 algebra generated by the left-multiplications. Its span is grown from them
-by brackets with the generators until a full pass adds no direction, and
-all memberships are certified by rank and residual thresholds.
+in one pass that brackets each basis operator with the generators once, as
+it joins, and all memberships are certified by rank and residual
+thresholds.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .cone import _cone_image
 __all__ = [
     "STRUCTURE_RANK_TOL",
     "CONDITION_LIMIT",
-    "MAX_CLOSURE_ROUNDS",
     "LieAlgebraBasis",
     "PEIsomorphism",
     "ReconstructionReport",
@@ -56,8 +56,6 @@ __all__ = [
 
 STRUCTURE_RANK_TOL = 1e-8
 CONDITION_LIMIT = 1e6
-MAX_CLOSURE_ROUNDS = 10
-_SKETCH_SEED = 20110915  # fixed, so a rebuilt Lie basis is bit-identical
 
 
 @dataclass
@@ -68,7 +66,6 @@ class LieAlgebraBasis:
     basis: np.ndarray       # (g, d, d)
     sym_basis: np.ndarray   # (p, d, d)
     skew_basis: np.ndarray  # (k, d, d)
-    rounds: int  # closure rounds that added directions; >= 1 unless the L_i commute
     split_residual: float
 
     @property
@@ -121,86 +118,69 @@ def _orthonormal_rows(stack: np.ndarray, tol: float) -> np.ndarray:
 
 def _close_span(
     basis: np.ndarray,
-    act: Callable[[np.ndarray], Iterable[np.ndarray]],
+    act: Callable[[np.ndarray, int, int], Iterable[np.ndarray]],
     tol: float,
-    max_rounds: int = MAX_CLOSURE_ROUNDS,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Smallest span holding the orthonormal rows ``basis`` that ``act``
     maps into itself.
 
-    ``act(basis)`` yields the candidate rows of the current orthonormal
-    basis in blocks. Each round projects every candidate onto the span with
-    matmuls, keeps the residuals above ``tol`` (relative to the unit seed
-    rows), compresses them with a Gaussian sketch of at most four times as
-    many rows as the seed span (drawn from a fixed seed, so the basis is
-    reproducible) and appends the sketch's orthonormalized directions. A
-    direction the sketch misses stays a residual and is found by the next
-    round, so the span is returned only after a full pass over the
-    candidates adds nothing. Returns the basis rows, the seed rows first,
-    and the number of rounds that added directions. The residuals are formed
-    in place, so the blocks that ``act`` yields may be overwritten.
+    Basis rows are taken in the order they join the span, and
+    ``act(basis, lo, hi)`` yields, in blocks, the candidate rows owed by
+    rows ``lo`` to ``hi``, so each candidate is formed once. A block is
+    projected onto the span as it stands. Its rows still above ``tol``
+    (relative to the unit seed rows) are projected once more, which keeps
+    the new rows orthogonal to the span up to rounding, then
+    orthonormalized and appended; this repeats until no row of the block is
+    above ``tol``. Each append adds a direction, and appending stops once
+    the rows span their whole space, so the pass ends. Returns the basis
+    rows, the seed rows first. The residuals are formed in place, so the
+    blocks that ``act`` yields may be overwritten.
     """
-    width = min(4 * basis.shape[0], basis.shape[1])
-    rng = np.random.default_rng(_SKETCH_SEED)
-    rounds = 0
-    for _ in range(max_rounds):
-        sketch = np.zeros((width, basis.shape[1]))
-        found = False
-        for resid in act(basis):
-            resid -= (resid @ basis.T) @ basis
-            keep = np.linalg.norm(resid, axis=1) > tol
-            if not keep.all():
+    lo = 0
+    while lo < basis.shape[0]:
+        hi = basis.shape[0]
+        for resid in act(basis, lo, hi):
+            while basis.shape[0] < basis.shape[1]:
+                resid -= (resid @ basis.T) @ basis
+                keep = np.linalg.norm(resid, axis=1) > tol
+                if not keep.any():
+                    break
                 resid = resid[keep]
-            if resid.shape[0]:
-                found = True
-                sketch += rng.standard_normal((width, resid.shape[0])) @ resid
+                resid -= (resid @ basis.T) @ basis
+                basis = np.concatenate([basis, _orthonormal_rows(resid, tol)])
             del resid  # not held while act forms the next block
-        if not found:
-            return basis, rounds
-        rounds += 1
-        sketch -= (sketch @ basis.T) @ basis
-        basis = np.concatenate([basis, _orthonormal_rows(sketch, tol)])
-    raise ValueError(f"closure did not stabilize within {max_rounds} rounds")
+        lo = hi
+    return basis
 
 
-def lie_closure(
-    generators: np.ndarray,
-    tol: float = STRUCTURE_RANK_TOL,
-    max_rounds: int = MAX_CLOSURE_ROUNDS,
-) -> tuple[np.ndarray, int]:
+def lie_closure(generators: np.ndarray, tol: float = STRUCTURE_RANK_TOL) -> np.ndarray:
     """Close a set of operators under commutators up to numerical rank.
 
-    Returns the orthonormalized basis and the number of rounds that added
-    new directions. A span that holds the generators and is mapped into
-    itself by each ad G_i holds every bracket of them, so the closure checks
-    [G_i, B_j] for the orthonormalized generators G_i against every basis
-    operator B_j only, never all pairs of the basis. The G_i are the first
-    basis rows and [G_j, G_i] = -[G_i, G_j], so among them each pair is
-    bracketed once. Raises if the span keeps growing past ``max_rounds`` (a
-    tolerance misconfiguration: bracket closure of a finite-dimensional Lie
-    algebra must stabilize).
+    Returns the orthonormalized basis, the orthonormalized generators G_i
+    first. A span that holds the generators and is mapped into itself by
+    each ad G_i holds every bracket of them, so each basis operator B_j is
+    bracketed with the G_i once, when it joins, never with the rest of the
+    basis; since [G_j, G_i] = -[G_i, G_j], among the generators each pair
+    is bracketed once.
     """
     if tol <= 0.0:
         raise ValueError("closure rank tolerance must be positive")
     generators = np.asarray(generators, dtype=float)
     d = generators.shape[-1]
     gens = _orthonormal_rows(generators, tol)
+    step = max(1, KERNEL_CHUNK_TERMS // (d * d))
 
-    def brackets(basis: np.ndarray) -> Iterator[np.ndarray]:
+    def brackets(basis: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
         ops = basis.reshape(-1, d, d)
-        index = np.arange(ops.shape[0])
-        left, right = np.nonzero(index[: gens.shape[0], None] < index)
-        step = max(1, KERNEL_CHUNK_TERMS // (d * d))
-        for lo in range(0, left.size, step):
-            x, y = ops[left[lo : lo + step]], ops[right[lo : lo + step]]
-            out = x @ y
-            out -= y @ x
-            del x, y  # not held while the block is projected,
-            yield out.reshape(-1, d * d)
-            del out  # nor this block while the next is formed
+        for i, x in enumerate(gens):  # one generator against a slice of rows
+            for a in range(max(lo, i + 1), hi, step):
+                y = ops[a : min(a + step, hi)]
+                out = x @ y
+                out -= y @ x
+                yield out.reshape(-1, d * d)
+                del out  # not held while the next block is formed
 
-    basis, rounds = _close_span(gens.reshape(-1, d * d), brackets, tol, max_rounds)
-    return basis.reshape(-1, d, d), rounds
+    return _close_span(gens.reshape(-1, d * d), brackets, tol).reshape(-1, d, d)
 
 
 _LIE_CACHE: dict[AlgebraDescriptor, LieAlgebraBasis] = {}
@@ -211,7 +191,7 @@ def structure_lie_basis(algebra: AlgebraDescriptor) -> LieAlgebraBasis:
     if cached is not None:
         return cached
     ctx = _context(algebra)
-    basis, rounds = lie_closure(group_lie_generators(algebra))
+    basis = lie_closure(group_lie_generators(algebra))
     adj = _metric_adjoint(ctx.gram, basis)
     sym = _orthonormal_rows(0.5 * (basis + adj), STRUCTURE_RANK_TOL)
     skew_raw = 0.5 * (basis - adj)
@@ -222,9 +202,7 @@ def structure_lie_basis(algebra: AlgebraDescriptor) -> LieAlgebraBasis:
     split_residual = abs(sym.shape[0] + skew.shape[0] - basis.shape[0])
     for arr in (basis, sym, skew):
         arr.flags.writeable = False
-    result = LieAlgebraBasis(
-        algebra, basis, sym, skew, rounds, float(split_residual)
-    )
+    result = LieAlgebraBasis(algebra, basis, sym, skew, float(split_residual))
     _LIE_CACHE[algebra] = result
     return result
 

@@ -34,9 +34,7 @@ from symcone.algebra import (
     _formal_reality_core,
     certify_formal_reality,
     commutativity_residuals,
-    descriptor_to_record,
     jordan_identity_residuals,
-    record_to_descriptor,
     trace_associativity_residuals,
     unit_law_residuals,
 )
@@ -284,16 +282,6 @@ def test_direct_sum_accepts_iterable():
     bit = direct_sum(parts)
     assert bit == direct_sum(*parts)
     assert (bit.dim, bit.rank) == (2, 2)
-
-
-def test_descriptor_record_round_trip():
-    for desc in ALL_FAMILIES:
-        assert record_to_descriptor(descriptor_to_record(desc)) == desc
-
-
-def test_unknown_family_tag_is_named_in_error():
-    with pytest.raises(ValueError, match="octonionish"):
-        record_to_descriptor({"family": "octonionish", "size": 3})
 
 
 def test_albert_size_is_fixed():

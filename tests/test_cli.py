@@ -496,6 +496,19 @@ def test_sampler_error_is_usage_error(monkeypatch, capsys):
     assert captured.err.startswith("symcone: no cleanly separated spectrum")
 
 
+def test_boundary_sampler_error_is_usage_error(monkeypatch, capsys):
+    import symcone.cone
+
+    # with no rounds of draws allowed, the boundary-margin sampler gives up
+    # before it keeps a row: one message line, no traceback
+    monkeypatch.setattr(symcone.cone, "MAX_BOUNDARY_ROUNDS", 0)
+    code = main(["--input", "qubit-pair", "--suites", "cone"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "symcone: boundary-margin resampling failed to converge\n"
+
+
 def test_composite_of_a_composite_is_usage_error(tmp_path):
     target = tmp_path / "nested.json"
     target.write_text(

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from symcone.algebra import descriptor_to_record
 from symcone.demos import DEMO_NAMES, demo_text, is_demo
 from symcone.modelfile import ModelFileError, parse_model_file, parse_model_text
+
+from test_algebra import ALL_FAMILIES
 
 MINIMAL = """
 {
@@ -67,6 +70,24 @@ def test_unknown_fields_rejected():
 def test_unknown_family_names_the_tag():
     text = MINIMAL.replace('"complex"', '"sedenion"')
     with pytest.raises(ModelFileError, match="sedenion"):
+        parse_model_text(text)
+
+
+def _with_algebra(record) -> str:
+    spec = json.loads(MINIMAL)
+    spec["systems"][0]["algebra"] = record
+    return json.dumps(spec)
+
+
+def test_descriptor_record_round_trip():
+    for desc in ALL_FAMILIES:
+        text = _with_algebra(descriptor_to_record(desc))
+        assert parse_model_text(text).systems[0].algebra == desc
+
+
+def test_unknown_family_tag_is_named_in_error():
+    text = _with_algebra({"family": "octonionish", "size": 3})
+    with pytest.raises(ModelFileError, match="octonionish"):
         parse_model_text(text)
 
 

@@ -13,9 +13,10 @@ MODULES = ["symcone"] + [
     info.name for info in pkgutil.walk_packages(symcone.__path__, "symcone.")
 ]
 
-# the model-file writer and the descriptor text parser, which no caller needed
+# the model-file writer and the descriptor text parser, which no caller
+# needed, and the algebra-record reader, now the model-file reader's own
 REMOVED = {
-    "symcone.algebra": ["parse_descriptor"],
+    "symcone.algebra": ["parse_descriptor", "record_to_descriptor"],
     "symcone.modelfile": ["spec_to_record", "serialize_model_spec"],
     "symcone": ["parse_descriptor", "spec_to_record", "serialize_model_spec"],
 }

@@ -22,6 +22,7 @@ from symcone import (
     random_element,
     unit,
 )
+from symcone import reconstruction
 from symcone.algebra import _context, _metric_exp
 from symcone.reconstruction import (
     _LIE_CACHE,
@@ -48,7 +49,7 @@ SKEW_DIMS = [
     (("spin", 3), 3),        # so(3)
     (("spin", 8), 28),       # so(8)
     (("albert", 3), 52),     # f4
-    (("spin", 10), 45),      # so(10): more new directions than one sketch holds
+    (("spin", 10), 45),      # so(10): more new directions than generators
 ]
 
 RECON_TARGETS = [
@@ -82,9 +83,8 @@ def test_rank_one_generators_are_the_identity():
 
 
 def test_closure_of_identity_is_one_dimensional():
-    basis, rounds = lie_closure(np.eye(3)[None, :, :])
-    assert basis.shape[0] == 1
-    assert rounds == 0
+    basis = lie_closure(np.eye(3)[None, :, :])
+    assert basis.shape == (1, 3, 3)
 
 
 def test_closure_grows_until_stable():
@@ -92,8 +92,7 @@ def test_closure_grows_until_stable():
     # discover the commutators itself and still land on the same span.
     desc = make_algebra("complex", 2)
     lefts_only = group_lie_generators(desc)[: desc.dim]
-    basis, rounds = lie_closure(lefts_only)
-    assert rounds >= 1
+    basis = lie_closure(lefts_only)
     assert basis.shape[0] == 7
     # Closed: every commutator stays inside the span.
     flat = basis.reshape(basis.shape[0], -1)
@@ -105,12 +104,22 @@ def test_closure_grows_until_stable():
             assert np.abs(residual).max() < 1e-8
 
 
+def test_closure_stops_once_it_fills_the_space():
+    # Two generic operators generate all of gl(3). Once the basis holds nine
+    # rows nothing more is appended, so the closure ends even at a tolerance
+    # that rounding noise exceeds.
+    pair = np.random.default_rng(1).standard_normal((2, 3, 3))
+    flat = lie_closure(pair).reshape(-1, 9)
+    np.testing.assert_allclose(flat @ flat.T, np.eye(9), rtol=0, atol=1e-12)
+    assert lie_closure(pair, tol=1e-300).shape == (9, 3, 3)
+
+
 @pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
 def test_closed_span_holds_the_bracket_of_every_basis_pair(desc):
     # The closure brackets the generators against the basis only, and pairs
     # of generators once; the span must still hold [B_i, B_j] for all pairs.
     gens = group_lie_generators(desc)
-    basis, _ = lie_closure(gens)
+    basis = lie_closure(gens)
     d, g = desc.dim, basis.shape[0]
     flat = basis.reshape(g, d * d)
     np.testing.assert_allclose(flat @ flat.T, np.eye(g), rtol=0, atol=1e-12)
@@ -126,15 +135,33 @@ def test_closed_span_holds_the_bracket_of_every_basis_pair(desc):
         assert np.linalg.norm(resid, axis=1).max() <= 1e-9
 
 
-def test_closure_that_needs_a_round_fails_without_one():
-    lefts_only = group_lie_generators(make_algebra("complex", 2))
-    with pytest.raises(ValueError, match="did not stabilize"):
-        lie_closure(lefts_only, max_rounds=0)
+@pytest.mark.parametrize(
+    "spec,formed", [(("real", 8), 1638), (("albert", 3), 1755), (("spin", 10), 550)]
+)
+def test_closure_forms_each_bracket_once(monkeypatch, spec, formed):
+    # m generators and a g-dimensional algebra: each generator pair once and
+    # each later row against the m generators once, m g - m (m + 1) / 2
+    rows = []
+    close = reconstruction._close_span
+
+    def counting_close(basis, act, tol):
+        def counted(basis, lo, hi):
+            for block in act(basis, lo, hi):
+                rows.append(block.shape[0])
+                yield block
+
+        return close(basis, counted, tol)
+
+    monkeypatch.setattr(reconstruction, "_close_span", counting_close)
+    basis = lie_closure(group_lie_generators(make_algebra(*spec)))
+    g, m = basis.shape[0], basis.shape[-1]  # the d operators L_i are independent
+    assert sum(rows) == m * g - m * (m + 1) // 2 == formed
 
 
 def test_rebuilt_lie_basis_is_bit_identical():
-    # The sketch draws from a fixed seed, so a second build of the same
-    # algebra gives the same basis, not just the same span.
+    # The closure forms and appends its brackets in a fixed order, so a
+    # second build of the same algebra gives the same basis, not just the
+    # same span.
     desc = make_algebra("albert", 3)
     first = structure_lie_basis(desc)
     _LIE_CACHE.pop(desc)
@@ -230,7 +257,6 @@ def test_dropped_generators_are_flagged():
         basis=full.basis,
         sym_basis=crippled_sym,
         skew_basis=full.skew_basis,
-        rounds=full.rounds,
         split_residual=0.0,
     )
     iso = p_to_E_isomorphism(crippled)
