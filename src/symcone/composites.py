@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 EMBED_RANK_TOL = 1e-9
+# the relative gap |<a x b, c x d> - <a, c><b, d>| factorization_check allows
+FACTORIZATION_TOL = 1e-10
 
 
 @dataclass
@@ -268,9 +270,10 @@ def nonsignaling_check(
 
 
 def factorization_check(
-    cs: CompositeSystem, samples: int = 500, seed: int = 0, tol: float = 1e-10
+    cs: CompositeSystem, samples: int = 500, seed: int = 0
 ) -> ConeCertificate:
-    """Trace pairings of pair products factor into part pairings."""
+    """Trace pairings of pair products factor into part pairings, up to
+    FACTORIZATION_TOL relative to 1 + |<a, c><b, d>|."""
     ctx_a = _context(cs.part_a.algebra)
     ctx_b = _context(cs.part_b.algebra)
     gram_c = _context(cs.carrier).gram
@@ -286,15 +289,15 @@ def factorization_check(
     rel = np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
     worst = float(rel.max())
     witnesses = []
-    if worst > tol:
+    if worst > FACTORIZATION_TOL:
         k = int(np.argmax(rel))
         witnesses = [list(A[k]), list(B[k]), list(C[k]), list(D[k])]
     return ConeCertificate(
         check_name="pairing_factorization",
-        passed=worst <= tol,
+        passed=worst <= FACTORIZATION_TOL,
         samples=samples,
         seed=seed,
-        tol=tol,
+        tol=FACTORIZATION_TOL,
         worst_residual=worst,
         witnesses=witnesses,
     )

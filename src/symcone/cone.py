@@ -65,6 +65,10 @@ __all__ = [
 
 PSD_TOL = 1e-9
 MAX_BOUNDARY_ROUNDS = 200
+# primitive-idempotent frames in the pool of check_membership_agreement
+MEMBERSHIP_FRAMES = 512
+# the transport residual |P(w^1/2) u - w| / (1 + |w|) check_homogeneity allows
+HOMOGENEITY_TOL = 1e-8
 
 
 def min_eigenvalue(a: Element) -> float:
@@ -241,16 +245,16 @@ def check_membership_agreement(
     samples: int = 500,
     seed: int = 0,
     tol: float = PSD_TOL,
-    frames: int = 512,
 ) -> ConeCertificate:
     """Spectral membership versus frame-sampled dual membership, two-sided.
 
-    Elements come from the off-boundary sampler; the frame pool is drawn
-    independently of them. Any disagreement is recorded with its witness.
+    Elements come from the off-boundary sampler; the pool of
+    MEMBERSHIP_FRAMES frames is drawn independently of them. Any
+    disagreement is recorded with its witness.
     """
     ctx = _context(algebra)
     rng = np.random.default_rng(seed)
-    pool = frame_pool(algebra, frames, rng)
+    pool = frame_pool(algebra, MEMBERSHIP_FRAMES, rng)
     cand, lam_min = sample_off_boundary(algebra, samples, rng)
     spectral_in = lam_min >= -tol
     dual_in = _pairing_minima(cand, pool, ctx.gram)[0] >= -tol
@@ -267,7 +271,7 @@ def check_membership_agreement(
         details={
             "disagreements": int(disagree.sum()),
             "in_cone": int(spectral_in.sum()),
-            "frames": frames,
+            "frames": MEMBERSHIP_FRAMES,
             "boundary_margin": boundary_margin(algebra),
         },
     )
@@ -354,7 +358,6 @@ def check_homogeneity(
     algebra: AlgebraDescriptor,
     samples: int = 100,
     seed: int = 0,
-    tol: float = 1e-8,
     directions: int = 100,
 ) -> ConeCertificate:
     """Transitivity witness: P(w^{1/2}) carries u to w and preserves the cone.
@@ -364,7 +367,8 @@ def check_homogeneity(
     quadratic representations P(w^{1/2}) and P(w^{-1/2}) = P(w^{1/2})^{-1}
     are built batched as 2 L^2 - L_{a o a}. Each point gets ``directions``
     sampled squares, and their images under both operators must stay in the
-    cone. Points go in chunks of at most KERNEL_CHUNK_TERMS entries of
+    cone. The transport residual must be within HOMOGENEITY_TOL and the
+    images' least relative eigenvalue within PSD_TOL. Points go in chunks of at most KERNEL_CHUNK_TERMS entries of
     operators and draws.
     """
     ctx = _context(algebra)
@@ -388,13 +392,13 @@ def check_homogeneity(
         worst_cone = min(worst_cone, least)
         if witness is not None and not witnesses:
             witnesses.append(witness.tolist())
-    passed = worst_transport <= tol and worst_cone >= -PSD_TOL
+    passed = worst_transport <= HOMOGENEITY_TOL and worst_cone >= -PSD_TOL
     return ConeCertificate(
         check_name="homogeneity_transport",
         passed=passed,
         samples=samples,
         seed=seed,
-        tol=tol,
+        tol=HOMOGENEITY_TOL,
         worst_residual=max(worst_transport, -worst_cone),
         witnesses=witnesses,
         details={

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 MODEL_TOL = 1e-8
+# how far a pairing of primitive idempotents may leave [0, 1]
+PAIRING_BOUND_TOL = 1e-10
 
 
 @dataclass
@@ -110,15 +112,11 @@ def _outcome_rows(tests, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return coords, np.repeat(np.arange(len(tests)), [len(test) for test in tests])
 
 
-def model_from_tests(
-    algebra: AlgebraDescriptor,
-    tests,
-    tol: float = MODEL_TOL,
-) -> ProbModel:
+def model_from_tests(algebra: AlgebraDescriptor, tests) -> ProbModel:
     """Build a model from explicit tests, validating each one.
 
     Every outcome must lie in the positive cone and each test must resolve
-    the order unit. Effects need not be idempotents.
+    the order unit, both within MODEL_TOL. Effects need not be idempotents.
     """
     checked = tuple(tuple(test) for test in tests)
     for idx, test in enumerate(checked):
@@ -129,12 +127,12 @@ def model_from_tests(
     coords, owner = _outcome_rows(checked, algebra.dim)
     # one spectral batch for every outcome, with cone_contains's test
     lam_min = eigenvalues_batch(algebra, coords)[:, 0]
-    outside = owner[~(lam_min >= -tol)]
+    outside = owner[~(lam_min >= -MODEL_TOL)]
     ctx = _context(algebra)
     totals = np.zeros((len(checked), algebra.dim))
     np.add.at(totals, owner, coords)
     u = ctx.unit_coords[None, :]
-    gaps = _norms(totals - u, ctx.gram) > tol * (1.0 + _norms(u, ctx.gram)[0])
+    gaps = _norms(totals - u, ctx.gram) > MODEL_TOL * (1.0 + _norms(u, ctx.gram)[0])
     failing = [*outside[:1], *np.flatnonzero(gaps)[:1]]
     if failing:
         idx = min(failing)
@@ -154,11 +152,13 @@ def make_model(
     return model_from_tests(algebra, tests)
 
 
-def state_from_coords(model: ProbModel, coords, tol: float = MODEL_TOL) -> State:
+def state_from_coords(model: ProbModel, coords) -> State:
+    """The state with representer ``coords``, which must lie in the cone and
+    have trace 1, both within MODEL_TOL."""
     w = Element(model.algebra, np.asarray(coords, dtype=float))
-    if not cone_contains(w, tol):
+    if not cone_contains(w, MODEL_TOL):
         raise ValueError("state representer is outside the cone")
-    if abs(trace_of(w) - 1.0) > tol * model.algebra.rank:
+    if abs(trace_of(w) - 1.0) > MODEL_TOL * model.algebra.rank:
         raise ValueError("state representer is not normalized")
     return State(model, w)
 
@@ -168,8 +168,10 @@ def uniform_state(model: ProbModel) -> State:
     return State(model, Element(model.algebra, u.coords / model.algebra.rank))
 
 
-def pure_state_of(model: ProbModel, e: Element, tol: float = MODEL_TOL) -> State:
-    if not is_primitive(e, tol):
+def pure_state_of(model: ProbModel, e: Element) -> State:
+    """The pure state of ``e``, which must be a primitive idempotent within
+    MODEL_TOL."""
+    if not is_primitive(e, MODEL_TOL):
         raise ValueError("pure states are represented by primitive idempotents")
     return State(model, e)
 
@@ -291,9 +293,9 @@ def check_cauchy_schwarz(
     algebra: AlgebraDescriptor,
     samples: int = 1000,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> ConeCertificate:
-    """Pairings of primitive idempotents stay within [0, 1].
+    """Pairings of primitive idempotents stay within [0, 1], up to
+    PAIRING_BOUND_TOL.
 
     The distance identity |e - f|^2 = 2 (1 - <e, f>) pins the equality case
     to e = f; its sampled residual is reported alongside the bounds.
@@ -311,15 +313,15 @@ def check_cauchy_schwarz(
     lower = float(-vals.min())
     worst = max(upper, lower, 0.0)
     witnesses = []
-    if worst > tol:
+    if worst > PAIRING_BOUND_TOL:
         k = int(np.argmax(np.maximum(vals - 1.0, -vals)))
         witnesses = [list(pool[i[k]]), list(pool[j[k]])]
     return ConeCertificate(
         check_name="primitive_pairing_bounds",
-        passed=worst <= tol,
+        passed=worst <= PAIRING_BOUND_TOL,
         samples=samples,
         seed=seed,
-        tol=tol,
+        tol=PAIRING_BOUND_TOL,
         worst_residual=worst,
         witnesses=witnesses,
         details={

@@ -41,6 +41,8 @@ from .cone import _cone_image
 __all__ = [
     "STRUCTURE_RANK_TOL",
     "CONDITION_LIMIT",
+    "RECONSTRUCTION_TOL",
+    "EXP_GENERATOR_MAGNITUDE",
     "LieAlgebraBasis",
     "PEIsomorphism",
     "ReconstructionReport",
@@ -56,6 +58,10 @@ __all__ = [
 
 STRUCTURE_RANK_TOL = 1e-8
 CONDITION_LIMIT = 1e6
+# the worst residual and table deviation a reconstruction may show
+RECONSTRUCTION_TOL = 1e-6
+# the norm of the symmetric generators that check_exp_preserves_cone exponentiates
+EXP_GENERATOR_MAGNITUDE = 0.5
 
 
 @dataclass
@@ -95,9 +101,11 @@ class ReconstructionReport:
     max_deviation: float = float("nan")
     table: np.ndarray | None = None
 
-    def passed(self, tol: float = 1e-6) -> bool:
+    def passed(self) -> bool:
+        """Whether every residual and the table deviation are within
+        RECONSTRUCTION_TOL."""
         worst = max(self.residuals.values(), default=float("inf"))
-        return max(worst, self.max_deviation) <= tol
+        return max(worst, self.max_deviation) <= RECONSTRUCTION_TOL
 
 
 def group_lie_generators(algebra: AlgebraDescriptor) -> np.ndarray:
@@ -153,8 +161,9 @@ def _close_span(
     return basis
 
 
-def lie_closure(generators: np.ndarray, tol: float = STRUCTURE_RANK_TOL) -> np.ndarray:
-    """Close a set of operators under commutators up to numerical rank.
+def lie_closure(generators: np.ndarray) -> np.ndarray:
+    """Close a set of operators under commutators up to numerical rank,
+    cut at STRUCTURE_RANK_TOL.
 
     Returns the orthonormalized basis, the orthonormalized generators G_i
     first. A span that holds the generators and is mapped into itself by
@@ -163,11 +172,9 @@ def lie_closure(generators: np.ndarray, tol: float = STRUCTURE_RANK_TOL) -> np.n
     basis; since [G_j, G_i] = -[G_i, G_j], among the generators each pair
     is bracketed once.
     """
-    if tol <= 0.0:
-        raise ValueError("closure rank tolerance must be positive")
     generators = np.asarray(generators, dtype=float)
     d = generators.shape[-1]
-    gens = _orthonormal_rows(generators, tol)
+    gens = _orthonormal_rows(generators, STRUCTURE_RANK_TOL)
     step = max(1, KERNEL_CHUNK_TERMS // (d * d))
 
     def brackets(basis: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -180,7 +187,7 @@ def lie_closure(generators: np.ndarray, tol: float = STRUCTURE_RANK_TOL) -> np.n
                 yield out.reshape(-1, d * d)
                 del out  # not held while the next block is formed
 
-    return _close_span(gens.reshape(-1, d * d), brackets, tol).reshape(-1, d, d)
+    return _close_span(gens.reshape(-1, d * d), brackets, STRUCTURE_RANK_TOL).reshape(-1, d, d)
 
 
 _LIE_CACHE: dict[AlgebraDescriptor, LieAlgebraBasis] = {}
@@ -346,17 +353,17 @@ def check_exp_preserves_cone(
     samples: int = 40,
     seed: int = 0,
     tol: float = 1e-9,
-    magnitude: float = 0.5,
 ) -> ConeCertificate:
     """One-parameter subgroups from the symmetric part map the cone into
-    itself. The exponentials come from the eigenvectors of the metric-scaled
-    generators, accurate to rounding; a generator's departure from metric
-    symmetry counts against the certificate."""
+    itself. The generators are random symmetric ones of norm
+    EXP_GENERATOR_MAGNITUDE. The exponentials come from the eigenvectors of
+    the metric-scaled generators, accurate to rounding; a generator's
+    departure from metric symmetry counts against the certificate."""
     if lie is None:
         lie = structure_lie_basis(algebra)
     p, d = lie.sym_basis.shape[0], algebra.dim
     draws = np.random.default_rng(seed).standard_normal((samples, p + 16 * d))
-    scale = magnitude / np.maximum(np.linalg.norm(draws[:, :p], axis=1), 1e-30)
+    scale = EXP_GENERATOR_MAGNITUDE / np.maximum(np.linalg.norm(draws[:, :p], axis=1), 1e-30)
     gens = np.tensordot(draws[:, :p] * scale[:, None], lie.sym_basis, axes=(1, 0))
     exps, departure = _metric_exp(_context(algebra).gram, gens, skew=False)
     xs = draws[:, p:].reshape(samples, 16, d)
@@ -370,5 +377,5 @@ def check_exp_preserves_cone(
         tol=tol,
         worst_residual=worst,
         witnesses=[] if witness is None else [witness.tolist()],
-        details={"generator_magnitude": magnitude},
+        details={"generator_magnitude": EXP_GENERATOR_MAGNITUDE},
     )

@@ -88,6 +88,7 @@ from .models import (
 )
 from .modelfile import ModelFileSpec, SystemSpec
 from .reconstruction import (
+    RECONSTRUCTION_TOL,
     check_exp_preserves_cone,
     check_p_bracket,
     check_unit_stabilizer_split,
@@ -143,10 +144,10 @@ def _product_reconstruction(model: ProbModel, cfg: RunConfig, seed: int) -> Cone
     report = reconstruct_product(model.algebra, samples=cfg.samples, seed=seed)
     return ConeCertificate(
         check_name="product_reconstruction",
-        passed=report.passed(1e-6),
+        passed=report.passed(),
         samples=cfg.samples,
         seed=seed,
-        tol=1e-6,
+        tol=RECONSTRUCTION_TOL,
         worst_residual=report.max_deviation,
         details={**report.residuals, "condition_number": report.condition_number},
     )
@@ -242,7 +243,6 @@ _CHECKS = (
     _Check("membership_agreement", "cone", MODEL, lambda m, cfg, seed: (
         check_membership_agreement(
             m.algebra, samples=cfg.samples, seed=seed + 1, tol=cfg.tol))),
-    # check_homogeneity keeps its own default tolerance
     _Check("homogeneity_transport", "cone", MODEL, lambda m, cfg, seed: check_homogeneity(
         m.algebra, samples=min(cfg.samples, 100), seed=seed + 2,
         directions=min(cfg.samples, 100))),
@@ -264,7 +264,7 @@ _CHECKS = (
     _Check("uniform_unital_outcomes_primitive", "model", MODEL, _unital_outcomes_primitive),
     _Check("primitive_pairing_bounds", "model", MODEL, lambda m, cfg, seed: (
         check_cauchy_schwarz(
-            m.algebra, samples=max(cfg.samples, 100), seed=seed, tol=1e-10))),
+            m.algebra, samples=max(cfg.samples, 100), seed=seed))),
     _Check("reversible_stabilizer", "model", MODEL, lambda m, cfg, seed: (
         check_reversible_stabilizer(
             m.algebra, samples=min(cfg.samples, 20), seed=seed, tol=cfg.tol))),
@@ -276,7 +276,7 @@ _CHECKS = (
     _Check("nonsignaling_marginals", "composite", COMPOSITE, lambda cs, cfg, seed: (
         nonsignaling_check(cs, tol=max(cfg.tol, 1e-10), seed=seed))),
     _Check("pairing_factorization", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        factorization_check(cs, samples=cfg.samples, seed=seed, tol=1e-10))),
+        factorization_check(cs, samples=cfg.samples, seed=seed))),
     _Check("unit_factor_products", "composite", COMPOSITE, lambda cs, cfg, seed: (
         check_unit_factor_products(cs, samples=cfg.samples, seed=seed, tol=cfg.tol))),
     # one check, reported under the name that says whether the composite is

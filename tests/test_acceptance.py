@@ -116,7 +116,8 @@ def test_criterion_02_membership_agreement():
 def test_criterion_03_homogeneity_transport():
     worst = 0.0
     for desc in SWEEP:
-        cert = check_homogeneity(desc, samples=100, seed=204, tol=1e-8, directions=100)
+        cert = check_homogeneity(desc, samples=100, seed=204, directions=100)
+        assert cert.tol == 1e-8
         assert cert.passed, (desc, cert.details)
         worst = max(worst, cert.worst_residual)
     _verdict(3, "homogeneity", worst <= 1e-8, f"worst transport {worst:.3e}")
@@ -176,7 +177,8 @@ def test_criterion_06_unit_factor_product_identities():
 def test_criterion_07_trace_form_factorization():
     worst = 0.0
     for fam, na, nb in (("complex", 2, 2), ("complex", 2, 3), ("real", 2, 2)):
-        cert = factorization_check(_pair(fam, na, nb, 208), samples=500, seed=208, tol=1e-10)
+        cert = factorization_check(_pair(fam, na, nb, 208), samples=500, seed=208)
+        assert cert.tol == 1e-10
         assert cert.passed, (fam, na, nb, cert.worst_residual)
         worst = max(worst, cert.worst_residual)
     _verdict(7, "trace-factorization", worst <= 1e-10, f"worst {worst:.3e}")
@@ -220,7 +222,8 @@ def test_criterion_09_model_properties():
         primitive = check_unital_outcomes_primitive(model, seed=210)
         assert primitive.passed, (desc, primitive.details)
         assert primitive.details["non_unital_outcomes"] == 0
-        cs = check_cauchy_schwarz(desc, samples=1000, seed=210, tol=1e-10)
+        cs = check_cauchy_schwarz(desc, samples=1000, seed=210)
+        assert cs.tol == 1e-10
         assert cs.passed, (desc, cs.details)
         worst_pairing = max(worst_pairing, cs.details["max_pairing"])
     ok = worst_uniform <= 1e-10 and worst_pairing <= 1.0 + 1e-10

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -36,3 +37,28 @@ def test_exported_names_resolve(name):
 def test_model_file_spec_keeps_no_schema_version():
     # the reader checks $.schema_version; nothing reads it back
     assert [f.name for f in dataclasses.fields(ModelFileSpec)] == ["systems", "name"]
+
+
+# Fixed policies are module constants, not parameters: each of these
+# functions takes only what some caller varies.
+FIXED_POLICY_SIGNATURES = {
+    ("reconstruction", "lie_closure"): ["generators"],
+    ("reconstruction", "ReconstructionReport.passed"): ["self"],
+    ("reconstruction", "check_exp_preserves_cone"): ["algebra", "lie", "samples", "seed", "tol"],
+    ("cone", "check_membership_agreement"): ["algebra", "samples", "seed", "tol"],
+    ("cone", "check_homogeneity"): ["algebra", "samples", "seed", "directions"],
+    ("models", "check_cauchy_schwarz"): ["algebra", "samples", "seed"],
+    ("composites", "factorization_check"): ["cs", "samples", "seed"],
+    ("models", "model_from_tests"): ["algebra", "tests"],
+    ("models", "state_from_coords"): ["model", "coords"],
+    ("models", "pure_state_of"): ["model", "e"],
+}
+
+
+@pytest.mark.parametrize("module,name", FIXED_POLICY_SIGNATURES)
+def test_fixed_policies_are_not_parameters(module, name):
+    target = importlib.import_module(f"symcone.{module}")
+    for part in name.split("."):
+        target = getattr(target, part)
+    params = list(inspect.signature(target).parameters)
+    assert params == FIXED_POLICY_SIGNATURES[module, name]

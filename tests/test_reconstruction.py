@@ -106,12 +106,10 @@ def test_closure_grows_until_stable():
 
 def test_closure_stops_once_it_fills_the_space():
     # Two generic operators generate all of gl(3). Once the basis holds nine
-    # rows nothing more is appended, so the closure ends even at a tolerance
-    # that rounding noise exceeds.
+    # rows nothing more is appended, and the nine are orthonormal.
     pair = np.random.default_rng(1).standard_normal((2, 3, 3))
     flat = lie_closure(pair).reshape(-1, 9)
     np.testing.assert_allclose(flat @ flat.T, np.eye(9), rtol=0, atol=1e-12)
-    assert lie_closure(pair, tol=1e-300).shape == (9, 3, 3)
 
 
 @pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
@@ -283,7 +281,7 @@ def test_product_off_the_native_pattern_fails_through_the_deviation():
     report = reconstruct_product(desc, lie=pushed, samples=50, seed=76)
     # the whole push, up to rounding
     assert report.max_deviation == pytest.approx(1e-5, rel=1e-9)
-    assert not report.passed(1e-6)
+    assert not report.passed()
 
 
 def test_structure_basis_is_cached():
@@ -336,12 +334,6 @@ def test_sym_generator_off_metric_symmetry_fails_exp_certificate():
     cert = check_exp_preserves_cone(desc, lie=pushed, samples=10, seed=75)
     assert not cert.passed
     assert cert.worst_residual <= -1e-7
-
-
-def test_closure_rejects_bad_tolerance():
-    desc = make_algebra("real", 2)
-    with pytest.raises(ValueError, match="positive"):
-        lie_closure(group_lie_generators(desc), tol=0.0)
 
 
 def test_report_is_a_dataclass_with_dims():
