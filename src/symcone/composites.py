@@ -401,7 +401,11 @@ def check_unit_factor_products(
     cs: CompositeSystem, samples: int = 500, seed: int = 0, tol: float = 1e-9
 ) -> ConeCertificate:
     """Products against one-sided units act on a single factor:
-    (a x u) o (b x v) = (a o b) x v and (u x v) o (a x w) = a x (v o w)."""
+    (a x u) o (b x v) = (a o b) x v and (u x v) o (a x w) = a x (v o w).
+
+    On failure the witness is every factor of the worst sample of the
+    identity that sets the worst residual: (a, b, v) for the first and
+    (v, a, w) for the second."""
     ctx_a = _context(cs.part_a.algebra)
     ctx_b = _context(cs.part_b.algebra)
     ctx_c = _context(cs.carrier)
@@ -416,19 +420,20 @@ def check_unit_factor_products(
 
     lhs1 = _product_batch(ctx_c.constants, cs.pair_coords(A, u_b), cs.pair_coords(B, V))
     rhs1 = cs.pair_coords(_product_batch(ctx_a.constants, A, B), V)
-    scale1 = 1.0 + np.abs(rhs1).max(axis=1)
-    res1 = (np.abs(lhs1 - rhs1).max(axis=1) / scale1).max()
+    rel1 = np.abs(lhs1 - rhs1).max(axis=1) / (1.0 + np.abs(rhs1).max(axis=1))
+    res1 = rel1.max()
 
     lhs2 = _product_batch(ctx_c.constants, cs.pair_coords(u_a, V), cs.pair_coords(A, W))
     rhs2 = cs.pair_coords(A, _product_batch(ctx_b.constants, V, W))
-    scale2 = 1.0 + np.abs(rhs2).max(axis=1)
-    res2 = (np.abs(lhs2 - rhs2).max(axis=1) / scale2).max()
+    rel2 = np.abs(lhs2 - rhs2).max(axis=1) / (1.0 + np.abs(rhs2).max(axis=1))
+    res2 = rel2.max()
 
     worst = float(max(res1, res2))
     witnesses = []
     if worst > tol:
-        k = int(np.argmax(np.abs(lhs1 - rhs1).max(axis=1) / scale1))
-        witnesses = [list(A[k]), list(V[k])]
+        rel, factors = (rel1, (A, B, V)) if res1 >= res2 else (rel2, (V, A, W))
+        k = int(np.argmax(rel))
+        witnesses = [list(x[k]) for x in factors]
     return ConeCertificate(
         check_name="unit_factor_products",
         passed=worst <= tol,

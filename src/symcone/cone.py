@@ -368,8 +368,8 @@ def check_homogeneity(
     are built batched as 2 L^2 - L_{a o a}. Each point gets ``directions``
     sampled squares, and their images under both operators must stay in the
     cone. The transport residual must be within HOMOGENEITY_TOL and the
-    images' least relative eigenvalue within PSD_TOL. Points go in chunks of at most KERNEL_CHUNK_TERMS entries of
-    operators and draws.
+    images' least relative eigenvalue within PSD_TOL. Points go in chunks
+    of at most KERNEL_CHUNK_TERMS entries of operators and draws.
     """
     ctx = _context(algebra)
     rng = np.random.default_rng(seed)

@@ -29,13 +29,13 @@ from .algebra import (
 from .certificates import ConeCertificate
 from .cone import cone_contains
 from .spectral import (
+    _frames,
     _idempotent_rows,
     _top_group,
     canonical_frame,
     eigenvalues_batch,
     frame_pool,
     is_primitive,
-    random_jordan_frame,
 )
 
 __all__ = [
@@ -145,10 +145,12 @@ def model_from_tests(algebra: AlgebraDescriptor, tests) -> ProbModel:
 def make_model(
     algebra: AlgebraDescriptor, count: int = 8, seed: int = 0
 ) -> ProbModel:
-    """Model whose tests are ``count`` sampled frames plus a canonical one."""
+    """Model whose tests are a canonical frame and then ``count`` frames
+    drawn from one random stream seeded by ``seed``, so models whose seeds
+    differ, however close, draw unrelated frames."""
     tests = [tuple(canonical_frame(algebra))]
-    for i in range(count):
-        tests.append(tuple(random_jordan_frame(algebra, seed=seed + i)))
+    for frame in _frames(algebra, count, np.random.default_rng(seed)):
+        tests.append(tuple(Element(algebra, e) for e in frame))
     return model_from_tests(algebra, tests)
 
 

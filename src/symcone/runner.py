@@ -520,8 +520,10 @@ def run_model_spec(
     ask for. The report does not depend on ``jobs``.
 
     Raises ValueError, before running anything, when an ``expect`` map
-    names a certificate that no suite reports for that kind of system, and
-    when the model is built, for a declared state that is not a state.
+    names a certificate that no suite reports for that kind of system;
+    when the model is built, for a declared state that is not a state; and
+    for a composite whose parts have no candidate carrier. The last two
+    messages start with the record path of the system at fault.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -534,7 +536,10 @@ def run_model_spec(
         entry: dict = {"name": sys_spec.name}
         if sys_spec.is_composite:
             part_a, part_b = sys_spec.composite_parts
-            subject = cs = candidate_composite(built[part_a], built[part_b])
+            try:
+                subject = cs = candidate_composite(built[part_a], built[part_b])
+            except ValueError as exc:
+                raise ValueError(f"systems[{index}].composite.parts: {exc}") from None
             entry["kind"] = COMPOSITE
             entry["parts"] = [part_a, part_b]
             entry["algebra"] = descriptor_to_record(cs.carrier)

@@ -535,6 +535,37 @@ def test_composite_of_a_composite_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "families,reason",
+    [
+        (("complex", "spin"), "no candidate carrier for mixed families (complex 2 and spin 3)"),
+        (("spin", "spin"), "family 'spin' has no entrywise matrix composite"),
+    ],
+    ids=["mixed-families", "spin-pair"],
+)
+def test_composite_without_a_carrier_names_its_system(tmp_path, capsys, families, reason):
+    part_a, part_b = ({"family": family, "size": size} for family, size in zip(families, (2, 3)))
+    target = tmp_path / "no-carrier.json"
+    target.write_text(
+        json.dumps(
+            {
+                "schema_version": 1,
+                "systems": [
+                    {"name": "a", "algebra": part_a},
+                    {"name": "b", "algebra": part_b},
+                    {"name": "p", "composite": {"parts": ["a", "b"], "carrier": "candidate"}},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code = main(["--input", str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"symcone: systems[2].composite.parts: {reason}\n"
+
+
 def test_console_jobs_leave_each_worker_a_blas_pool(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     for name in cli._BLAS_THREAD_VARIABLES:

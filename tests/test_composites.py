@@ -188,6 +188,31 @@ def test_unit_factor_product_identities(qubit_pair, rebit_pair, quabit_pair):
     assert not check_unit_factor_products(quabit_pair, samples=100, seed=117).passed
 
 
+# at seed 0 the first identity sets the worst residual, at seed 117 the second
+@pytest.mark.parametrize("seed,first_is_worst", [(0, True), (117, False)])
+def test_unit_factor_witness_replays_the_worst_residual(quabit_pair, seed, first_is_worst):
+    cs = quabit_pair
+    cert = check_unit_factor_products(cs, samples=100, seed=seed)
+    first, second, third = (np.array(x) for x in cert.witnesses)
+    u_a, u_b = unit(cs.part_a.algebra), unit(cs.part_b.algebra)
+    right, left = (cert.details[f"{side}_unit_residual"] for side in ("right", "left"))
+    assert (right >= left) == first_is_worst
+    if first_is_worst:
+        # (a (x) u) o (b (x) v) = (a o b) (x) v
+        a, b = (Element(cs.part_a.algebra, x) for x in (first, second))
+        v = Element(cs.part_b.algebra, third)
+        lhs = jordan_product(product_effect(cs, a, u_b), product_effect(cs, b, v))
+        rhs = product_effect(cs, jordan_product(a, b), v)
+    else:
+        # (u (x) v) o (a (x) w) = a (x) (v o w)
+        v, w = (Element(cs.part_b.algebra, x) for x in (first, third))
+        a = Element(cs.part_a.algebra, second)
+        lhs = jordan_product(product_effect(cs, u_a, v), product_effect(cs, a, w))
+        rhs = product_effect(cs, a, jordan_product(v, w))
+    gap = np.abs(lhs.coords - rhs.coords).max() / (1.0 + np.abs(rhs.coords).max())
+    assert gap == pytest.approx(cert.worst_residual, abs=1e-12)
+
+
 def test_unit_factor_oracle_direct(qubit_pair):
     # (a (x) u) o (b (x) v) should equal (a o b) (x) v, both sides computed
     # from raw matrices here.

@@ -61,6 +61,16 @@ def test_model_tests_resolve_unit():
         np.testing.assert_allclose(total, unit(desc).coords, atol=1e-9)
 
 
+def test_models_with_adjacent_seeds_share_no_sampled_test():
+    # the qubit-pair demo's two qubits: seeds 11 and 12, three frames each
+    desc = make_algebra("complex", 2)
+    a, b = (make_model(desc, count=3, seed=seed) for seed in (11, 12))
+    sampled = [
+        [np.stack([x.coords for x in test]) for test in model.tests[1:]] for model in (a, b)
+    ]
+    assert not any(np.array_equal(x, y) for x in sampled[0] for y in sampled[1])
+
+
 def test_classical_bit_tests_are_basis_idempotents():
     bit = direct_sum(make_algebra("real", 1), make_algebra("real", 1))
     model = make_model(bit, count=1, seed=82)
