@@ -36,6 +36,7 @@ from .algebra import (
 from .certificates import ConeCertificate
 from .cone import _cone_image, _point_transports, random_interior_point
 from .models import ProbModel, State, _outcome_rows, make_model, uniform_state
+from .reconstruction import STRUCTURE_RANK_TOL
 from .spectral import _frames, eigenvalues_batch
 
 __all__ = [
@@ -56,7 +57,6 @@ __all__ = [
     "qubit_witness",
 ]
 
-EMBED_RANK_TOL = 1e-9
 # the relative gap |<a x b, c x d> - <a, c><b, d>| factorization_check allows
 FACTORIZATION_TOL = 1e-10
 
@@ -137,7 +137,7 @@ def candidate_composite(part_a: ProbModel, part_b: ProbModel) -> CompositeSystem
         carrier = make_algebra(A.family, A.size * B.size)
         embed = _kron_columns(A, B)
     sv = np.linalg.svd(embed, compute_uv=False)
-    rank = int((sv > EMBED_RANK_TOL * sv[0]).sum())
+    rank = int((sv > STRUCTURE_RANK_TOL).sum())
     carrier_model = make_model(carrier, count=2, seed=0)
     return CompositeSystem(part_a, part_b, carrier, carrier_model, embed, rank)
 
@@ -185,10 +185,17 @@ def local_tomography_audit(cs: CompositeSystem, seed: int = 0) -> ConeCertificat
 def product_tests_check(
     cs: CompositeSystem, tol: float = 1e-9, seed: int = 0
 ) -> ConeCertificate:
-    """Product tests must consist of carrier effects resolving the unit."""
+    """Product tests must consist of carrier effects resolving the unit.
+
+    An outcome scores its least eigenvalue, negated and relative to
+    1 + its largest absolute eigenvalue; a product test scores the largest
+    gap between its sum and the unit, relative to 1 + the carrier rank. A
+    failing certificate's witness is the carrier coordinates that set the
+    worst score: the outcome, or the summed product test.
+    """
     u = unit(cs.carrier)
     worst = 0.0
-    witnesses: list[list[float]] = []
+    witness = None
     n_outcomes = 0
     for ta in cs.part_a.tests:
         for tb in cs.part_b.tests:
@@ -196,15 +203,13 @@ def product_tests_check(
             n_outcomes += len(outcomes)
             stack = np.stack([x.coords for x in outcomes])
             lam = eigenvalues_batch(cs.carrier, stack)
-            scale = 1.0 + np.abs(lam).max(axis=1)
-            neg = float((lam[:, 0] / scale).min())
-            if -neg > worst and -neg > tol and not witnesses:
-                witnesses.append(list(stack[int(np.argmin(lam[:, 0] / scale))]))
-            worst = max(worst, -neg)
+            least = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
+            i = int(np.argmin(least))
             total = stack.sum(axis=0)
-            worst = max(
-                worst, float(np.abs(total - u.coords).max()) / (1.0 + cs.carrier.rank)
-            )
+            gap = float(np.abs(total - u.coords).max()) / (1.0 + cs.carrier.rank)
+            for score, coords in ((-float(least[i]), stack[i]), (gap, total)):
+                if score > worst:
+                    worst, witness = score, coords
     return ConeCertificate(
         check_name="product_tests_resolve_unit",
         passed=worst <= tol,
@@ -212,7 +217,7 @@ def product_tests_check(
         seed=seed,
         tol=tol,
         worst_residual=worst,
-        witnesses=witnesses,
+        witnesses=[list(witness)] if worst > tol else [],
     )
 
 

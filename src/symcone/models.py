@@ -59,6 +59,13 @@ __all__ = [
 MODEL_TOL = 1e-8
 # how far a pairing of primitive idempotents may leave [0, 1]
 PAIRING_BOUND_TOL = 1e-10
+# check_unital_outcomes_primitive's screens: how far, times the rank, an
+# outcome's trace may be from rank / len(test) in a uniform model; how far
+# below 1 an outcome's largest eigenvalue may be and still count as unital;
+# and the least tolerance of its primitive-idempotent test
+UNIFORM_TRACE_TOL = 1e-7
+UNITAL_SCREEN = 1e-6
+IDEMPOTENT_TOL_FLOOR = 1e-8
 
 
 @dataclass
@@ -262,7 +269,7 @@ def check_unital_outcomes_primitive(
     rows, owner = _outcome_rows(model.tests, model.algebra.dim)
     traces = rows @ (ctx.gram * ctx.unit_coords)
     expected = rank / np.bincount(owner)[owner]
-    off = np.flatnonzero(np.abs(traces - expected) > 1e-7 * rank)
+    off = np.flatnonzero(np.abs(traces - expected) > UNIFORM_TRACE_TOL * rank)
     if off.size:
         i = off[0]
         raise ValueError(
@@ -271,8 +278,8 @@ def check_unital_outcomes_primitive(
         )
     coords = np.array([x.coords for x in model.outcomes])
     lam_max = _top_group(model.algebra, coords)[0]
-    unital = lam_max >= 1.0 - 1e-6
-    primitive = _idempotent_rows(model.algebra, coords, max(tol, 1e-8))[1]
+    unital = lam_max >= 1.0 - UNITAL_SCREEN
+    primitive = _idempotent_rows(model.algebra, coords, max(tol, IDEMPOTENT_TOL_FLOOR))[1]
     failing = np.flatnonzero(unital & ~primitive)
     worst = float(np.abs(lam_max[unital] - 1.0).max(initial=0.0))
     return ConeCertificate(

@@ -116,12 +116,11 @@ def group_lie_generators(algebra: AlgebraDescriptor) -> np.ndarray:
 
 def _orthonormal_rows(stack: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the row span of ``stack`` (rows, or a stack of
-    operators flattened to rows), rank cut at ``tol`` times the largest
-    singular value, returned in the shape of the stack's items."""
+    operators flattened to rows), returned in the shape of the stack's
+    items: the right singular vectors whose singular value is above the
+    absolute ``tol``, so a zero stack, or one of rounding noise, has none."""
     sv, vt = np.linalg.svd(stack.reshape(stack.shape[0], -1), full_matrices=False)[1:]
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.empty((0, *stack.shape[1:]))
-    return vt[sv > tol * sv[0]].reshape(-1, *stack.shape[1:])
+    return vt[sv > tol].reshape(-1, *stack.shape[1:])
 
 
 def _close_span(
@@ -134,36 +133,42 @@ def _close_span(
 
     Basis rows are taken in the order they join the span, and
     ``act(basis, lo, hi)`` yields, in blocks, the candidate rows owed by
-    rows ``lo`` to ``hi``, so each candidate is formed once. A block is
-    projected onto the span as it stands. Its rows still above ``tol``
-    (relative to the unit seed rows) are projected once more, which keeps
-    the new rows orthogonal to the span up to rounding, then
-    orthonormalized and appended; this repeats until no row of the block is
-    above ``tol``. Each append adds a direction, and appending stops once
-    the rows span their whole space, so the pass ends. Returns the basis
-    rows, the seed rows first. The residuals are formed in place, so the
-    blocks that ``act`` yields may be overwritten.
+    rows ``lo`` to ``hi``, so each candidate is formed once. Candidate rows
+    must be on the unit scale of the seed rows, since ``tol`` is absolute.
+    A block is projected onto the span as it stands, and its rows whose
+    norm is still above ``tol`` are projected once more, which keeps them
+    orthogonal to the span up to rounding. The directions of those rows
+    with singular value above ``tol`` are appended. One pass per block is
+    enough: each kept row is then within the largest dropped singular
+    value, at most ``tol``, of the new span, which is the test the norm
+    filter applies. Once the rows span their whole space no further block
+    is asked for. Returns the basis rows, the seed rows first. The
+    residuals are formed in place, so the blocks that ``act`` yields may be
+    overwritten.
     """
     lo = 0
-    while lo < basis.shape[0]:
+    while lo < basis.shape[0] < basis.shape[1]:
         hi = basis.shape[0]
         for resid in act(basis, lo, hi):
-            while basis.shape[0] < basis.shape[1]:
-                resid -= (resid @ basis.T) @ basis
-                keep = np.linalg.norm(resid, axis=1) > tol
-                if not keep.any():
-                    break
-                resid = resid[keep]
+            resid -= (resid @ basis.T) @ basis
+            resid = resid[np.linalg.norm(resid, axis=1) > tol]
+            if resid.shape[0]:
                 resid -= (resid @ basis.T) @ basis
                 basis = np.concatenate([basis, _orthonormal_rows(resid, tol)])
             del resid  # not held while act forms the next block
+            if basis.shape[0] >= basis.shape[1]:
+                break
         lo = hi
     return basis
 
 
 def lie_closure(generators: np.ndarray) -> np.ndarray:
-    """Close a set of operators under commutators up to numerical rank,
-    cut at STRUCTURE_RANK_TOL.
+    """Close a set of operators under commutators up to numerical rank.
+
+    A direction counts when its singular value is above the absolute
+    STRUCTURE_RANK_TOL. The generators are orthonormalized under that cut,
+    and a bracket of two unit operators has Frobenius norm at most 2, so
+    every candidate is on the unit scale the cut assumes.
 
     Returns the orthonormalized basis, the orthonormalized generators G_i
     first. A span that holds the generators and is mapped into itself by
@@ -201,11 +206,7 @@ def structure_lie_basis(algebra: AlgebraDescriptor) -> LieAlgebraBasis:
     basis = lie_closure(group_lie_generators(algebra))
     adj = _metric_adjoint(ctx.gram, basis)
     sym = _orthonormal_rows(0.5 * (basis + adj), STRUCTURE_RANK_TOL)
-    skew_raw = 0.5 * (basis - adj)
-    if np.abs(skew_raw).max() < 1e-13:
-        skew = np.empty((0, algebra.dim, algebra.dim))
-    else:
-        skew = _orthonormal_rows(skew_raw, STRUCTURE_RANK_TOL)
+    skew = _orthonormal_rows(0.5 * (basis - adj), STRUCTURE_RANK_TOL)
     split_residual = abs(sym.shape[0] + skew.shape[0] - basis.shape[0])
     for arr in (basis, sym, skew):
         arr.flags.writeable = False
@@ -228,7 +229,7 @@ def check_unit_stabilizer_split(
     skew_res = float(np.abs(lie.skew_basis @ u).max(initial=0.0))
 
     sv, vt = np.linalg.svd((lie.basis @ u).T)[1:]  # the evaluation map X -> X u
-    rank = int((sv > STRUCTURE_RANK_TOL * max(sv[0], 1e-300)).sum())
+    rank = int((sv > STRUCTURE_RANK_TOL).sum())
     kernel = vt[rank:]  # combinations of basis ops killing u
     ops = np.tensordot(kernel, lie.basis, axes=(1, 0))
     sym_parts = 0.5 * (ops + _metric_adjoint(ctx.gram, ops))

@@ -101,6 +101,12 @@ __all__ = ["SUITES", "RunConfig", "run_model_spec", "render_report_text"]
 
 REPORT_SCHEMA_VERSION = 1
 MODEL, COMPOSITE = "model", "composite"  # the report's system kinds
+# the least tolerance of uniform_state_values and nonsignaling_marginals,
+# whatever --tol is
+MARGINAL_TOL_FLOOR = 1e-10
+# uniform_state_values counts a pooled outcome as primitive when its trace
+# is within this times the rank of 1
+PRIMITIVE_TRACE_SCREEN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -175,16 +181,17 @@ def _uniform_state_values(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCe
     ]
     pooled = np.array([x.coords for x in model.outcomes]).reshape(-1, model.algebra.dim)
     pooled_traces = np.sum(pooled * ctx.gram * ctx.unit_coords, axis=1)
-    primitive = pooled[np.abs(pooled_traces - 1.0) <= 1e-6 * rank]
+    primitive = pooled[np.abs(pooled_traces - 1.0) <= PRIMITIVE_TRACE_SCREEN * rank]
     gaps = [np.abs(probs - traces / rank)] + [np.abs(total - 1.0) for total in totals]
     gaps.append(np.abs(np.sum(primitive * weights, axis=1) - 1.0 / rank))
     worst = float(max(gap.max(initial=0.0) for gap in gaps))
+    tol = max(cfg.tol, MARGINAL_TOL_FLOOR)
     return ConeCertificate(
         check_name="uniform_state_values",
-        passed=worst <= max(cfg.tol, 1e-10),
+        passed=worst <= tol,
         samples=len(model.tests),
         seed=seed,
-        tol=max(cfg.tol, 1e-10),
+        tol=tol,
         worst_residual=worst,
         details={"pooled_primitive_outcomes": len(primitive)},
     )
@@ -274,7 +281,7 @@ _CHECKS = (
     _Check("product_tests_resolve_unit", "composite", COMPOSITE, lambda cs, cfg, seed: (
         product_tests_check(cs, tol=cfg.tol, seed=seed))),
     _Check("nonsignaling_marginals", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        nonsignaling_check(cs, tol=max(cfg.tol, 1e-10), seed=seed))),
+        nonsignaling_check(cs, tol=max(cfg.tol, MARGINAL_TOL_FLOOR), seed=seed))),
     _Check("pairing_factorization", "composite", COMPOSITE, lambda cs, cfg, seed: (
         factorization_check(cs, samples=cfg.samples, seed=seed))),
     _Check("unit_factor_products", "composite", COMPOSITE, lambda cs, cfg, seed: (

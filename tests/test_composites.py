@@ -38,8 +38,9 @@ from symcone.composites import (
     tensor_lmap_check,
 )
 from symcone.demos import demo_text
+from symcone.hypercomplex import embed_quat_matrix
 from symcone.modelfile import parse_model_text
-from symcone.models import evaluate, pure_state_of, uniform_state
+from symcone.models import evaluate, model_from_tests, pure_state_of, uniform_state
 from symcone.runner import RunConfig, run_model_spec
 from symcone.spectral import random_jordan_frame
 
@@ -157,6 +158,41 @@ def test_product_tests_resolve_unit(qubit_pair, rebit_pair):
 def test_quaternionic_product_tests_break_positivity(quabit_pair):
     cert = product_tests_check(quabit_pair)
     assert not cert.passed
+
+
+def _product_test_scores(cs, coords):
+    """The scores product_tests_check gives carrier coordinates: as an
+    outcome, its negated least relative eigenvalue; as a summed test, its
+    largest gap to the unit relative to 1 + the carrier rank."""
+    mat = to_matrix(Element(cs.carrier, np.array(coords)))
+    if mat.ndim == 3:  # quaternionic: the complex image doubles each eigenvalue
+        mat = embed_quat_matrix(mat)
+    lam = np.linalg.eigvalsh(mat)
+    outcome = -lam[0] / (1.0 + np.abs(lam).max())
+    total = np.abs(np.array(coords) - unit(cs.carrier).coords).max() / (1.0 + cs.carrier.rank)
+    return outcome, total
+
+
+def test_product_tests_witness_is_the_worst_outcome(quabit_pair):
+    cert = product_tests_check(quabit_pair)
+    [witness] = cert.witnesses
+    outcome, _ = _product_test_scores(quabit_pair, witness)
+    assert outcome == pytest.approx(cert.worst_residual, abs=1e-12)
+
+
+def test_product_tests_witness_is_the_summed_test_of_a_unit_gap():
+    # explicit outcomes 4e-9 above a frame pass the model checks, but their
+    # products sum to (1 + 8e-9) u: a gap of 8e-9 / (1 + 4) in the carrier
+    real2 = make_algebra("real", 2)
+    frame = [from_matrix(real2, (1 + 4e-9) * np.diag(e)) for e in np.eye(2)]
+    part = model_from_tests(real2, [frame])
+    cs = candidate_composite(part, part)
+    cert = product_tests_check(cs)
+    assert not cert.passed
+    assert cert.worst_residual == pytest.approx(1.6e-9, rel=1e-6)
+    [witness] = cert.witnesses
+    _, total = _product_test_scores(cs, witness)
+    assert total == pytest.approx(cert.worst_residual, abs=1e-12)
 
 
 def test_factorization_complex_and_real(qubit_pair, rebit_pair):

@@ -26,6 +26,7 @@ from symcone import reconstruction
 from symcone.algebra import _context, _metric_exp
 from symcone.reconstruction import (
     _LIE_CACHE,
+    STRUCTURE_RANK_TOL,
     LieAlgebraBasis,
     check_exp_preserves_cone,
     check_p_bracket,
@@ -50,6 +51,8 @@ SKEW_DIMS = [
     (("spin", 8), 28),       # so(8)
     (("albert", 3), 52),     # f4
     (("spin", 10), 45),      # so(10): more new directions than generators
+    (("complex", 1), 0),     # the line R: only the identity
+    (("spin", 1), 0),        # R + R: commuting generators, a skew part of rounding only
 ]
 
 RECON_TARGETS = [
@@ -110,6 +113,42 @@ def test_closure_stops_once_it_fills_the_space():
     pair = np.random.default_rng(1).standard_normal((2, 3, 3))
     flat = lie_closure(pair).reshape(-1, 9)
     np.testing.assert_allclose(flat @ flat.T, np.eye(9), rtol=0, atol=1e-12)
+
+
+def test_span_keeps_no_direction_of_an_in_span_block():
+    # 200 orthonormal rows of R^512 and one block of 8 rows inside their span,
+    # scaled by 1e5: the first projection leaves rounding just above tol, the
+    # second far below it, and rounding must not be normalized into new rows
+    basis = np.linalg.qr(np.random.default_rng(0).standard_normal((512, 200)))[0].T
+    block = 1e5 * (np.random.default_rng(1).standard_normal((8, 200)) @ basis)
+
+    def act(rows, lo, hi):
+        if lo == 0:
+            yield block.copy()
+
+    closed = reconstruction._close_span(basis.copy(), act, 1e-9)
+    assert closed.shape == (200, 512)
+
+
+def test_noise_has_no_orthonormal_rows():
+    noise = 1e-12 * np.random.default_rng(2).standard_normal((3, 10))
+    assert reconstruction._orthonormal_rows(noise, 1e-9).shape == (0, 10)
+    assert reconstruction._orthonormal_rows(np.zeros((2, 2, 2)), 1e-9).shape == (0, 2, 2)
+
+
+def test_span_asks_for_no_block_once_it_fills_the_space():
+    # seed e0 in R^3; each row owes the block {e1, e2}, so the first block
+    # fills the space and no further one is formed
+    blocks = []
+
+    def act(rows, lo, hi):
+        for _ in range(lo, hi):
+            blocks.append(1)
+            yield np.eye(3)[1:]
+
+    closed = reconstruction._close_span(np.eye(3)[:1], act, STRUCTURE_RANK_TOL)
+    np.testing.assert_allclose(np.abs(closed), np.eye(3), rtol=0, atol=1e-15)
+    assert len(blocks) == 1
 
 
 @pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
