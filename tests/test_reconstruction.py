@@ -147,7 +147,7 @@ def test_span_asks_for_no_block_once_it_fills_the_space():
             yield np.eye(3)[1:]
 
     closed = reconstruction._close_span(np.eye(3)[:1], act, STRUCTURE_RANK_TOL)
-    np.testing.assert_allclose(np.abs(closed), np.eye(3), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(closed @ closed.T, np.eye(3), rtol=0, atol=1e-15)
     assert len(blocks) == 1
 
 
