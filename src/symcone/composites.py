@@ -31,7 +31,6 @@ from .algebra import (
     format_descriptor,
     from_matrix,
     make_algebra,
-    unit,
 )
 from .certificates import ConeCertificate
 from .cone import _cone_image, _point_transports, random_interior_point
@@ -116,7 +115,7 @@ def candidate_composite(part_a: ProbModel, part_b: ProbModel) -> CompositeSystem
     A trivial (one-dimensional) part leaves the other algebra as carrier.
     Mixed families, spin factors, octonionic algebras and direct sums have
     no same-family matrix carrier and are rejected. The carrier's model
-    draws its two tests from seed 0.
+    holds one test, the carrier's canonical frame.
     """
     A = part_a.algebra
     B = part_b.algebra
@@ -138,8 +137,7 @@ def candidate_composite(part_a: ProbModel, part_b: ProbModel) -> CompositeSystem
         embed = _kron_columns(A, B)
     sv = np.linalg.svd(embed, compute_uv=False)
     rank = int((sv > STRUCTURE_RANK_TOL).sum())
-    carrier_model = make_model(carrier, count=2, seed=0)
-    return CompositeSystem(part_a, part_b, carrier, carrier_model, embed, rank)
+    return CompositeSystem(part_a, part_b, carrier, make_model(carrier, count=0), embed, rank)
 
 
 def product_effect(cs: CompositeSystem, a: Element, b: Element) -> Element:
@@ -193,20 +191,26 @@ def product_tests_check(
     failing certificate's witness is the carrier coordinates that set the
     worst score: the outcome, or the summed product test.
     """
-    u = unit(cs.carrier)
+    u = _context(cs.carrier).unit_coords
+    # each side's outcome rows, split test by test
+    tests, n_outcomes = [], 1
+    for part in (cs.part_a, cs.part_b):
+        rows, owner = _outcome_rows(part.tests, part.algebra.dim)
+        tests.append(np.split(rows, np.searchsorted(owner, range(1, len(part.tests)))))
+        n_outcomes *= len(rows)
     worst = 0.0
     witness = None
-    n_outcomes = 0
-    for ta in cs.part_a.tests:
-        for tb in cs.part_b.tests:
-            outcomes = product_test(cs, ta, tb)
-            n_outcomes += len(outcomes)
-            stack = np.stack([x.coords for x in outcomes])
+    for rows_a in tests[0]:
+        for rows_b in tests[1]:
+            # the outcomes of the product test in product_test's order
+            stack = cs.pair_coords(
+                np.repeat(rows_a, len(rows_b), axis=0), np.tile(rows_b, (len(rows_a), 1))
+            )
             lam = eigenvalues_batch(cs.carrier, stack)
             least = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
             i = int(np.argmin(least))
             total = stack.sum(axis=0)
-            gap = float(np.abs(total - u.coords).max()) / (1.0 + cs.carrier.rank)
+            gap = float(np.abs(total - u).max()) / (1.0 + cs.carrier.rank)
             for score, coords in ((-float(least[i]), stack[i]), (gap, total)):
                 if score > worst:
                     worst, witness = score, coords
@@ -498,21 +502,17 @@ def spin_qubit_isomorphism() -> tuple[np.ndarray, float]:
     return mat, residual
 
 
-def qubit_witness(theory, tol: float = 1e-9) -> bool:
-    """Whether some system in the theory is a qubit in disguise: natively
-    complex of size two, or a three-dimensional spin factor (exhibited by an
-    explicit product-preserving isomorphism).
+def qubit_witness(theory) -> bool:
+    """Whether some system in the theory is a qubit: one simple block of
+    rank 2 and dimension 4. By the Jordan-von Neumann-Wigner classification
+    that is complex 2 or its isomorph spin 3, the spin factor of dimension 4
+    (``spin_qubit_isomorphism`` exhibits the map).
 
     Accepts a single algebra descriptor or model, or an iterable of them.
     """
     if isinstance(theory, AlgebraDescriptor) or hasattr(theory, "algebra"):
         theory = [theory]
-    for entry in theory:
-        algebra = entry.algebra if hasattr(entry, "algebra") else entry
-        if algebra.family is Family.COMPLEX_HERM and algebra.size == 2:
-            return True
-        if algebra.family is Family.SPIN and algebra.size == 3:
-            _, residual = spin_qubit_isomorphism()
-            if residual <= tol:
-                return True
-    return False
+    return any(
+        a.family is not Family.SUM and a.rank == 2 and a.dim == 4
+        for a in (getattr(entry, "algebra", entry) for entry in theory)
+    )

@@ -1,7 +1,5 @@
 """Bundled demo input files, addressable by bare name on the command line."""
 
-from importlib import resources
-
 __all__ = ["DEMO_NAMES", "is_demo", "demo_text"]
 
 DEMO_NAMES = ("qubit-pair", "rebit-pair", "quabit-pair", "spin-vs-qubit")
@@ -16,5 +14,8 @@ def demo_text(name: str) -> str:
         raise ValueError(
             f"unknown demo {name!r}; bundled demos: {', '.join(DEMO_NAMES)}"
         )
+    # imported here, not at module level: only demo inputs read package data
+    from importlib import resources
+
     path = resources.files(__package__).joinpath(f"{name}.json")
     return path.read_text(encoding="utf-8")

@@ -17,6 +17,7 @@ thresholds.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -118,8 +119,10 @@ def _orthonormal_rows(stack: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the row span of ``stack`` (rows, or a stack of
     operators flattened to rows), returned in the shape of the stack's
     items: the right singular vectors whose singular value is above the
-    absolute ``tol``, so a zero stack, or one of rounding noise, has none."""
-    sv, vt = np.linalg.svd(stack.reshape(stack.shape[0], -1), full_matrices=False)[1:]
+    absolute ``tol``, so an empty or zero stack, or one of rounding noise,
+    has none."""
+    rows = stack.reshape(stack.shape[0], math.prod(stack.shape[1:]))
+    sv, vt = np.linalg.svd(rows, full_matrices=False)[1:]
     return vt[sv > tol].reshape(-1, *stack.shape[1:])
 
 

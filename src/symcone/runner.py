@@ -208,8 +208,7 @@ def _unital_outcomes_primitive(
 
 def _qubit_witness(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertificate:
     A = model.algebra
-    is_qubit = qubit_witness(A, tol=cfg.tol)
-    details = {"is_qubit": is_qubit, "algebra": format_descriptor(A)}
+    details = {"is_qubit": qubit_witness(A), "algebra": format_descriptor(A)}
     residual = 0.0
     if A.family.value == "spin" and A.size == 3:
         _, residual = spin_qubit_isomorphism()

@@ -603,6 +603,31 @@ def test_model_suite_run_leaves_numpy_ma_unimported():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_plain_interpreter_start_leaves_importlib_resources_unimported():
+    # importing importlib.resources takes about 13 ms in an interpreter
+    # without site hooks, and only a demo input reads package data
+    import numpy
+
+    import symcone
+
+    path = os.pathsep.join(
+        os.path.dirname(os.path.dirname(m.__file__)) for m in (symcone, numpy)
+    )
+    env = {**os.environ, "PYTHONPATH": path}
+    script = "import sys, symcone.cli; print('importlib.resources' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "symcone.cli", "--input", "qubit-pair"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
 # Four plain systems and a composite whose expected failure keeps the exit
 # code at 0; albert's certificates take longest, so the workers take the
 # systems out of step with one another.

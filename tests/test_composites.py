@@ -12,6 +12,7 @@ import pytest
 from oracle import quat_multiply
 from symcone import (
     Element,
+    format_descriptor,
     from_matrix,
     jordan_product,
     make_algebra,
@@ -42,7 +43,8 @@ from symcone.hypercomplex import embed_quat_matrix
 from symcone.modelfile import parse_model_text
 from symcone.models import evaluate, model_from_tests, pure_state_of, uniform_state
 from symcone.runner import RunConfig, run_model_spec
-from symcone.spectral import random_jordan_frame
+from symcone.spectral import canonical_frame, eigenvalues_batch, random_jordan_frame
+from test_algebra import ALL_FAMILIES
 
 ATOL = 1e-10
 
@@ -158,6 +160,54 @@ def test_product_tests_resolve_unit(qubit_pair, rebit_pair):
 def test_quaternionic_product_tests_break_positivity(quabit_pair):
     cert = product_tests_check(quabit_pair)
     assert not cert.passed
+
+
+def _product_tests_oracle(cs):
+    """product_tests_check with every outcome formed as its own
+    product_effect: the worst score, and the score and carrier coordinates
+    of every outcome and of every summed product test."""
+    u = unit(cs.carrier).coords
+    scored = []
+    for ta in cs.part_a.tests:
+        for tb in cs.part_b.tests:
+            stack = np.stack([x.coords for x in product_test(cs, ta, tb)])
+            lam = eigenvalues_batch(cs.carrier, stack)
+            least = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
+            total = stack.sum(axis=0)
+            gap = float(np.abs(total - u).max()) / (1.0 + cs.carrier.rank)
+            scored += [*zip(-least, stack), (gap, total)]
+    return max(0.0, *(score for score, _ in scored)), scored
+
+
+@pytest.mark.parametrize(
+    "pair", ["qubit_pair", "rebit_pair", "quabit_pair", "real_3_pair", "uneven_tests_pair"]
+)
+def test_product_tests_match_the_per_outcome_oracle(request, pair):
+    if pair == "real_3_pair":
+        part = make_model(make_algebra("real", 3), count=20, seed=5)
+        cs = candidate_composite(part, make_model(make_algebra("real", 3), count=20, seed=6))
+    elif pair == "uneven_tests_pair":
+        # tests of 1, 3 and 2 outcomes
+        real = make_algebra("real", 3)
+        frame = random_jordan_frame(real, seed=3)
+        part = model_from_tests(real, [(unit(real),), frame, (frame[0], unit(real) - frame[0])])
+        cs = candidate_composite(part, part)
+    else:
+        cs = request.getfixturevalue(pair)
+    cert = product_tests_check(cs)
+    worst, scored = _product_tests_oracle(cs)
+    assert cert.worst_residual == pytest.approx(worst, rel=0, abs=1e-15)
+    assert cert.samples == sum(map(len, cs.part_a.tests)) * sum(map(len, cs.part_b.tests))
+    if worst > cert.tol:
+        # the witness sets the worst score; the quaternionic pair has outcomes
+        # whose scores tie exactly, and rounding may pick any of them
+        (got,) = cert.witnesses
+        assert any(
+            score >= worst - 1e-15 and np.allclose(coords, got, rtol=0, atol=1e-15)
+            for score, coords in scored
+        )
+    else:
+        assert cert.witnesses == []
 
 
 def _product_test_scores(cs, coords):
@@ -423,17 +473,29 @@ def test_spin_qubit_map_is_a_trace_isometry():
 
 
 def test_qubit_witness_table():
-    assert qubit_witness(make_algebra("complex", 2))
-    assert not qubit_witness(make_algebra("real", 3))
-    assert not qubit_witness(make_algebra("complex", 3))
-    assert qubit_witness(make_algebra("spin", 3))
-    assert not qubit_witness(make_algebra("spin", 4))
+    # single descriptors: test_qubit_witness_truth_table
     models = [
         make_model(make_algebra("real", 2), count=1, seed=8),
         make_model(make_algebra("complex", 2), count=1, seed=9),
     ]
     assert qubit_witness(models)
     assert not qubit_witness(models[:1])
+
+
+@pytest.mark.parametrize(
+    "desc", ALL_FAMILIES + [make_algebra("spin", 3)], ids=format_descriptor
+)
+def test_qubit_witness_truth_table(desc):
+    # one simple block of rank 2 and dimension 4: complex 2 or spin 3
+    assert qubit_witness(desc) is (format_descriptor(desc) in ("complex 2", "spin 3"))
+
+
+@pytest.mark.parametrize("pair", ["qubit_pair", "rebit_pair", "quabit_pair"])
+def test_carrier_model_holds_only_its_canonical_frame(request, pair):
+    cs = request.getfixturevalue(pair)
+    (test,) = cs.carrier_model.tests
+    want = np.array([e.coords for e in canonical_frame(cs.carrier)])
+    np.testing.assert_array_equal([x.coords for x in test], want)
 
 
 def test_carrier_model_trace_is_uniform(qubit_pair):

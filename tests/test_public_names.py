@@ -49,6 +49,7 @@ FIXED_POLICY_SIGNATURES = {
     ("cone", "check_homogeneity"): ["algebra", "samples", "seed", "directions"],
     ("models", "check_cauchy_schwarz"): ["algebra", "samples", "seed"],
     ("composites", "factorization_check"): ["cs", "samples", "seed"],
+    ("composites", "qubit_witness"): ["theory"],
     ("models", "model_from_tests"): ["algebra", "tests"],
     ("models", "state_from_coords"): ["model", "coords"],
     ("models", "pure_state_of"): ["model", "e"],

@@ -136,6 +136,11 @@ def test_noise_has_no_orthonormal_rows():
     assert reconstruction._orthonormal_rows(np.zeros((2, 2, 2)), 1e-9).shape == (0, 2, 2)
 
 
+def test_empty_stack_closes_to_no_rows():
+    assert reconstruction._orthonormal_rows(np.empty((0, 5)), 1e-9).shape == (0, 5)
+    assert lie_closure(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+
 def test_span_asks_for_no_block_once_it_fills_the_space():
     # seed e0 in R^3; each row owes the block {e1, e2}, so the first block
     # fills the space and no further one is formed
