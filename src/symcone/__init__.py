@@ -39,7 +39,6 @@ from .composites import (
     product_state,
     product_test,
     qubit_witness,
-    spin_qubit_isomorphism,
 )
 from .cone import (
     cone_contains,
@@ -129,7 +128,6 @@ __all__ = [
     "reconstruct_product",
     "run_model_spec",
     "spectral_decompose",
-    "spin_qubit_isomorphism",
     "structure_lie_basis",
     "to_matrix",
     "trace_form",

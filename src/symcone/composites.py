@@ -11,7 +11,7 @@ and the audits below quantify exactly which composite requirements survive.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +35,7 @@ from .algebra import (
 from .certificates import ConeCertificate
 from .cone import _cone_image, _point_transports, random_interior_point
 from .models import ProbModel, State, _outcome_rows, make_model, uniform_state
-from .reconstruction import STRUCTURE_RANK_TOL
+from .reconstruction import STRUCTURE_RANK_TOL, _close_span
 from .spectral import _frames, eigenvalues_batch
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "tensor_lmap_check",
     "check_unit_factor_products",
     "maximally_entangled_state",
-    "spin_qubit_isomorphism",
     "qubit_witness",
 ]
 
@@ -470,49 +469,35 @@ def maximally_entangled_state(cs: CompositeSystem) -> State:
     return State(cs.carrier_model, from_matrix(cs.carrier, np.outer(psi, psi)))
 
 
-def spin_qubit_isomorphism() -> tuple[np.ndarray, float]:
-    """Coordinate isomorphism from the three-dimensional spin factor onto
-    complex hermitian 2x2 matrices, with its worst product-table residual.
-
-    The unit maps to the identity and the three vector units map to the
-    hermitian involutions sigma_x, sigma_y, sigma_z; both sides have the
-    same trace form, so the table residual is the whole story.
+def _power_rank(algebra: AlgebraDescriptor) -> int:
+    """Rank of the algebra read off its products: the dimension of the span
+    of the powers of a generic element x, grown from the normalized unit by
+    multiplication with x. The rows are orthonormalized as they join (an
+    Arnoldi pass), since raw powers are a Vandermonde basis and undercount.
     """
-    spin = make_algebra("spin", 3)
-    qubit = make_algebra("complex", 2)
-    sigma = [
-        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    ]
-    images = [np.eye(2, dtype=complex)] + sigma
-    mat = np.stack([from_matrix(qubit, im).coords for im in images], axis=1)  # (4, 4)
-    ctx_s = _context(spin)
-    ctx_q = _context(qubit)
-    # push every spin basis product through the map and compare it with the
-    # qubit product of the mapped factors
-    left, right = (idx.ravel() for idx in np.indices((4, 4)))
-    eye = np.eye(4)
-    mapped = _product_batch(ctx_s.constants, eye[left], eye[right]) @ mat.T
-    direct = _product_batch(ctx_q.constants, mat.T[left], mat.T[right])
-    residual = float(np.abs(mapped - direct).max())
-    # trace forms must agree as well
-    gram_push = mat.T @ np.diag(ctx_q.gram) @ mat
-    residual = max(residual, float(np.abs(gram_push - np.diag(ctx_s.gram)).max()))
-    return mat, residual
+    ctx = _context(algebra)
+    x = np.random.default_rng(0).standard_normal(algebra.dim)
+    x /= np.linalg.norm(x)
+    unit = ctx.unit_coords / np.linalg.norm(ctx.unit_coords)
+
+    def times_x(basis: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
+        yield _product_batch(ctx.constants, np.broadcast_to(x, (hi - lo, x.size)), basis[lo:hi])
+
+    return _close_span(unit[None, :], times_x, STRUCTURE_RANK_TOL).shape[0]
 
 
 def qubit_witness(theory) -> bool:
-    """Whether some system in the theory is a qubit: one simple block of
-    rank 2 and dimension 4. By the Jordan-von Neumann-Wigner classification
-    that is complex 2 or its isomorph spin 3, the spin factor of dimension 4
-    (``spin_qubit_isomorphism`` exhibits the map).
+    """Whether some system in the theory is a qubit: an algebra of
+    dimension 4 whose rank, computed from its products, is 2. The algebras
+    of rank 2 are the spin factors and R + R = spin 1, so by the
+    Jordan-von Neumann-Wigner classification that is complex 2 or its
+    isomorph spin 3, the spin factor of dimension 4.
 
     Accepts a single algebra descriptor or model, or an iterable of them.
     """
     if isinstance(theory, AlgebraDescriptor) or hasattr(theory, "algebra"):
         theory = [theory]
     return any(
-        a.family is not Family.SUM and a.rank == 2 and a.dim == 4
+        a.dim == 4 and _power_rank(a) == 2
         for a in (getattr(entry, "algebra", entry) for entry in theory)
     )

@@ -57,6 +57,7 @@ from .algebra import (
 from .certificates import ConeCertificate
 from .composites import (
     CompositeSystem,
+    _power_rank,
     candidate_composite,
     check_unit_factor_products,
     factorization_check,
@@ -64,7 +65,6 @@ from .composites import (
     nonsignaling_check,
     product_tests_check,
     qubit_witness,
-    spin_qubit_isomorphism,
     tensor_adjoint_check,
     tensor_lmap_check,
 )
@@ -208,20 +208,20 @@ def _unital_outcomes_primitive(
 
 def _qubit_witness(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertificate:
     A = model.algebra
-    details = {"is_qubit": qubit_witness(A), "algebra": format_descriptor(A)}
-    residual = 0.0
-    if A.family.value == "spin" and A.size == 3:
-        _, residual = spin_qubit_isomorphism()
-        details["isomorphism_residual"] = residual
-    # a note, not a sampled check: it reports the run's base seed
+    # a note, not a sampled check: it reports the run's base seed and the
+    # rank computed from the products
     return ConeCertificate(
         check_name="qubit_witness",
         passed=True,
         samples=0,
         seed=cfg.seed,
         tol=cfg.tol,
-        worst_residual=residual,
-        details=details,
+        worst_residual=0.0,
+        details={
+            "is_qubit": qubit_witness(A),
+            "algebra": format_descriptor(A),
+            "rank": _power_rank(A),
+        },
     )
 
 

@@ -6,7 +6,7 @@ direct way of building structure constants: every pair of basis matrices
 that share an index multiplied and symmetrized, with the nonzero
 coordinates of each product kept. It also holds the minimal-polynomial
 spectral decomposition, which needs nothing family-specific beyond the
-Jordan product.
+Jordan product, and the Pauli map from spin 3 onto complex 2.
 """
 
 import numpy as np
@@ -21,9 +21,12 @@ from symcone.algebra import (
     _from_rep,
     _from_view,
     _make_constants,
+    _product_batch,
     _product_coords,
     _to_rep,
     _to_view,
+    from_matrix,
+    make_algebra,
     norm,
     unit,
 )
@@ -191,3 +194,35 @@ def generic_decompose(a: Element, tol: float) -> SpectralDecomposition:
                 prod = _product_coords(ctx.constants, prod, factor)
             idempotents.append(Element(a.algebra, prod))
     return SpectralDecomposition(eigenvalues, idempotents, degenerate)
+
+
+def spin_qubit_isomorphism() -> tuple[np.ndarray, float]:
+    """Coordinate isomorphism from the three-dimensional spin factor onto
+    complex hermitian 2x2 matrices, with its worst product-table residual.
+
+    The unit maps to the identity and the three vector units map to the
+    hermitian involutions sigma_x, sigma_y, sigma_z; both sides have the
+    same trace form, so the table residual is the whole story.
+    """
+    spin = make_algebra("spin", 3)
+    qubit = make_algebra("complex", 2)
+    sigma = [
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    ]
+    images = [np.eye(2, dtype=complex)] + sigma
+    mat = np.stack([from_matrix(qubit, im).coords for im in images], axis=1)  # (4, 4)
+    ctx_s = _context(spin)
+    ctx_q = _context(qubit)
+    # push every spin basis product through the map and compare it with the
+    # qubit product of the mapped factors
+    left, right = (idx.ravel() for idx in np.indices((4, 4)))
+    eye = np.eye(4)
+    mapped = _product_batch(ctx_s.constants, eye[left], eye[right]) @ mat.T
+    direct = _product_batch(ctx_q.constants, mat.T[left], mat.T[right])
+    residual = float(np.abs(mapped - direct).max())
+    # trace forms must agree as well
+    gram_push = mat.T @ np.diag(ctx_q.gram) @ mat
+    residual = max(residual, float(np.abs(gram_push - np.diag(ctx_s.gram)).max()))
+    return mat, residual

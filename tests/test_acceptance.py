@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle import spin_qubit_isomorphism
 from symcone import (
     Element,
     jordan_product,
@@ -32,7 +33,6 @@ from symcone.composites import (
     maximally_entangled_state,
     nonsignaling_check,
     product_state,
-    spin_qubit_isomorphism,
 )
 from symcone.cone import check_homogeneity, check_membership_agreement
 from symcone.models import (

@@ -1,14 +1,19 @@
 """Command-line behavior: exit codes, determinism, env overrides."""
 
+import contextlib
 import inspect
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symcone.cli as cli
 from symcone.cli import EXIT_FAILURES, EXIT_OK, EXIT_USAGE, main
@@ -407,7 +412,6 @@ def test_certificate_table_is_the_reported_list():
     # in table order within each system; the benchmark tracer restates the
     # list and must not drift from it.
     import importlib.util
-    from pathlib import Path
 
     from symcone.runner import CERTIFICATE_NAMES
 
@@ -940,3 +944,81 @@ def test_suites_take_the_batched_spectral_and_transport_paths(monkeypatch):
     assert checks[("albert", "uniform_unital_outcomes_primitive")] == "pass"
     assert checks[("pair", "tensor_adjoint")] == "pass"
     assert calls == {"automorphism_to_point": 0}
+
+
+def test_qubit_witness_reports_the_computed_rank(capsys):
+    desk = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "desk.json"
+    code = main(["--input", str(desk), "--suites", "composite", "--format", "structured"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    ranks = [
+        (system["dims"]["rank"], cert["details"]["rank"])
+        for system in report["systems"]
+        for cert in system["certificates"]
+        if cert["check"] == "qubit_witness"
+    ]
+    assert len(ranks) == 7
+    assert [declared for declared, _ in ranks] == [computed for _, computed in ranks]
+
+
+# Replacement values for the malformed-input property: small integers and
+# short lists, so that no edit asks for a large algebra or sample count,
+# and the words the model-file format gives meaning to.
+_WORDS = st.sampled_from(
+    ["real", "complex", "quaternion", "spin", "albert", "sum", "sampled", "explicit",
+     "candidate", "fail", "pass", "family", "size", "summands", "tests", "expect",
+     "states", "composite", "parts", "count", "seed", "mode", "outcomes", "name"]
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(-2, 3), st.text(max_size=6), _WORDS
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.one_of(_WORDS, st.text(max_size=6)), _SCALARS, max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """The path of every value below the root of a JSON record."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_demos(draw):
+    """A bundled demo with one or two edits: a value replaced, a key or
+    list item deleted, or a key added."""
+    record = json.loads(demo_text(draw(st.sampled_from(DEMO_NAMES))))
+    for _ in range(draw(st.integers(1, 2))):
+        *head, key = draw(st.sampled_from(list(_paths(record))))
+        parent = record
+        for step in head:
+            parent = parent[step]
+        edit = draw(st.sampled_from(["replace", "delete", "add"]))
+        if edit == "replace":
+            parent[key] = draw(_VALUES)
+        elif edit == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(st.one_of(_WORDS, st.text(max_size=6)))] = draw(_VALUES)
+        else:
+            parent.append(draw(_VALUES))
+    return record
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_mutated_demos())
+def test_malformed_input_holds_the_exit_contract(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("mutated") / "model.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--input", str(path), "--suites", "algebra,composite"])
+    assert code in (EXIT_OK, EXIT_FAILURES, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("symcone: ")

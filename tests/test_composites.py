@@ -9,9 +9,10 @@ so the einsum-based embedding has an independent oracle.
 import numpy as np
 import pytest
 
-from oracle import quat_multiply
+from oracle import quat_multiply, spin_qubit_isomorphism
 from symcone import (
     Element,
+    direct_sum,
     format_descriptor,
     from_matrix,
     jordan_product,
@@ -22,7 +23,9 @@ from symcone import (
     trace_of,
     unit,
 )
+from symcone.algebra import _CONTEXT_CACHE, _context
 from symcone.composites import (
+    _power_rank,
     candidate_composite,
     check_unit_factor_products,
     factorization_check,
@@ -34,7 +37,6 @@ from symcone.composites import (
     product_test,
     product_tests_check,
     qubit_witness,
-    spin_qubit_isomorphism,
     tensor_adjoint_check,
     tensor_lmap_check,
 )
@@ -488,6 +490,47 @@ def test_qubit_witness_table():
 def test_qubit_witness_truth_table(desc):
     # one simple block of rank 2 and dimension 4: complex 2 or spin 3
     assert qubit_witness(desc) is (format_descriptor(desc) in ("complex 2", "spin 3"))
+
+
+@pytest.mark.parametrize(
+    "desc",
+    ALL_FAMILIES
+    + [
+        make_algebra("spin", 1),
+        make_algebra("spin", 3),
+        make_algebra("real", 18),
+        make_algebra("complex", 12),
+        direct_sum(make_algebra("albert"), make_algebra("complex", 2)),
+    ],
+    ids=format_descriptor,
+)
+def test_power_rank_is_the_declared_rank(desc):
+    assert _power_rank(desc) == desc.rank
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        make_algebra("spin", 1),
+        make_algebra("real", 2),
+        direct_sum([make_algebra("real", 1)] * 4),
+        direct_sum(make_algebra("real", 1), make_algebra("spin", 2)),
+        direct_sum(make_algebra("spin", 1), make_algebra("spin", 1)),
+    ],
+    ids=format_descriptor,
+)
+def test_no_other_small_algebra_is_a_qubit(desc):
+    assert not qubit_witness(desc)
+
+
+def test_qubit_witness_reads_the_products_not_the_descriptor(monkeypatch):
+    # spin 3's descriptor over the products of four orthogonal idempotents:
+    # dimension 4 and rank 4, so no qubit, whatever the descriptor says
+    spin = make_algebra("spin", 3)
+    four_bits = _context(direct_sum([make_algebra("real", 1)] * 4))
+    monkeypatch.setitem(_CONTEXT_CACHE, spin, four_bits)
+    assert _power_rank(spin) == 4
+    assert not qubit_witness(spin)
 
 
 @pytest.mark.parametrize("pair", ["qubit_pair", "rebit_pair", "quabit_pair"])
