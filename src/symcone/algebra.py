@@ -35,6 +35,7 @@ unordered triples {I, J, K}.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -229,11 +230,21 @@ def _require_same_algebra(a: Element, b: Element) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the strict upper triangle of an
+    n x n matrix, row-major, built once per n."""
+    iu = np.triu_indices(n, k=1)
+    for arr in iu:
+        arr.flags.writeable = False
+    return iu
+
+
 def _to_rep(coords: np.ndarray, n: int, width: int) -> np.ndarray:
     """Real (..., n, n, width) matrices of coordinate rows: the diagonal
     coordinates first, then each upper-triangle entry (row-major) scaled by
     1 / sqrt(2), mirrored conjugated into the lower triangle."""
-    iu = np.triu_indices(n, k=1)
+    iu = _upper_pairs(n)
     mat = np.zeros(coords.shape[:-1] + (n, n, width))
     idx = np.arange(n)
     mat[..., idx, idx, 0] = coords[..., :n]
@@ -245,7 +256,7 @@ def _to_rep(coords: np.ndarray, n: int, width: int) -> np.ndarray:
 
 def _from_rep(mats: np.ndarray, n: int, width: int) -> np.ndarray:
     """Coordinate rows of real (..., n, n, width) hermitian matrices."""
-    iu = np.triu_indices(n, k=1)
+    iu = _upper_pairs(n)
     idx = np.arange(n)
     diag = mats[..., idx, idx, 0]
     entries = SQRT2 * mats[..., iu[0], iu[1], :]
@@ -469,7 +480,7 @@ def _matrix_constants(desc: AlgebraDescriptor) -> _Constants:
     """
     n, width = desc.size, _ENTRY_WIDTH[desc.family]
     signs = hc._conj_signs(width)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_pairs(n)
     pair = np.zeros((n, n), dtype=np.intp)
     pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
     diag = np.arange(n)

@@ -297,7 +297,7 @@ def _operator_spectrum(rows):
 @pytest.mark.parametrize("gap", [1e-1, 2e-2, 5e-3, 1e-8, 1e-11, 0.0])
 def test_albert_eigenvalues_near_double_roots(gap):
     # Points sum_k lambda_k e_k on random frames, the close pair at the
-    # bottom and at the top, on both sides of the Ritz gate.
+    # bottom and at the top, on both sides of the root gate.
     desc = make_algebra("albert")
     frames = frame_pool(desc, 40, seed=44).reshape(40, 3, desc.dim)
     base = np.random.default_rng(45).uniform(-2.0, 2.0, 40)
@@ -401,7 +401,7 @@ def test_repeated_roots_agree_with_minimal_polynomial_oracle(desc):
                 np.testing.assert_allclose(p.coords, q.coords, rtol=0, atol=1e-8)
 
 
-def test_albert_ritz_spectrum_matches_operator_eigensolve():
+def test_albert_root_spectrum_matches_operator_eigensolve():
     desc = make_algebra("albert")
     rows = np.random.default_rng(46).standard_normal((2000, desc.dim))
     np.testing.assert_allclose(
@@ -414,9 +414,9 @@ def test_albert_fallback_takes_degenerate_rows_only(monkeypatch):
     # must take the operator route; homogeneity's cone images almost never.
     desc = make_algebra("albert")
     seen, fallback = [], []
-    ritz, operators = spectral._ritz_spectrum, spectral._left_mult_batch
-    monkeypatch.setattr(spectral, "_ritz_spectrum", lambda ctx, xs: (
-        seen.append(xs.shape[0]) or ritz(ctx, xs)))
+    roots, operators = spectral._root_spectrum, spectral._left_mult_batch
+    monkeypatch.setattr(spectral, "_root_spectrum", lambda ctx, xs: (
+        seen.append(xs.shape[0]) or roots(ctx, xs)))
     monkeypatch.setattr(spectral, "_left_mult_batch", lambda sc, xs: (
         fallback.append(xs.shape[0]) or operators(sc, xs)))
     u = unit(desc).coords
@@ -431,6 +431,32 @@ def test_albert_fallback_takes_degenerate_rows_only(monkeypatch):
     assert check_homogeneity(desc).passed
     assert sum(seen) >= 20000
     assert sum(fallback) <= 0.01 * sum(seen)
+
+
+@pytest.mark.parametrize("gap", [0.5, 0.1, 0.05, 0.03, 0.02, 1e-3])
+def test_albert_root_route_near_the_gate(gap):
+    # Points sum_k lambda_k e_k on random frames, the close pair at the
+    # bottom or at the top. Gaps the gate passes keep every row on the root
+    # route, with eigenvalues and reconstructions within a few ulps; a gap
+    # of 1e-3 sends every row to the operator route.
+    desc = make_algebra("albert")
+    ctx = _context(desc)
+    frames = frame_pool(desc, 500, seed=51).reshape(500, 3, desc.dim)
+    base = np.random.default_rng(52).uniform(-2.0, 2.0, 500)
+    low = np.column_stack([base, base + gap, base + 1.0])
+    high = np.column_stack([base, base + 1.0, base + 1.0 + gap])
+    for want in (low, high):
+        rows = np.einsum("nk,nkd->nd", want, frames)
+        to_operators = np.isnan(spectral._root_spectrum(ctx, rows)[:, 0])
+        if gap < 1e-2:
+            assert to_operators.all()
+            continue
+        assert not to_operators.any()
+        lam, idem = spectral._spectrum(desc, rows, idempotents=True)
+        scale = 1.0 + np.abs(want).max(axis=1)
+        assert (np.abs(lam - want).max(axis=1) / scale).max() < 1e-14
+        recon = np.einsum("nk,nkd->nd", lam, idem)
+        assert np.abs(recon - rows).max() < 1e-14
 
 
 @pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
