@@ -723,12 +723,12 @@ def commutativity_residuals(
     return _norms(gaps, ctx.gram) / (1.0 + _norms(xs, ctx.gram) * _norms(ys, ctx.gram))
 
 
-def unit_law_residuals(
-    algebra: AlgebraDescriptor, n_samples: int, seed: int = 0
-) -> np.ndarray:
+def unit_law_residuals(algebra: AlgebraDescriptor) -> np.ndarray:
+    """Residuals of u o e = e on the basis e; both sides are linear in e,
+    so the basis decides the law."""
     ctx = _context(algebra)
-    (xs,) = _draws(algebra, 1, n_samples, seed)
-    us = np.broadcast_to(ctx.unit_coords, xs.shape).copy()
+    xs = np.eye(algebra.dim)
+    us = np.broadcast_to(ctx.unit_coords, xs.shape)
     gaps = _product_batch(ctx.constants, us, xs) - xs
     return _norms(gaps, ctx.gram) / (1.0 + _norms(xs, ctx.gram))
 

@@ -8,12 +8,14 @@ from typing import Any
 
 @dataclass
 class ConeCertificate:
-    """Outcome of one sampled check.
+    """Outcome of one check.
 
-    ``worst_residual`` is the extreme value the check observed (sign
-    convention per check; more negative or larger means worse), and
-    ``witnesses`` holds coordinate vectors of any violating samples so a
-    failure is always concrete and replayable with the recorded seed.
+    ``samples`` counts what the check ran over: its sampled draws, or the
+    basis cases of a check decided on the basis. ``worst_residual`` is the
+    extreme value the check observed (sign convention per check; more
+    negative or larger means worse), and ``witnesses`` holds coordinate
+    vectors of any violating samples so a failure is always concrete and
+    replayable with the recorded seed.
     """
 
     check_name: str

@@ -78,7 +78,7 @@ class CompositeSystem:
         coords_a = np.atleast_2d(coords_a)
         coords_b = np.atleast_2d(coords_b)
         kron = coords_a[:, :, None] * coords_b[:, None, :]
-        return kron.reshape(coords_a.shape[0], -1) @ self.embed.T
+        return kron.reshape(len(kron), -1) @ self.embed.T
 
 
 def _embedded_lifts(
@@ -364,7 +364,7 @@ def tensor_adjoint_check(
 
 
 def tensor_lmap_check(
-    cs: CompositeSystem, samples: int = 50, seed: int = 0, tol: float = 1e-9
+    cs: CompositeSystem, seed: int = 0, tol: float = 1e-9
 ) -> ConeCertificate:
     """Multiplication by an embedded one-sided element acts factorwise.
 
@@ -372,33 +372,35 @@ def tensor_lmap_check(
     agree with the embedding composed with L(a) x id, and symmetrically for
     the right factor. For a tomographic composite this determines the whole
     operator; otherwise the identity is only tested on the embedded
-    subspace and the certificate says so in its name.
+    subspace and the certificate says so in its name. Both sides are linear
+    in a, so the basis elements of each factor decide the identity; each
+    scores its largest gap over 1 + max|e_i| = 2. The seed is reported only.
     """
     ctx_c = _context(cs.carrier)
-    rng = np.random.default_rng(seed)
     ctx_a = _context(cs.part_a.algebra)
     ctx_b = _context(cs.part_b.algebra)
+    eye_a, eye_b = np.eye(cs.part_a.algebra.dim), np.eye(cs.part_b.algebra.dim)
     lift_a, lift_b = _embedded_lifts(cs)
-    # per side: the part's constants, its element paired with the other
-    # side's unit, and the embedded factorwise lift of its multiplication
-    # operator
+    # per side: the part's constants and basis, each basis element paired
+    # with the other side's unit, and the embedded factorwise lift of its
+    # multiplication operator
     sides = (
-        (ctx_a.constants, lambda x: cs.pair_coords(x, ctx_b.unit_coords), lift_a),
-        (ctx_b.constants, lambda x: cs.pair_coords(ctx_a.unit_coords, x), lift_b),
+        (ctx_a.constants, eye_a, cs.pair_coords(eye_a, ctx_b.unit_coords), lift_a),
+        (ctx_b.constants, eye_b, cs.pair_coords(ctx_a.unit_coords, eye_b), lift_b),
     )
     worst = 0.0
-    for _ in range(samples):
-        for sc, pair, lift in sides:
-            x = rng.standard_normal(sc.dim)
-            lhs = _left_mult_matrix(ctx_c.constants, pair(x)[0]) @ cs.embed
+    for sc, basis, pairs, lift in sides:
+        # one carrier operator at a time: a stack of a side's operators
+        # holds dim * d_c^2 floats, megabytes on a large carrier
+        for x, pair in zip(basis, pairs):
+            lhs = _left_mult_matrix(ctx_c.constants, pair) @ cs.embed
             rhs = lift(_left_mult_matrix(sc, x))
-            gap = float(np.abs(lhs - rhs).max()) / (1.0 + float(np.abs(x).max()))
-            worst = max(worst, gap)
+            worst = max(worst, float(np.abs(lhs - rhs).max()) / 2.0)
     name = "tensor_lmap" if cs.locally_tomographic else "tensor_lmap_embedded"
     return ConeCertificate(
         check_name=name,
         passed=worst <= tol,
-        samples=samples,
+        samples=len(eye_a) + len(eye_b),
         seed=seed,
         tol=tol,
         worst_residual=worst,
@@ -423,15 +425,17 @@ def check_unit_factor_products(
     B = rng.standard_normal((n, cs.part_a.algebra.dim))
     V = rng.standard_normal((n, cs.part_b.algebra.dim))
     W = rng.standard_normal((n, cs.part_b.algebra.dim))
-    u_a = np.broadcast_to(ctx_a.unit_coords, A.shape)
-    u_b = np.broadcast_to(ctx_b.unit_coords, V.shape)
 
-    lhs1 = _product_batch(ctx_c.constants, cs.pair_coords(A, u_b), cs.pair_coords(B, V))
+    lhs1 = _product_batch(
+        ctx_c.constants, cs.pair_coords(A, ctx_b.unit_coords), cs.pair_coords(B, V)
+    )
     rhs1 = cs.pair_coords(_product_batch(ctx_a.constants, A, B), V)
     rel1 = np.abs(lhs1 - rhs1).max(axis=1) / (1.0 + np.abs(rhs1).max(axis=1))
     res1 = rel1.max()
 
-    lhs2 = _product_batch(ctx_c.constants, cs.pair_coords(u_a, V), cs.pair_coords(A, W))
+    lhs2 = _product_batch(
+        ctx_c.constants, cs.pair_coords(ctx_a.unit_coords, V), cs.pair_coords(A, W)
+    )
     rhs2 = cs.pair_coords(A, _product_batch(ctx_b.constants, V, W))
     rel2 = np.abs(lhs2 - rhs2).max(axis=1) / (1.0 + np.abs(rhs2).max(axis=1))
     res2 = rel2.max()

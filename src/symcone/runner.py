@@ -117,15 +117,14 @@ class _Check:
     run: Callable[[Any, RunConfig, int], ConeCertificate | str | None]
 
 
-def _law(
-    name: str, residuals: Callable, model: ProbModel, cfg: RunConfig, seed: int
-) -> ConeCertificate:
-    """Certificate of an algebra law: the worst of its sampled residuals."""
-    worst = float(np.max(residuals(model.algebra, cfg.samples, seed=seed)))
+def _law(name: str, residuals: np.ndarray, cfg: RunConfig, seed: int) -> ConeCertificate:
+    """Certificate of an algebra law: the worst of its residuals, one per
+    sampled draw or basis element."""
+    worst = float(np.max(residuals))
     return ConeCertificate(
         check_name=name,
         passed=worst <= cfg.tol,
-        samples=cfg.samples,
+        samples=len(residuals),
         seed=seed,
         tol=cfg.tol,
         worst_residual=worst,
@@ -225,23 +224,22 @@ def _qubit_witness(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertifica
     )
 
 
-def _tensor_lmap(cs: CompositeSystem, cfg: RunConfig, seed: int) -> ConeCertificate:
-    return tensor_lmap_check(cs, samples=min(cfg.samples, 50), seed=seed, tol=cfg.tol)
-
-
 # The one list of certificates, in report order. A row's callable returns a
 # ConeCertificate, a skip reason, or None when the row has nothing to report
 # on the subject. Callables look each check up by its module-level name when
 # they run, so a wrapper bound over that name sees the call.
 _CHECKS = (
     _Check("jordan_identity", "algebra", MODEL, lambda m, cfg, seed: _law(
-        "jordan_identity", jordan_identity_residuals, m, cfg, seed)),
+        "jordan_identity", jordan_identity_residuals(m.algebra, cfg.samples, seed=seed),
+        cfg, seed)),
     _Check("commutativity", "algebra", MODEL, lambda m, cfg, seed: _law(
-        "commutativity", commutativity_residuals, m, cfg, seed)),
+        "commutativity", commutativity_residuals(m.algebra, cfg.samples, seed=seed),
+        cfg, seed)),
     _Check("unit_law", "algebra", MODEL, lambda m, cfg, seed: _law(
-        "unit_law", unit_law_residuals, m, cfg, seed)),
+        "unit_law", unit_law_residuals(m.algebra), cfg, seed)),
     _Check("trace_associativity", "algebra", MODEL, lambda m, cfg, seed: _law(
-        "trace_associativity", trace_associativity_residuals, m, cfg, seed)),
+        "trace_associativity",
+        trace_associativity_residuals(m.algebra, cfg.samples, seed=seed), cfg, seed)),
     _Check("formal_reality", "algebra", MODEL, lambda m, cfg, seed: certify_formal_reality(
         m.algebra, samples=min(cfg.samples, 100), seed=seed, tol=cfg.tol)),
     _Check("self_duality", "cone", MODEL, lambda m, cfg, seed: check_self_duality(
@@ -288,9 +286,9 @@ _CHECKS = (
     # one check, reported under the name that says whether the composite is
     # locally tomographic
     _Check("tensor_lmap", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        _tensor_lmap(cs, cfg, seed) if cs.locally_tomographic else None)),
+        tensor_lmap_check(cs, seed=seed, tol=cfg.tol) if cs.locally_tomographic else None)),
     _Check("tensor_lmap_embedded", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        None if cs.locally_tomographic else _tensor_lmap(cs, cfg, seed))),
+        None if cs.locally_tomographic else tensor_lmap_check(cs, seed=seed, tol=cfg.tol))),
     _Check("tensor_adjoint", "composite", COMPOSITE, lambda cs, cfg, seed: (
         tensor_adjoint_check(cs, samples=min(cfg.samples, 10), seed=seed, tol=cfg.tol)
         if cs.locally_tomographic

@@ -67,7 +67,6 @@ __all__ = [
     "eigenvalues_batch",
     "is_primitive",
     "random_jordan_frame",
-    "canonical_regular_element",
     "canonical_frame",
     "frame_pool",
 ]
@@ -446,30 +445,27 @@ def random_jordan_frame(
     return [Element(algebra, e) for e in frame]
 
 
-def canonical_regular_element(algebra: AlgebraDescriptor, offset: int = 0) -> Element:
-    """A fixed element with spectrum offset+1, ..., offset+rank.
-
-    Used to pin one deterministic frame per algebra independent of any seed.
-    """
-    fam = algebra.family
-    coords = np.zeros(algebra.dim)
-    if fam is Family.SPIN:
-        coords[0] = offset + 1.5
-        coords[1] = 0.5
-    elif fam is Family.SUM:
-        shift = offset
-        for desc, sl in zip(algebra.summands, _context(algebra).block_slices):
-            coords[sl] = canonical_regular_element(desc, shift).coords
-            shift += desc.rank
-    else:
-        # matrix families: the diagonal coordinates come first
-        coords[: algebra.size] = np.arange(1, algebra.size + 1) + offset
-    return Element(algebra, coords)
-
-
 def canonical_frame(algebra: AlgebraDescriptor) -> list[Element]:
-    dec = spectral_decompose(canonical_regular_element(algebra))
-    return dec.idempotents
+    """One fixed frame per algebra, written down: the diagonal units of a
+    matrix family or the octonionic algebra, (u - e_1)/2 and (u + e_1)/2 of
+    a spin factor, and each summand's frame in turn in a direct sum."""
+    return [Element(algebra, row) for row in _canonical_frame_rows(algebra)]
+
+
+def _canonical_frame_rows(algebra: AlgebraDescriptor) -> np.ndarray:
+    rows = np.zeros((algebra.rank, algebra.dim))
+    if algebra.family is Family.SUM:
+        first = 0
+        for desc, sl in zip(algebra.summands, _context(algebra).block_slices):
+            rows[first : first + desc.rank, sl] = _canonical_frame_rows(desc)
+            first += desc.rank
+    elif algebra.family is Family.SPIN:
+        rows[:, 0] = 0.5
+        rows[:, 1] = (-0.5, 0.5)
+    else:
+        # the diagonal coordinates come first
+        rows[:, : algebra.size] = np.eye(algebra.size)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ direct way of building structure constants: every pair of basis matrices
 that share an index multiplied and symmetrized, with the nonzero
 coordinates of each product kept. It also holds the minimal-polynomial
 spectral decomposition, which needs nothing family-specific beyond the
-Jordan product, and the Pauli map from spin 3 onto complex 2.
+Jordan product, the Pauli map from spin 3 onto complex 2, and the sampled
+form of the composites' multiplication-operator identity.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from symcone.algebra import (
     _context,
     _from_rep,
     _from_view,
+    _left_mult_matrix,
     _make_constants,
     _product_batch,
     _product_coords,
@@ -30,6 +32,7 @@ from symcone.algebra import (
     norm,
     unit,
 )
+from symcone.composites import _embedded_lifts
 from symcone.spectral import SpectralDecomposition, _group_indices
 
 
@@ -226,3 +229,29 @@ def spin_qubit_isomorphism() -> tuple[np.ndarray, float]:
     gram_push = mat.T @ np.diag(ctx_q.gram) @ mat
     residual = max(residual, float(np.abs(gram_push - np.diag(ctx_s.gram)).max()))
     return mat, residual
+
+
+def sampled_tensor_lmap(cs, samples: int = 50, seed: int = 0):
+    """The identity of ``tensor_lmap_check`` on random draws instead of the
+    basis: per round, a standard normal x on each side, scored
+    max|L(E(x (x) u_B)) E - E (L_x (x) id)| / (1 + max|x|), and the mirror
+    image on side B. Returns the draws of each side, shape (samples, dim),
+    and their scores, shape (samples,)."""
+    ctx_c = _context(cs.carrier)
+    ctx_a = _context(cs.part_a.algebra)
+    ctx_b = _context(cs.part_b.algebra)
+    lift_a, lift_b = _embedded_lifts(cs)
+    sides = (
+        (ctx_a.constants, lambda x: cs.pair_coords(x, ctx_b.unit_coords), lift_a),
+        (ctx_b.constants, lambda x: cs.pair_coords(ctx_a.unit_coords, x), lift_b),
+    )
+    rng = np.random.default_rng(seed)
+    draws, scores = ([], []), ([], [])
+    for _ in range(samples):
+        for side, (sc, pair, lift) in enumerate(sides):
+            x = rng.standard_normal(sc.dim)
+            lhs = _left_mult_matrix(ctx_c.constants, pair(x)[0]) @ cs.embed
+            rhs = lift(_left_mult_matrix(sc, x))
+            draws[side].append(x)
+            scores[side].append(float(np.abs(lhs - rhs).max() / (1.0 + np.abs(x).max())))
+    return [np.array(d) for d in draws], [np.array(s) for s in scores]

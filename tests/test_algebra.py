@@ -217,7 +217,7 @@ def test_quadratic_representation_of_unit_and_on_unit(desc):
 def test_residual_suites_are_tiny(desc):
     assert jordan_identity_residuals(desc, 50, seed=1).max() < 1e-10
     assert commutativity_residuals(desc, 50, seed=1).max() < 1e-12
-    assert unit_law_residuals(desc, 50, seed=1).max() < 1e-12
+    assert unit_law_residuals(desc).max() < 1e-12
     assert trace_associativity_residuals(desc, 50, seed=1).max() < 1e-10
 
 

@@ -9,7 +9,7 @@ so the einsum-based embedding has an independent oracle.
 import numpy as np
 import pytest
 
-from oracle import quat_multiply, spin_qubit_isomorphism
+from oracle import quat_multiply, sampled_tensor_lmap, spin_qubit_isomorphism
 from symcone import (
     Element,
     direct_sum,
@@ -23,6 +23,7 @@ from symcone import (
     trace_of,
     unit,
 )
+from symcone import composites
 from symcone.algebra import _CONTEXT_CACHE, _context
 from symcone.composites import (
     _power_rank,
@@ -433,12 +434,65 @@ def test_adjoint_lifting(qubit_pair, rebit_pair):
 
 
 def test_lmap_certificates(qubit_pair, rebit_pair):
-    full = tensor_lmap_check(qubit_pair, samples=20, seed=121)
+    full = tensor_lmap_check(qubit_pair, seed=121)
     assert full.passed
     assert full.check_name == "tensor_lmap"
-    embedded = tensor_lmap_check(rebit_pair, samples=20, seed=122)
+    embedded = tensor_lmap_check(rebit_pair, seed=122)
     assert embedded.passed
     assert embedded.check_name == "tensor_lmap_embedded"
+
+
+@pytest.mark.parametrize(
+    "fam,na,nb,passes",
+    [
+        ("complex", 2, 2, True),
+        ("real", 2, 2, True),
+        ("quaternion", 2, 2, False),
+        ("complex", 4, 2, True),
+        ("real", 6, 3, True),
+    ],
+)
+def test_basis_lmap_decides_the_sampled_identity(fam, na, nb, passes):
+    cs = _composite(fam, na, nb)
+    cert = tensor_lmap_check(cs)
+    assert cert.passed is passes
+    assert cert.samples == cs.part_a.algebra.dim + cs.part_b.algebra.dim
+    draws, scores = sampled_tensor_lmap(cs, samples=50, seed=3)
+    assert bool(max(s.max() for s in scores) <= cert.tol) is passes
+    # both sides are linear in x, and a basis element's gap is at most twice
+    # the worst residual, so a draw's gap is at most ||x||_1 times that
+    for x, score in zip(draws, scores):
+        gap_bound = 2.0 * np.abs(x).sum(axis=1) * cert.worst_residual
+        assert np.all(score <= gap_bound / (1.0 + np.abs(x).max(axis=1)) + 1e-14)
+
+
+def test_lmap_forms_one_carrier_operator_per_basis_element(monkeypatch):
+    cs = _composite("complex", 4, 2)
+    carrier = _context(cs.carrier).constants
+    left_mult = composites._left_mult_matrix
+    on_carrier = []
+
+    def counted(sc, x):
+        on_carrier.append(sc is carrier)
+        return left_mult(sc, x)
+
+    monkeypatch.setattr(composites, "_left_mult_matrix", counted)
+    tensor_lmap_check(cs)
+    assert sum(on_carrier) == cs.part_a.algebra.dim + cs.part_b.algebra.dim
+
+
+def test_pair_coords_broadcasts_one_row_against_a_batch(qubit_pair):
+    rng = np.random.default_rng(5)
+    batch, row = rng.standard_normal((4, 4)), rng.standard_normal(4)
+    rows = np.tile(row, (4, 1))
+    got = qubit_pair.pair_coords(batch, row)
+    assert got.shape == (4, 16)
+    np.testing.assert_array_equal(got, qubit_pair.pair_coords(batch, rows))
+    np.testing.assert_array_equal(
+        qubit_pair.pair_coords(row, batch), qubit_pair.pair_coords(rows, batch)
+    )
+    with pytest.raises(ValueError):
+        qubit_pair.pair_coords(batch[:2], batch[:3])
 
 
 def test_spin_qubit_isomorphism_against_pauli_oracle():

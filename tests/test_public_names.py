@@ -15,13 +15,15 @@ MODULES = ["symcone"] + [
 ]
 
 # the model-file writer and the descriptor text parser, which no caller
-# needed, the algebra-record reader, now the model-file reader's own, and
-# the hand-built spin 3 to complex 2 map, now a test oracle: the qubit
-# witness computes the rank from the products
+# needed, the algebra-record reader, now the model-file reader's own, the
+# hand-built spin 3 to complex 2 map, now a test oracle: the qubit witness
+# computes the rank from the products, and the canonical regular element,
+# whose frame canonical_frame now writes down
 REMOVED = {
     "symcone.algebra": ["parse_descriptor", "record_to_descriptor"],
     "symcone.modelfile": ["spec_to_record", "serialize_model_spec"],
     "symcone.composites": ["spin_qubit_isomorphism"],
+    "symcone.spectral": ["canonical_regular_element"],
     "symcone": [
         "parse_descriptor",
         "spec_to_record",
@@ -58,6 +60,8 @@ FIXED_POLICY_SIGNATURES = {
     ("models", "check_cauchy_schwarz"): ["algebra", "samples", "seed"],
     ("composites", "factorization_check"): ["cs", "samples", "seed"],
     ("composites", "qubit_witness"): ["theory"],
+    ("composites", "tensor_lmap_check"): ["cs", "seed", "tol"],
+    ("algebra", "unit_law_residuals"): ["algebra"],
     ("models", "model_from_tests"): ["algebra", "tests"],
     ("models", "state_from_coords"): ["model", "coords"],
     ("models", "pure_state_of"): ["model", "e"],

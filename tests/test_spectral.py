@@ -29,7 +29,6 @@ from symcone.spectral import (
     MERGE_TOL_SCALE,
     _idempotent_rows,
     _interior_rows,
-    canonical_regular_element,
     eigenvalues_batch,
     frame_pool,
     is_primitive,
@@ -186,14 +185,29 @@ def test_albert_frame_traces_sum_to_rank():
     assert sum(trace_of(p) for p in frame) == pytest.approx(3.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("desc", FAMILIES, ids=format_descriptor)
-def test_canonical_frame_and_regular_element(desc):
+@pytest.mark.parametrize(
+    "desc",
+    FAMILIES
+    + [
+        direct_sum(make_algebra("real", 1), make_algebra("spin", 3)),
+        make_algebra("spin", 1),
+    ],
+    ids=format_descriptor,
+)
+def test_canonical_frame_is_a_spectral_frame(desc):
     frame = canonical_frame(desc)
-    assert len(frame) == desc.rank
-    reg = canonical_regular_element(desc)
-    decomp = spectral_decompose(reg)
-    assert len(decomp.eigenvalues) == desc.rank
-    assert not decomp.degenerate
+    rows = np.array([e.coords for e in frame])
+    assert rows.shape == (desc.rank, desc.dim)
+    # the frame the decomposition of sum (k + 1) e_k finds
+    dec = spectral_decompose(Element(desc, np.arange(1.0, desc.rank + 1) @ rows))
+    assert not dec.degenerate
+    np.testing.assert_allclose(dec.eigenvalues, np.arange(1.0, desc.rank + 1), atol=1e-14)
+    np.testing.assert_allclose([p.coords for p in dec.idempotents], rows, rtol=0, atol=1e-15)
+    assert all(is_primitive(e) for e in frame)
+    for i in range(desc.rank):
+        for j in range(i + 1, desc.rank):
+            np.testing.assert_array_equal(jordan_product(frame[i], frame[j]).coords, 0.0)
+    np.testing.assert_array_equal(rows.sum(axis=0), unit(desc).coords)
 
 
 def test_frame_pool_rows_are_primitive():
