@@ -567,8 +567,9 @@ def _context(desc: AlgebraDescriptor) -> _Context:
         block_slices = ()
     cubic = None
     if desc.family is not Family.SUM and desc.rank == 3:
-        # V(I, J, K) gram[K] = <b_I o b_J, b_K> is symmetric in I, J, K, so
-        # every ordering of a triple multiplies the same monomial
+        # V(I, J, K) gram[K] = <b_I o b_J, b_K> is symmetric in I, J, K (the
+        # trace associativity _trace_form_gaps checks, with commutativity),
+        # so every ordering of a triple multiplies the same monomial
         sc, dim = constants, desc.dim
         low, mid, high = np.sort([sc.I, sc.J, sc.K], axis=0)
         codes, weights = _fold((high * dim + mid) * dim + low, sc.V * gram[sc.K])
@@ -733,23 +734,32 @@ def unit_law_residuals(algebra: AlgebraDescriptor) -> np.ndarray:
     return _norms(gaps, ctx.gram) / (1.0 + _norms(xs, ctx.gram))
 
 
-def trace_associativity_residuals(
-    algebra: AlgebraDescriptor, n_triples: int, seed: int = 0
-) -> np.ndarray:
-    """Residuals of <a o b, c> = <b, a o c> on random triples."""
+def trace_associativity_residuals(algebra: AlgebraDescriptor) -> np.ndarray:
+    """Residuals of <a o b, c> = <b, a o c> on the basis triples; see
+    :func:`_trace_form_gaps`."""
     ctx = _context(algebra)
-    xs, ys, zs = _draws(algebra, 3, n_triples, seed)
-    return _trace_associativity_core(ctx.constants, ctx.gram, xs, ys, zs)
+    return _trace_form_gaps(ctx.constants, ctx.gram)
 
 
-def _trace_associativity_core(
-    sc: _Constants, gram: np.ndarray, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray
-) -> np.ndarray:
-    """Residuals of <x o y, z> = <y, x o z> under the product ``sc``."""
-    lhs = np.sum(_product_batch(sc, xs, ys) * gram * zs, axis=1)
-    rhs = np.sum(ys * gram * _product_batch(sc, xs, zs), axis=1)
-    scale = 1.0 + _norms(xs, gram) * _norms(ys, gram) * _norms(zs, gram)
-    return np.abs(lhs - rhs) / scale
+def _trace_form_gaps(sc: _Constants, gram: np.ndarray) -> np.ndarray:
+    """Residuals of <b_I o b_J, b_K> = <b_J, b_I o b_K> under the product
+    ``sc``, one per basis triple with a nonzero side, relative to
+    1 + |b_I| |b_J| |b_K|.
+
+    The sides are V(I, J, K) gram[K] and V(I, K, J) gram[J], so each
+    triple's gap is the fold of the weights +V gram[K] at the codes of
+    (I, J, K) and -V gram[K] at the codes of (I, K, J). Both sides are
+    trilinear and every other triple reads 0 = 0, so the gaps decide the
+    law exactly.
+    """
+    dim = sc.dim
+    weights = sc.V * gram[sc.K]
+    codes, gaps = _fold(
+        np.concatenate([(sc.I * dim + sc.J) * dim + sc.K, (sc.I * dim + sc.K) * dim + sc.J]),
+        np.concatenate([weights, -weights]),
+    )
+    norms = np.sqrt(gram)[np.stack(_split_codes(codes, dim))]  # |b_I|, |b_J|, |b_K|
+    return np.abs(gaps) / (1.0 + norms.prod(axis=0))
 
 
 def _formal_reality_core(

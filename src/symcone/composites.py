@@ -19,6 +19,7 @@ import numpy as np
 from . import hypercomplex as hc
 from .algebra import (
     _ENTRY_WIDTH,
+    KERNEL_CHUNK_TERMS,
     AlgebraDescriptor,
     Element,
     Family,
@@ -31,6 +32,7 @@ from .algebra import (
     format_descriptor,
     from_matrix,
     make_algebra,
+    trace_of,
 )
 from .certificates import ConeCertificate
 from .cone import _cone_image, _point_transports, random_interior_point
@@ -179,6 +181,31 @@ def local_tomography_audit(cs: CompositeSystem, seed: int = 0) -> ConeCertificat
     )
 
 
+def _side_rows(cs: CompositeSystem) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each side's outcome rows, test after test, and the sum of the
+    outcomes of each of its tests."""
+    rows, sums = [], []
+    for part in (cs.part_a, cs.part_b):
+        outcomes, owner = _outcome_rows(part.tests, part.algebra.dim)
+        rows.append(outcomes)
+        sums.append(np.add.reduceat(outcomes, np.searchsorted(owner, range(len(part.tests)))))
+    return rows, sums
+
+
+def _pair_stacks(
+    cs: CompositeSystem, rows_a: np.ndarray, rows_b: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Carrier coordinates of every pair (rows_a[i], rows_b[j]), i major, in
+    chunks of at most KERNEL_CHUNK_TERMS terms (a pair holds its Kronecker
+    row and its carrier row), so a chunk stays about a megabyte whatever the
+    number of pairs."""
+    step = max(1, KERNEL_CHUNK_TERMS // (cs.embed.shape[1] + cs.carrier.dim))
+    count = len(rows_a) * len(rows_b)
+    for lo in range(0, count, step):
+        i, j = np.divmod(np.arange(lo, min(lo + step, count)), len(rows_b))
+        yield cs.pair_coords(rows_a[i], rows_b[j])
+
+
 def product_tests_check(
     cs: CompositeSystem, tol: float = 1e-9, seed: int = 0
 ) -> ConeCertificate:
@@ -188,35 +215,32 @@ def product_tests_check(
     1 + its largest absolute eigenvalue; a product test scores the largest
     gap between its sum and the unit, relative to 1 + the carrier rank. A
     failing certificate's witness is the carrier coordinates that set the
-    worst score: the outcome, or the summed product test.
+    worst score: the outcome, or the summed product test. Every pair of part
+    outcomes is scored in one flat pass; the pairing is bilinear, so a
+    product test's sum is the pair of its part tests' sums.
     """
     u = _context(cs.carrier).unit_coords
-    # each side's outcome rows, split test by test
-    tests, n_outcomes = [], 1
-    for part in (cs.part_a, cs.part_b):
-        rows, owner = _outcome_rows(part.tests, part.algebra.dim)
-        tests.append(np.split(rows, np.searchsorted(owner, range(1, len(part.tests)))))
-        n_outcomes *= len(rows)
+    outcomes, sums = _side_rows(cs)
+
+    def outcome_scores(stack: np.ndarray) -> np.ndarray:
+        lam = eigenvalues_batch(cs.carrier, stack)
+        return -lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
+
+    def unit_gaps(stack: np.ndarray) -> np.ndarray:
+        return np.abs(stack - u).max(axis=1) / (1.0 + cs.carrier.rank)
+
     worst = 0.0
     witness = None
-    for rows_a in tests[0]:
-        for rows_b in tests[1]:
-            # the outcomes of the product test in product_test's order
-            stack = cs.pair_coords(
-                np.repeat(rows_a, len(rows_b), axis=0), np.tile(rows_b, (len(rows_a), 1))
-            )
-            lam = eigenvalues_batch(cs.carrier, stack)
-            least = lam[:, 0] / (1.0 + np.abs(lam).max(axis=1))
-            i = int(np.argmin(least))
-            total = stack.sum(axis=0)
-            gap = float(np.abs(total - u).max()) / (1.0 + cs.carrier.rank)
-            for score, coords in ((-float(least[i]), stack[i]), (gap, total)):
-                if score > worst:
-                    worst, witness = score, coords
+    for rows, score in ((outcomes, outcome_scores), (sums, unit_gaps)):
+        for stack in _pair_stacks(cs, *rows):
+            scores = score(stack)
+            i = int(np.argmax(scores))
+            if scores[i] > worst:
+                worst, witness = float(scores[i]), stack[i]
     return ConeCertificate(
         check_name="product_tests_resolve_unit",
         passed=worst <= tol,
-        samples=n_outcomes,
+        samples=len(outcomes[0]) * len(outcomes[1]),
         seed=seed,
         tol=tol,
         worst_residual=worst,
@@ -239,9 +263,7 @@ def nonsignaling_check(
     if states is None:
         states = [uniform_state(cs.carrier_model)]
         w = random_interior_point(cs.carrier, seed=seed + 1)
-        states.append(State(cs.carrier_model, Element(cs.carrier, w.coords / np.dot(
-            w.coords * _context(cs.carrier).gram, _context(cs.carrier).unit_coords
-        ))))
+        states.append(State(cs.carrier_model, Element(cs.carrier, w.coords / trace_of(w))))
         if (
             cs.carrier.family is Family.COMPLEX_HERM
             and cs.part_a.algebra.size == cs.part_b.algebra.size
@@ -251,12 +273,7 @@ def nonsignaling_check(
     gram = _context(cs.carrier).gram
     n_a, n_b = len(cs.part_a.tests), len(cs.part_b.tests)
     far_pairs = n_a * (n_a - 1) // 2 + n_b * (n_b - 1) // 2
-    # every outcome of a side, and the sum of the outcomes of each test
-    rows, sums = [], []
-    for part in (cs.part_a, cs.part_b):
-        outcomes, owner = _outcome_rows(part.tests, part.algebra.dim)
-        rows.append(outcomes)
-        sums.append(np.add.reduceat(outcomes, np.searchsorted(owner, range(len(part.tests)))))
+    rows, sums = _side_rows(cs)
     worst = 0.0
     for state in states:
         wvec = cs.embed.T @ (gram * state.representer.coords)
@@ -277,33 +294,36 @@ def nonsignaling_check(
     )
 
 
-def factorization_check(
-    cs: CompositeSystem, samples: int = 500, seed: int = 0
-) -> ConeCertificate:
-    """Trace pairings of pair products factor into part pairings, up to
-    FACTORIZATION_TOL relative to 1 + |<a, c><b, d>|."""
-    ctx_a = _context(cs.part_a.algebra)
-    ctx_b = _context(cs.part_b.algebra)
-    gram_c = _context(cs.carrier).gram
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((samples, cs.part_a.algebra.dim))
-    B = rng.standard_normal((samples, cs.part_b.algebra.dim))
-    C = rng.standard_normal((samples, cs.part_a.algebra.dim))
-    D = rng.standard_normal((samples, cs.part_b.algebra.dim))
-    left = cs.pair_coords(A, B)
-    right = cs.pair_coords(C, D)
-    lhs = np.sum(left * gram_c * right, axis=1)
-    rhs = np.sum(A * ctx_a.gram * C, axis=1) * np.sum(B * ctx_b.gram * D, axis=1)
+def factorization_check(cs: CompositeSystem, seed: int = 0) -> ConeCertificate:
+    """Trace pairings of pair products factor into part pairings:
+    <a x b, c x d> = <a, c><b, d>.
+
+    Both sides are linear in each factor, so the basis quadruples
+    (e_i, f_j, e_k, f_l) decide the identity: the Gram matrix of the
+    embedded basis pairs must equal the Kronecker product of the parts'
+    Gram matrices, which are diagonal. Each entry scores its gap relative to
+    1 + |<e_i, e_k><f_j, f_l>|, against FACTORIZATION_TOL; a failing
+    certificate's witness is the quadruple of the worst entry. The seed is
+    reported only.
+    """
+    dim_b = cs.part_b.algebra.dim
+    gram_a = _context(cs.part_a.algebra).gram
+    gram_b = _context(cs.part_b.algebra).gram
+    lhs = cs.embed.T @ (_context(cs.carrier).gram[:, None] * cs.embed)
+    rhs = np.diag(np.outer(gram_a, gram_b).ravel())
     rel = np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
     worst = float(rel.max())
     witnesses = []
     if worst > FACTORIZATION_TOL:
-        k = int(np.argmax(rel))
-        witnesses = [list(A[k]), list(B[k]), list(C[k]), list(D[k])]
+        # pair column i dim_b + j embeds (e_i, f_j)
+        row, col = np.unravel_index(np.argmax(rel), rel.shape)
+        (i, j), (k, l) = divmod(int(row), dim_b), divmod(int(col), dim_b)
+        eye_a, eye_b = np.eye(len(gram_a)), np.eye(dim_b)
+        witnesses = [list(eye_a[i]), list(eye_b[j]), list(eye_a[k]), list(eye_b[l])]
     return ConeCertificate(
         check_name="pairing_factorization",
         passed=worst <= FACTORIZATION_TOL,
-        samples=samples,
+        samples=rel.size,
         seed=seed,
         tol=FACTORIZATION_TOL,
         worst_residual=worst,

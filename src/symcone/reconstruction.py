@@ -34,7 +34,7 @@ from .algebra import (
     _make_constants,
     _metric_adjoint,
     _metric_exp,
-    _trace_associativity_core,
+    _trace_form_gaps,
 )
 from .certificates import ConeCertificate
 from .cone import _cone_image
@@ -301,11 +301,12 @@ def reconstruct_product(
     For each basis element b the unique symmetric generator with X u = b is
     found through the evaluation map; the recovered multiplication operators
     define a candidate product table. Commutativity is read off the whole
-    table. The unit law, the defining quartic identity and trace
-    associativity run on the table's entries at the native constants'
-    pattern, and ``max_deviation`` compares every entry of the table with
-    the native constants, so any mass off that pattern counts against the
-    verdict there.
+    table. The unit law, trace associativity and the defining quartic
+    identity run on the table's entries at the native constants' pattern:
+    the first two are decided on the basis, the quartic identity on
+    ``samples`` random pairs. ``max_deviation`` compares every entry of the
+    table with the native constants, so any mass off that pattern counts
+    against the verdict there.
     """
     ctx = _context(algebra)
     if lie is None:
@@ -321,7 +322,7 @@ def reconstruct_product(
     lefts = np.einsum("pb,pij->bij", coeffs, lie.sym_basis)  # (d, d, d)
     table = np.swapaxes(lefts, 1, 2)  # table[i, j, k] = (L_i)_{k j}
 
-    xs, ys, zs = _draws(algebra, 3, samples, seed)
+    xs, ys = _draws(algebra, 2, samples, seed)
     native = ctx.constants
     pattern = (native.I, native.J, native.K)
     rebuilt = _make_constants(d, *pattern, table[pattern])
@@ -330,7 +331,7 @@ def reconstruct_product(
         np.abs(_left_mult_matrix(rebuilt, ctx.unit_coords) - np.eye(d)).max()
     )
     jordan = float(_jordan_identity_core(rebuilt, ctx.gram, xs, ys).max())
-    trace_assoc = float(_trace_associativity_core(rebuilt, ctx.gram, xs, ys, zs).max())
+    trace_assoc = float(_trace_form_gaps(rebuilt, ctx.gram).max())
 
     # table minus the native table, read off the native constants
     gap = table.copy()

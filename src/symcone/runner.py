@@ -119,7 +119,7 @@ class _Check:
 
 def _law(name: str, residuals: np.ndarray, cfg: RunConfig, seed: int) -> ConeCertificate:
     """Certificate of an algebra law: the worst of its residuals, one per
-    sampled draw or basis element."""
+    sampled draw, basis element or basis triple."""
     worst = float(np.max(residuals))
     return ConeCertificate(
         check_name=name,
@@ -238,8 +238,7 @@ _CHECKS = (
     _Check("unit_law", "algebra", MODEL, lambda m, cfg, seed: _law(
         "unit_law", unit_law_residuals(m.algebra), cfg, seed)),
     _Check("trace_associativity", "algebra", MODEL, lambda m, cfg, seed: _law(
-        "trace_associativity",
-        trace_associativity_residuals(m.algebra, cfg.samples, seed=seed), cfg, seed)),
+        "trace_associativity", trace_associativity_residuals(m.algebra), cfg, seed)),
     _Check("formal_reality", "algebra", MODEL, lambda m, cfg, seed: certify_formal_reality(
         m.algebra, samples=min(cfg.samples, 100), seed=seed, tol=cfg.tol)),
     _Check("self_duality", "cone", MODEL, lambda m, cfg, seed: check_self_duality(
@@ -280,7 +279,7 @@ _CHECKS = (
     _Check("nonsignaling_marginals", "composite", COMPOSITE, lambda cs, cfg, seed: (
         nonsignaling_check(cs, tol=max(cfg.tol, MARGINAL_TOL_FLOOR), seed=seed))),
     _Check("pairing_factorization", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        factorization_check(cs, samples=cfg.samples, seed=seed))),
+        factorization_check(cs, seed=seed))),
     _Check("unit_factor_products", "composite", COMPOSITE, lambda cs, cfg, seed: (
         check_unit_factor_products(cs, samples=cfg.samples, seed=seed, tol=cfg.tol))),
     # one check, reported under the name that says whether the composite is

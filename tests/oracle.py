@@ -7,7 +7,8 @@ that share an index multiplied and symmetrized, with the nonzero
 coordinates of each product kept. It also holds the minimal-polynomial
 spectral decomposition, which needs nothing family-specific beyond the
 Jordan product, the Pauli map from spin 3 onto complex 2, and the sampled
-form of the composites' multiplication-operator identity.
+forms of trace associativity and of the composites' multiplication-operator
+and pairing-factorization identities.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from symcone.algebra import (
     _from_view,
     _left_mult_matrix,
     _make_constants,
+    _norms,
     _product_batch,
     _product_coords,
     _to_rep,
@@ -255,3 +257,28 @@ def sampled_tensor_lmap(cs, samples: int = 50, seed: int = 0):
             draws[side].append(x)
             scores[side].append(float(np.abs(lhs - rhs).max() / (1.0 + np.abs(x).max())))
     return [np.array(d) for d in draws], [np.array(s) for s in scores]
+
+
+def sampled_trace_associativity(sc, gram, xs, ys, zs) -> np.ndarray:
+    """Residuals of <x o y, z> = <y, x o z> under the product ``sc``, one
+    per row of the draws, relative to 1 + |x| |y| |z|."""
+    lhs = np.sum(_product_batch(sc, xs, ys) * gram * zs, axis=1)
+    rhs = np.sum(ys * gram * _product_batch(sc, xs, zs), axis=1)
+    scale = 1.0 + _norms(xs, gram) * _norms(ys, gram) * _norms(zs, gram)
+    return np.abs(lhs - rhs) / scale
+
+
+def sampled_factorization(cs, samples: int = 500, seed: int = 0) -> np.ndarray:
+    """The identity of ``factorization_check`` on random draws (a, b, c, d):
+    |<a x b, c x d> - <a, c><b, d>| / (1 + |<a, c><b, d>|), one per draw."""
+    gram_a = _context(cs.part_a.algebra).gram
+    gram_b = _context(cs.part_b.algebra).gram
+    gram_c = _context(cs.carrier).gram
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((samples, cs.part_a.algebra.dim))
+    B = rng.standard_normal((samples, cs.part_b.algebra.dim))
+    C = rng.standard_normal((samples, cs.part_a.algebra.dim))
+    D = rng.standard_normal((samples, cs.part_b.algebra.dim))
+    lhs = np.sum(cs.pair_coords(A, B) * gram_c * cs.pair_coords(C, D), axis=1)
+    rhs = np.sum(A * gram_a * C, axis=1) * np.sum(B * gram_b * D, axis=1)
+    return np.abs(lhs - rhs) / (1.0 + np.abs(rhs))

@@ -177,7 +177,7 @@ def test_criterion_06_unit_factor_product_identities():
 def test_criterion_07_trace_form_factorization():
     worst = 0.0
     for fam, na, nb in (("complex", 2, 2), ("complex", 2, 3), ("real", 2, 2)):
-        cert = factorization_check(_pair(fam, na, nb, 208), samples=500, seed=208)
+        cert = factorization_check(_pair(fam, na, nb, 208), seed=208)
         assert cert.tol == 1e-10
         assert cert.passed, (fam, na, nb, cert.worst_residual)
         worst = max(worst, cert.worst_residual)

@@ -5,13 +5,15 @@ products (anti-commutators, traces, triples), so the structure tables are
 validated against independent arithmetic rather than against themselves.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symcone.algebra
-from oracle import quat_matrix_conj_transpose, quat_matrix_multiply
+from oracle import quat_matrix_conj_transpose, quat_matrix_multiply, sampled_trace_associativity
 from symcone import (
     AlgebraDescriptor,
     Element,
@@ -31,13 +33,19 @@ from symcone import (
     unit,
 )
 from symcone.algebra import (
+    _context,
+    _draws,
     _formal_reality_core,
+    _left_mult_batch,
+    _make_constants,
     certify_formal_reality,
     commutativity_residuals,
     jordan_identity_residuals,
     trace_associativity_residuals,
     unit_law_residuals,
 )
+from symcone.models import make_model
+from symcone.runner import _CHECKS, RunConfig
 
 ATOL = 1e-12
 
@@ -218,7 +226,50 @@ def test_residual_suites_are_tiny(desc):
     assert jordan_identity_residuals(desc, 50, seed=1).max() < 1e-10
     assert commutativity_residuals(desc, 50, seed=1).max() < 1e-12
     assert unit_law_residuals(desc).max() < 1e-12
-    assert trace_associativity_residuals(desc, 50, seed=1).max() < 1e-10
+    assert trace_associativity_residuals(desc).max() < 1e-10
+
+
+def _dense_trace_gaps(desc):
+    """|T[i, j, k] g[k] - T[i, k, j] g[j]| / (1 + |b_i| |b_j| |b_k|) over
+    every basis triple, from the dense table T[i, j, k] = L_i[k, j]."""
+    ctx = _context(desc)
+    table = np.swapaxes(_left_mult_batch(ctx.constants, np.eye(desc.dim)), 1, 2)
+    g, root = ctx.gram, np.sqrt(ctx.gram)
+    gaps = table * g - np.swapaxes(table, 1, 2) * g[:, None]
+    return np.abs(gaps) / (1.0 + np.multiply.outer(np.multiply.outer(root, root), root))
+
+
+@pytest.mark.parametrize(
+    "desc",
+    ALL_FAMILIES + [direct_sum(make_algebra("albert"), make_algebra("complex", 2))],
+    ids=format_descriptor,
+)
+def test_trace_form_gaps_match_the_dense_table(desc):
+    got = trace_associativity_residuals(desc)
+    dense = _dense_trace_gaps(desc)
+    assert got.max() == dense.max()
+    # every nonzero gap of the dense table, and no other, is one triple's
+    np.testing.assert_array_equal(np.sort(got[got > 0]), np.sort(dense[dense > 0]))
+
+
+def test_a_perturbed_constant_fails_trace_associativity(monkeypatch):
+    desc = make_algebra("real", 3)
+    ctx = _context(desc)
+    sc = ctx.constants
+    # a constant with J != K: at J = K both sides of its triple are itself
+    t = int(np.flatnonzero(sc.J != sc.K)[0])
+    values = sc.V.copy()
+    values[t] += 1e-3
+    bad = _make_constants(desc.dim, sc.I, sc.J, sc.K, values)
+    bad_ctx = dataclasses.replace(ctx, constants=bad)
+    monkeypatch.setitem(symcone.algebra._CONTEXT_CACHE, desc, bad_ctx)
+    (row,) = [check for check in _CHECKS if check.name == "trace_associativity"]
+    cert = row.run(make_model(desc, count=0), RunConfig(), 0)
+    assert not cert.passed
+    # a unit gap of 1e-3 on three basis elements of norm 1
+    assert cert.worst_residual == pytest.approx(1e-3 / 2, rel=1e-12)
+    xs, ys, zs = _draws(desc, 3, 50, 1)
+    assert sampled_trace_associativity(bad, ctx.gram, xs, ys, zs).max() > cert.tol
 
 
 def test_formal_reality_pauli_example():

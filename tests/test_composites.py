@@ -9,7 +9,12 @@ so the einsum-based embedding has an independent oracle.
 import numpy as np
 import pytest
 
-from oracle import quat_multiply, sampled_tensor_lmap, spin_qubit_isomorphism
+from oracle import (
+    quat_multiply,
+    sampled_factorization,
+    sampled_tensor_lmap,
+    spin_qubit_isomorphism,
+)
 from symcone import (
     Element,
     direct_sum,
@@ -24,7 +29,7 @@ from symcone import (
     unit,
 )
 from symcone import composites
-from symcone.algebra import _CONTEXT_CACHE, _context
+from symcone.algebra import _CONTEXT_CACHE, KERNEL_CHUNK_TERMS, _context
 from symcone.composites import (
     _power_rank,
     candidate_composite,
@@ -226,6 +231,24 @@ def _product_test_scores(cs, coords):
     return outcome, total
 
 
+def test_product_tests_score_outcome_pairs_in_chunks(monkeypatch):
+    # one eigenvalues_batch call per chunk of outcome pairs, not per test pair
+    part = make_model(make_algebra("real", 3), count=20, seed=5)
+    cs = candidate_composite(part, part)
+    eigenvalues = composites.eigenvalues_batch
+    sizes = []
+
+    def counting(algebra, rows):
+        sizes.append(len(rows))
+        return eigenvalues(algebra, rows)
+
+    monkeypatch.setattr(composites, "eigenvalues_batch", counting)
+    cert = product_tests_check(cs)
+    step = KERNEL_CHUNK_TERMS // (cs.part_a.algebra.dim * cs.part_b.algebra.dim + cs.carrier.dim)
+    assert sum(sizes) == cert.samples
+    assert len(sizes) == -(-cert.samples // step) < len(part.tests) ** 2
+
+
 def test_product_tests_witness_is_the_worst_outcome(quabit_pair):
     cert = product_tests_check(quabit_pair)
     [witness] = cert.witnesses
@@ -250,7 +273,7 @@ def test_product_tests_witness_is_the_summed_test_of_a_unit_gap():
 
 def test_factorization_complex_and_real(qubit_pair, rebit_pair):
     for cs in (qubit_pair, rebit_pair):
-        cert = factorization_check(cs, samples=200, seed=112)
+        cert = factorization_check(cs, seed=112)
         assert cert.passed
         assert cert.worst_residual < 1e-10
 
@@ -267,8 +290,39 @@ def test_factorization_oracle_direct(qubit_pair):
 
 
 def test_factorization_fails_for_quaternions(quabit_pair):
-    cert = factorization_check(quabit_pair, samples=200, seed=114)
+    cert = factorization_check(quabit_pair, seed=114)
     assert not cert.passed
+
+
+@pytest.mark.parametrize(
+    "fam,na,nb,passes",
+    [
+        ("complex", 2, 2, True),
+        ("real", 2, 2, True),
+        ("quaternion", 2, 2, False),
+        ("complex", 4, 2, True),
+        ("real", 6, 3, True),
+    ],
+)
+def test_basis_factorization_decides_the_sampled_identity(fam, na, nb, passes):
+    cs = _composite(fam, na, nb)
+    cert = factorization_check(cs)
+    assert cert.passed is passes
+    assert cert.samples == (cs.part_a.algebra.dim * cs.part_b.algebra.dim) ** 2
+    assert bool(sampled_factorization(cs, samples=200, seed=3).max() <= cert.tol) is passes
+
+
+def test_factorization_witness_replays_the_worst_residual(quabit_pair):
+    cs = quabit_pair
+    cert = factorization_check(cs)
+    algebras = (cs.part_a.algebra, cs.part_b.algebra) * 2
+    a, b, c, d = (Element(alg, np.array(x)) for alg, x in zip(algebras, cert.witnesses))
+    # a basis quadruple (e_i, f_j, e_k, f_l)
+    for x in (a, b, c, d):
+        assert sorted(x.coords) == [0.0] * (x.coords.size - 1) + [1.0]
+    lhs = trace_form(product_effect(cs, a, b), product_effect(cs, c, d))
+    rhs = trace_form(a, c) * trace_form(b, d)
+    assert abs(lhs - rhs) / (1.0 + abs(rhs)) == pytest.approx(cert.worst_residual, abs=1e-12)
 
 
 def test_unit_factor_product_identities(qubit_pair, rebit_pair, quabit_pair):

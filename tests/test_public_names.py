@@ -20,7 +20,11 @@ MODULES = ["symcone"] + [
 # computes the rank from the products, and the canonical regular element,
 # whose frame canonical_frame now writes down
 REMOVED = {
-    "symcone.algebra": ["parse_descriptor", "record_to_descriptor"],
+    "symcone.algebra": [
+        "parse_descriptor",
+        "record_to_descriptor",
+        "_trace_associativity_core",
+    ],
     "symcone.modelfile": ["spec_to_record", "serialize_model_spec"],
     "symcone.composites": ["spin_qubit_isomorphism"],
     "symcone.spectral": ["canonical_regular_element"],
@@ -58,10 +62,11 @@ FIXED_POLICY_SIGNATURES = {
     ("cone", "check_membership_agreement"): ["algebra", "samples", "seed", "tol"],
     ("cone", "check_homogeneity"): ["algebra", "samples", "seed", "directions"],
     ("models", "check_cauchy_schwarz"): ["algebra", "samples", "seed"],
-    ("composites", "factorization_check"): ["cs", "samples", "seed"],
+    ("composites", "factorization_check"): ["cs", "seed"],
     ("composites", "qubit_witness"): ["theory"],
     ("composites", "tensor_lmap_check"): ["cs", "seed", "tol"],
     ("algebra", "unit_law_residuals"): ["algebra"],
+    ("algebra", "trace_associativity_residuals"): ["algebra"],
     ("models", "model_from_tests"): ["algebra", "tests"],
     ("models", "state_from_coords"): ["model", "coords"],
     ("models", "pure_state_of"): ["model", "e"],
