@@ -762,39 +762,39 @@ def _trace_form_gaps(sc: _Constants, gram: np.ndarray) -> np.ndarray:
     return np.abs(gaps) / (1.0 + norms.prod(axis=0))
 
 
-def _formal_reality_core(
-    algebra: AlgebraDescriptor, xs: np.ndarray, ys: np.ndarray, tol: float
-) -> np.ndarray:
-    """Whether each pair of rows passes the formal-reality check.
+def certify_formal_reality(
+    algebra: AlgebraDescriptor, seed: int = 0, tol: float = 1e-9
+) -> ConeCertificate:
+    """Formal reality through tr(x o y) = <x, y>, decided on the basis pairs.
 
-    Uses the trace-form route: tr(a^2 + b^2) = <a, a> + <b, b> exactly, and
-    ||x|| >= tr(x) / sqrt(rank) for any x, so the norm of a^2 + b^2 is
-    bounded below by the squared norms of a and b.
+    The identity gives tr(x o x) = |x|^2 > 0 for every x != 0 once every
+    gram entry is positive, so a sum of squares that vanishes has every
+    term zero (Faraut & Koranyi, ch. VIII). tr(b_I o b_J) sums
+    V(I, J, K) gram[K] u[K] over the constants, and <b_I, b_J> is gram[I]
+    at I = J and 0 elsewhere, so each basis pair's gap is the fold of those
+    weights at the code I dim + J and of -gram[I] at I dim + I. Both sides
+    are bilinear, so the gaps, each scored over 1 + |b_I| |b_J|, decide the
+    identity; ``samples`` counts the pairs with a nonzero side. Only outputs
+    with u[K] != 0 enter the trace: trace associativity checks the others.
+    The seed is reported only.
     """
     ctx = _context(algebra)
-    sc = ctx.constants
-    ssq = _square_batch(sc, xs) + _square_batch(sc, ys)
-    total = np.sum(xs * ctx.gram * xs, axis=1) + np.sum(ys * ctx.gram * ys, axis=1)
-    bound = total / np.sqrt(algebra.rank)
-    return (total <= tol) | (_norms(ssq, ctx.gram) >= bound * (1.0 - 1e-12) - tol)
-
-
-def certify_formal_reality(
-    algebra: AlgebraDescriptor, samples: int, seed: int = 0, tol: float = 1e-9
-) -> ConeCertificate:
-    """Formal reality on ``samples`` random pairs; the residual counts the
-    pairs that fail. Row i of the draw holds the pair (a_i, b_i), the same
-    stream as drawing a_1, b_1, a_2, b_2, ... one element at a time."""
-    pairs = np.random.default_rng(seed).standard_normal((samples, 2, algebra.dim))
-    passed = _formal_reality_core(algebra, pairs[:, 0], pairs[:, 1], tol)
-    violations = int(np.count_nonzero(~passed))
+    sc, gram, u = ctx.constants, ctx.gram, ctx.unit_coords
+    keep = u[sc.K] != 0
+    diag = np.arange(sc.dim)
+    codes, gaps = _fold(
+        np.concatenate([sc.I[keep] * sc.dim + sc.J[keep], diag * sc.dim + diag]),
+        np.concatenate([(sc.V * gram[sc.K] * u[sc.K])[keep], -gram]),
+    )
+    norms = np.sqrt(gram)[np.stack(np.divmod(codes, sc.dim))]  # |b_I|, |b_J|
+    worst = float((np.abs(gaps) / (1.0 + norms.prod(axis=0))).max())
     return ConeCertificate(
         check_name="formal_reality",
-        passed=violations == 0,
-        samples=samples,
+        passed=worst <= tol and bool(np.all(gram > 0)),
+        samples=codes.size,
         seed=seed,
         tol=tol,
-        worst_residual=float(violations),
+        worst_residual=worst,
     )
 
 

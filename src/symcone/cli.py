@@ -133,6 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str) -> int:
+    """Say ``message`` on one line of stderr and return ``EXIT_USAGE``. It
+    may quote the input, so its characters that are not printable, line and
+    record separators among them, are written as escapes."""
+    line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+    print(f"symcone: {line}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _write(text: str, code: int) -> int:
     """Write ``text`` to stdout, flushed, and return ``code``; or, when that
     fails, say why on stderr and return ``EXIT_USAGE``."""
@@ -140,8 +149,7 @@ def _write(text: str, code: int) -> int:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        print(f"symcone: cannot write the report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"cannot write the report: {exc}")
     return code
 
 
@@ -189,11 +197,9 @@ def main(argv: list[str] | None = None) -> int:
             spec = parse_model_file(args.input)
             source = args.input
     except ModelFileError as exc:
-        print(f"symcone: model file error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"model file error: {exc}")
     except OSError as exc:
-        print(f"symcone: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"cannot read input: {exc}")
 
     jobs = _console_jobs() if argv is None else 1
     try:
@@ -204,8 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     # raises MemoryError, in this process or in a worker
     except (ValueError, RuntimeError, MemoryError) as exc:
         # Python's own MemoryError carries no message
-        print(f"symcone: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(str(exc) or type(exc).__name__)
 
     render = report_to_json if args.format == "structured" else render_report_text
     return _write(render(report), EXIT_OK if report["summary"]["ok"] else EXIT_FAILURES)

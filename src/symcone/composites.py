@@ -11,6 +11,7 @@ and the audits below quantify exactly which composite requirements survive.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -81,6 +82,54 @@ class CompositeSystem:
         coords_b = np.atleast_2d(coords_b)
         kron = coords_a[:, :, None] * coords_b[:, None, :]
         return kron.reshape(len(kron), -1) @ self.embed.T
+
+    @functools.cached_property
+    def _unit_factor_pass(
+        self,
+    ) -> tuple[tuple[float, float, tuple[np.ndarray, ...]], ...]:
+        """The one basis pass of ``tensor_lmap_check`` and
+        ``check_unit_factor_products``, side A then side B.
+
+        For each basis element e_i of side A it forms the gap
+        L(E(e_i x u_B)) E - E (L_{e_i} x id) for the embedding E, whose
+        column (j, l) is (e_i x u_B) o (e_j x f_l) - (e_i o e_j) x f_l; for
+        each f_i of side B the mirror image, whose column (j, l) is
+        (u_A x f_i) o (e_j x f_l) - e_j x (f_i o f_l). Per side it keeps
+        max|gap| / 2, and the worst column score
+        max_k |gap| / (1 + max_k |rhs|) with the basis triple
+        (basis_i, e_j, f_l) that sets it.
+        """
+        ctx_c = _context(self.carrier)
+        ctx_a = _context(self.part_a.algebra)
+        ctx_b = _context(self.part_b.algebra)
+        eye_a, eye_b = np.eye(ctx_a.constants.dim), np.eye(ctx_b.constants.dim)
+        lift_a, lift_b = _embedded_lifts(self)
+        # per side: the part's constants and basis, each basis element paired
+        # with the other side's unit, and the embedded factorwise lift of its
+        # multiplication operator
+        sides = (
+            (ctx_a.constants, eye_a, self.pair_coords(eye_a, ctx_b.unit_coords), lift_a),
+            (ctx_b.constants, eye_b, self.pair_coords(ctx_a.unit_coords, eye_b), lift_b),
+        )
+        scores = []
+        for sc, basis, pairs, lift in sides:
+            lmap = worst = 0.0
+            factors = ()
+            # one carrier operator at a time: a stack of a side's gaps holds
+            # dim * d_c * dim A * dim B floats, tens of megabytes on real 10 x 4
+            for x, pair in zip(basis, pairs):
+                rhs = lift(_left_mult_matrix(sc, x))
+                gap = _left_mult_matrix(ctx_c.constants, pair) @ self.embed
+                gap -= rhs
+                cols = np.abs(gap, out=gap).max(axis=0)
+                lmap = max(lmap, float(cols.max()) / 2.0)
+                cols /= 1.0 + np.abs(rhs).max(axis=0)
+                col = int(np.argmax(cols))
+                if cols[col] > worst:
+                    j, l = divmod(col, len(eye_b))
+                    worst, factors = float(cols[col]), (x, eye_a[j], eye_b[l])
+            scores.append((lmap, worst, factors))
+        return tuple(scores)
 
 
 def _embedded_lifts(
@@ -396,31 +445,12 @@ def tensor_lmap_check(
     in a, so the basis elements of each factor decide the identity; each
     scores its largest gap over 1 + max|e_i| = 2. The seed is reported only.
     """
-    ctx_c = _context(cs.carrier)
-    ctx_a = _context(cs.part_a.algebra)
-    ctx_b = _context(cs.part_b.algebra)
-    eye_a, eye_b = np.eye(cs.part_a.algebra.dim), np.eye(cs.part_b.algebra.dim)
-    lift_a, lift_b = _embedded_lifts(cs)
-    # per side: the part's constants and basis, each basis element paired
-    # with the other side's unit, and the embedded factorwise lift of its
-    # multiplication operator
-    sides = (
-        (ctx_a.constants, eye_a, cs.pair_coords(eye_a, ctx_b.unit_coords), lift_a),
-        (ctx_b.constants, eye_b, cs.pair_coords(ctx_a.unit_coords, eye_b), lift_b),
-    )
-    worst = 0.0
-    for sc, basis, pairs, lift in sides:
-        # one carrier operator at a time: a stack of a side's operators
-        # holds dim * d_c^2 floats, megabytes on a large carrier
-        for x, pair in zip(basis, pairs):
-            lhs = _left_mult_matrix(ctx_c.constants, pair) @ cs.embed
-            rhs = lift(_left_mult_matrix(sc, x))
-            worst = max(worst, float(np.abs(lhs - rhs).max()) / 2.0)
+    worst = max(side[0] for side in cs._unit_factor_pass)
     name = "tensor_lmap" if cs.locally_tomographic else "tensor_lmap_embedded"
     return ConeCertificate(
         check_name=name,
         passed=worst <= tol,
-        samples=len(eye_a) + len(eye_b),
+        samples=cs.part_a.algebra.dim + cs.part_b.algebra.dim,
         seed=seed,
         tol=tol,
         worst_residual=worst,
@@ -428,53 +458,32 @@ def tensor_lmap_check(
 
 
 def check_unit_factor_products(
-    cs: CompositeSystem, samples: int = 500, seed: int = 0, tol: float = 1e-9
+    cs: CompositeSystem, seed: int = 0, tol: float = 1e-9
 ) -> ConeCertificate:
     """Products against one-sided units act on a single factor:
     (a x u) o (b x v) = (a o b) x v and (u x v) o (a x w) = a x (v o w).
 
-    On failure the witness is every factor of the worst sample of the
-    identity that sets the worst residual: (a, b, v) for the first and
-    (v, a, w) for the second."""
-    ctx_a = _context(cs.part_a.algebra)
-    ctx_b = _context(cs.part_b.algebra)
-    ctx_c = _context(cs.carrier)
-    rng = np.random.default_rng(seed)
-    n = samples
-    A = rng.standard_normal((n, cs.part_a.algebra.dim))
-    B = rng.standard_normal((n, cs.part_a.algebra.dim))
-    V = rng.standard_normal((n, cs.part_b.algebra.dim))
-    W = rng.standard_normal((n, cs.part_b.algebra.dim))
-
-    lhs1 = _product_batch(
-        ctx_c.constants, cs.pair_coords(A, ctx_b.unit_coords), cs.pair_coords(B, V)
-    )
-    rhs1 = cs.pair_coords(_product_batch(ctx_a.constants, A, B), V)
-    rel1 = np.abs(lhs1 - rhs1).max(axis=1) / (1.0 + np.abs(rhs1).max(axis=1))
-    res1 = rel1.max()
-
-    lhs2 = _product_batch(
-        ctx_c.constants, cs.pair_coords(ctx_a.unit_coords, V), cs.pair_coords(A, W)
-    )
-    rhs2 = cs.pair_coords(A, _product_batch(ctx_b.constants, V, W))
-    rel2 = np.abs(lhs2 - rhs2).max(axis=1) / (1.0 + np.abs(rhs2).max(axis=1))
-    res2 = rel2.max()
-
-    worst = float(max(res1, res2))
+    Both sides are linear in each factor, so the basis triples decide the
+    identities; each scores max|lhs - rhs| / (1 + max|rhs|), and ``samples``
+    counts them. They are the columns of the gaps that ``tensor_lmap_check``
+    reads, from the same basis pass. On failure the witness is the basis
+    triple that sets the worst residual: (a, b, v) for the first identity
+    and (v, a, w) for the second. The seed is reported only."""
+    (_, res1, factors1), (_, res2, factors2) = cs._unit_factor_pass
+    worst = max(res1, res2)
     witnesses = []
     if worst > tol:
-        rel, factors = (rel1, (A, B, V)) if res1 >= res2 else (rel2, (V, A, W))
-        k = int(np.argmax(rel))
-        witnesses = [list(x[k]) for x in factors]
+        witnesses = [list(x) for x in (factors1 if res1 >= res2 else factors2)]
+    dim_a, dim_b = cs.part_a.algebra.dim, cs.part_b.algebra.dim
     return ConeCertificate(
         check_name="unit_factor_products",
         passed=worst <= tol,
-        samples=samples,
+        samples=(dim_a + dim_b) * dim_a * dim_b,
         seed=seed,
         tol=tol,
         worst_residual=worst,
         witnesses=witnesses,
-        details={"left_unit_residual": float(res2), "right_unit_residual": float(res1)},
+        details={"left_unit_residual": res2, "right_unit_residual": res1},
     )
 
 

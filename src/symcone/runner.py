@@ -240,7 +240,7 @@ _CHECKS = (
     _Check("trace_associativity", "algebra", MODEL, lambda m, cfg, seed: _law(
         "trace_associativity", trace_associativity_residuals(m.algebra), cfg, seed)),
     _Check("formal_reality", "algebra", MODEL, lambda m, cfg, seed: certify_formal_reality(
-        m.algebra, samples=min(cfg.samples, 100), seed=seed, tol=cfg.tol)),
+        m.algebra, seed=seed, tol=cfg.tol)),
     _Check("self_duality", "cone", MODEL, lambda m, cfg, seed: check_self_duality(
         m.algebra, samples=cfg.samples, seed=seed, tol=cfg.tol)),
     _Check("membership_agreement", "cone", MODEL, lambda m, cfg, seed: (
@@ -281,7 +281,7 @@ _CHECKS = (
     _Check("pairing_factorization", "composite", COMPOSITE, lambda cs, cfg, seed: (
         factorization_check(cs, seed=seed))),
     _Check("unit_factor_products", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        check_unit_factor_products(cs, samples=cfg.samples, seed=seed, tol=cfg.tol))),
+        check_unit_factor_products(cs, seed=seed, tol=cfg.tol))),
     # one check, reported under the name that says whether the composite is
     # locally tomographic
     _Check("tensor_lmap", "composite", COMPOSITE, lambda cs, cfg, seed: (

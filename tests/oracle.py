@@ -7,8 +7,8 @@ that share an index multiplied and symmetrized, with the nonzero
 coordinates of each product kept. It also holds the minimal-polynomial
 spectral decomposition, which needs nothing family-specific beyond the
 Jordan product, the Pauli map from spin 3 onto complex 2, and the sampled
-forms of trace associativity and of the composites' multiplication-operator
-and pairing-factorization identities.
+forms of formal reality, of trace associativity and of the composites'
+multiplication-operator, unit-factor and pairing-factorization identities.
 """
 
 import numpy as np
@@ -27,6 +27,7 @@ from symcone.algebra import (
     _norms,
     _product_batch,
     _product_coords,
+    _square_batch,
     _to_rep,
     _to_view,
     from_matrix,
@@ -266,6 +267,48 @@ def sampled_trace_associativity(sc, gram, xs, ys, zs) -> np.ndarray:
     rhs = np.sum(ys * gram * _product_batch(sc, xs, zs), axis=1)
     scale = 1.0 + _norms(xs, gram) * _norms(ys, gram) * _norms(zs, gram)
     return np.abs(lhs - rhs) / scale
+
+
+def sampled_formal_reality(algebra, xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each pair of rows passes the formal-reality check.
+
+    Uses the trace-form route: tr(a^2 + b^2) = <a, a> + <b, b> exactly, and
+    ||x|| >= tr(x) / sqrt(rank) for any x, so the norm of a^2 + b^2 is
+    bounded below by the squared norms of a and b.
+    """
+    ctx = _context(algebra)
+    sc = ctx.constants
+    ssq = _square_batch(sc, xs) + _square_batch(sc, ys)
+    total = np.sum(xs * ctx.gram * xs, axis=1) + np.sum(ys * ctx.gram * ys, axis=1)
+    bound = total / np.sqrt(algebra.rank)
+    return (total <= tol) | (_norms(ssq, ctx.gram) >= bound * (1.0 - 1e-12) - tol)
+
+
+def sampled_unit_factor_products(cs, samples: int = 500, seed: int = 0):
+    """The identities of ``check_unit_factor_products`` on random draws:
+    (a x u) o (b x v) = (a o b) x v and (u x v) o (a x w) = a x (v o w),
+    each scored max|lhs - rhs| / (1 + max|rhs|). Returns the scores of each
+    identity, shape (samples,)."""
+    ctx_a = _context(cs.part_a.algebra)
+    ctx_b = _context(cs.part_b.algebra)
+    ctx_c = _context(cs.carrier)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((samples, cs.part_a.algebra.dim))
+    B = rng.standard_normal((samples, cs.part_a.algebra.dim))
+    V = rng.standard_normal((samples, cs.part_b.algebra.dim))
+    W = rng.standard_normal((samples, cs.part_b.algebra.dim))
+    lhs1 = _product_batch(
+        ctx_c.constants, cs.pair_coords(A, ctx_b.unit_coords), cs.pair_coords(B, V)
+    )
+    rhs1 = cs.pair_coords(_product_batch(ctx_a.constants, A, B), V)
+    lhs2 = _product_batch(
+        ctx_c.constants, cs.pair_coords(ctx_a.unit_coords, V), cs.pair_coords(A, W)
+    )
+    rhs2 = cs.pair_coords(A, _product_batch(ctx_b.constants, V, W))
+    return [
+        np.abs(lhs - rhs).max(axis=1) / (1.0 + np.abs(rhs).max(axis=1))
+        for lhs, rhs in ((lhs1, rhs1), (lhs2, rhs2))
+    ]
 
 
 def sampled_factorization(cs, samples: int = 500, seed: int = 0) -> np.ndarray:

@@ -165,9 +165,7 @@ def test_criterion_05_tomography_dimension_table():
 def test_criterion_06_unit_factor_product_identities():
     worst = 0.0
     for fam, na, nb in (("complex", 2, 2), ("complex", 2, 3), ("real", 2, 2)):
-        cert = check_unit_factor_products(
-            _pair(fam, na, nb, 207), samples=500, seed=207, tol=1e-9
-        )
+        cert = check_unit_factor_products(_pair(fam, na, nb, 207), seed=207, tol=1e-9)
         assert cert.passed, (fam, na, nb, cert.worst_residual)
         worst = max(worst, cert.worst_residual)
     _verdict(6, "unit-factor-products", worst <= 1e-9, f"worst {worst:.3e}")

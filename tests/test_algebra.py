@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symcone.algebra
-from oracle import quat_matrix_conj_transpose, quat_matrix_multiply, sampled_trace_associativity
+from oracle import (
+    quat_matrix_conj_transpose,
+    quat_matrix_multiply,
+    sampled_formal_reality,
+    sampled_trace_associativity,
+)
 from symcone import (
     AlgebraDescriptor,
     Element,
@@ -35,7 +40,6 @@ from symcone import (
 from symcone.algebra import (
     _context,
     _draws,
-    _formal_reality_core,
     _left_mult_batch,
     _make_constants,
     certify_formal_reality,
@@ -252,24 +256,30 @@ def test_trace_form_gaps_match_the_dense_table(desc):
     np.testing.assert_array_equal(np.sort(got[got > 0]), np.sort(dense[dense > 0]))
 
 
-def test_a_perturbed_constant_fails_trace_associativity(monkeypatch):
-    desc = make_algebra("real", 3)
+def bump_constant(monkeypatch, desc, rows):
+    """Install ``desc``'s context with 1e-3 added to the first of its
+    constants picked by the mask ``rows(sc)``, and return those constants."""
     ctx = _context(desc)
     sc = ctx.constants
-    # a constant with J != K: at J = K both sides of its triple are itself
-    t = int(np.flatnonzero(sc.J != sc.K)[0])
     values = sc.V.copy()
-    values[t] += 1e-3
+    values[int(np.flatnonzero(rows(sc))[0])] += 1e-3
     bad = _make_constants(desc.dim, sc.I, sc.J, sc.K, values)
-    bad_ctx = dataclasses.replace(ctx, constants=bad)
-    monkeypatch.setitem(symcone.algebra._CONTEXT_CACHE, desc, bad_ctx)
+    monkeypatch.setitem(symcone.algebra._CONTEXT_CACHE, desc, dataclasses.replace(ctx, constants=bad))
+    return bad
+
+
+def test_a_perturbed_constant_fails_trace_associativity(monkeypatch):
+    desc = make_algebra("real", 3)
+    gram = _context(desc).gram
+    # a constant with J != K: at J = K both sides of its triple are itself
+    bad = bump_constant(monkeypatch, desc, lambda sc: sc.J != sc.K)
     (row,) = [check for check in _CHECKS if check.name == "trace_associativity"]
     cert = row.run(make_model(desc, count=0), RunConfig(), 0)
     assert not cert.passed
     # a unit gap of 1e-3 on three basis elements of norm 1
     assert cert.worst_residual == pytest.approx(1e-3 / 2, rel=1e-12)
     xs, ys, zs = _draws(desc, 3, 50, 1)
-    assert sampled_trace_associativity(bad, ctx.gram, xs, ys, zs).max() > cert.tol
+    assert sampled_trace_associativity(bad, gram, xs, ys, zs).max() > cert.tol
 
 
 def test_formal_reality_pauli_example():
@@ -278,37 +288,60 @@ def test_formal_reality_pauli_example():
     b = from_matrix(desc, SIGMA_Y)
     total = jordan_product(a, a) + jordan_product(b, b)
     np.testing.assert_allclose(total.coords, 2.0 * unit(desc).coords, atol=ATOL)
-    assert _formal_reality_core(desc, a.coords[None, :], b.coords[None, :], 1e-9).all()
+    assert sampled_formal_reality(desc, a.coords[None, :], b.coords[None, :], 1e-9).all()
 
 
-@pytest.mark.parametrize("desc", ALL_FAMILIES, ids=format_descriptor)
+@pytest.mark.parametrize(
+    "desc",
+    ALL_FAMILIES
+    + [
+        direct_sum(make_algebra("albert"), make_algebra("complex", 2)),
+        direct_sum(make_algebra("real", 1), make_algebra("spin", 2)),
+    ],
+    ids=format_descriptor,
+)
 def test_formal_reality_random_pairs(desc):
-    # the pairs an a, b, a, b, ... loop of random_element draws
+    # the sampled trace-form route agrees with the basis-pair certificate
     pairs = np.random.default_rng(27).standard_normal((20, 2, desc.dim))
-    assert _formal_reality_core(desc, pairs[:, 0], pairs[:, 1], 1e-9).all()
-    cert = certify_formal_reality(desc, 20, seed=27)
-    assert cert.passed and cert.worst_residual == 0.0
+    assert sampled_formal_reality(desc, pairs[:, 0], pairs[:, 1], 1e-9).all()
+    cert = certify_formal_reality(desc, seed=27)
+    assert cert.passed and cert.worst_residual < 1e-15
+    # every off-diagonal output has a zero trace, so only the pairs (I, I)
+    # have a nonzero side
+    assert (cert.samples, cert.seed, cert.tol) == (desc.dim, 27, 1e-9)
 
 
-def test_formal_reality_certificate_reads_the_pairwise_stream(monkeypatch):
-    # The batched draw holds the pairs a sequential a, b, a, b, ... loop
-    # draws, and the residual counts the pairs the core rejects.
-    desc = make_algebra("quaternion", 2)
-    rng = np.random.default_rng(5)
-    pairs = [(random_element(desc, rng), random_element(desc, rng)) for _ in range(30)]
-    seen = {}
+def test_a_bumped_trace_constant_fails_formal_reality(monkeypatch):
+    desc = make_algebra("real", 3)
+    # O o O -> D: an off-diagonal square onto a diagonal output, which the
+    # trace reads
+    bump_constant(monkeypatch, desc, lambda sc: (sc.I >= 3) & (sc.I == sc.J) & (sc.K < 3))
+    cert = certify_formal_reality(desc)
+    assert not cert.passed
+    # a trace gap of 1e-3 on two basis elements of norm 1
+    assert cert.worst_residual == pytest.approx(1e-3 / 2, rel=1e-12)
+    # the sampled norm bound has slack of order |x|^2, so it misses the bump
+    pairs = np.random.default_rng(3).standard_normal((50, 2, desc.dim))
+    assert sampled_formal_reality(desc, pairs[:, 0], pairs[:, 1], 1e-9).all()
 
-    def core(algebra, xs, ys, tol):
-        seen.update(xs=xs, ys=ys, tol=tol)
-        return np.arange(len(xs)) % 3 != 0
 
-    monkeypatch.setattr(symcone.algebra, "_formal_reality_core", core)
-    cert = certify_formal_reality(desc, 30, seed=5, tol=1e-7)
-    np.testing.assert_array_equal(seen["xs"], [a.coords for a, _ in pairs])
-    np.testing.assert_array_equal(seen["ys"], [b.coords for _, b in pairs])
-    assert seen["tol"] == 1e-7
-    assert not cert.passed and cert.worst_residual == 10.0
-    assert (cert.samples, cert.seed, cert.tol) == (30, 5, 1e-7)
+def test_a_bumped_off_diagonal_output_is_left_to_trace_associativity(monkeypatch):
+    desc = make_algebra("real", 3)
+    # an off-diagonal output has no trace, so formal reality cannot see it
+    bump_constant(monkeypatch, desc, lambda sc: sc.K >= 3)
+    assert certify_formal_reality(desc).passed
+    assert trace_associativity_residuals(desc).max() == pytest.approx(1e-3 / 2, rel=1e-12)
+
+
+def test_a_zero_gram_entry_fails_formal_reality(monkeypatch):
+    desc = make_algebra("spin", 2)
+    ctx = _context(desc)
+    gram = ctx.gram.copy()
+    gram[1] = 0.0
+    monkeypatch.setitem(
+        symcone.algebra._CONTEXT_CACHE, desc, dataclasses.replace(ctx, gram=gram)
+    )
+    assert not certify_formal_reality(desc).passed
 
 
 def test_direct_sum_is_blockwise():

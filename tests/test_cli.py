@@ -288,6 +288,23 @@ def test_unknown_expect_name_is_usage_error(tmp_path, capsys):
         assert name in captured.err and repr(system) in captured.err
 
 
+@pytest.mark.parametrize("separator", ["\n", "\x1e", "\u2028"])
+def test_input_text_in_a_usage_error_stays_on_one_line(tmp_path, capsys, separator):
+    # str.splitlines breaks at each of these; the messages quote input keys
+    record = json.loads(demo_text("qubit-pair"))
+    record[f"a{separator}b"] = 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    assert main(["--input", str(path)]) == EXIT_USAGE
+    marked = _write_marked_demo(tmp_path, "qubit-pair", "qubit-a", {f"c{separator}d": "fail"})
+    assert main(["--input", marked]) == EXIT_USAGE
+    escaped = repr(separator)[1:-1]
+    unknown_field, unknown_name = capsys.readouterr().err.splitlines()
+    assert unknown_field == f"symcone: model file error: $.a{escaped}b: unknown field"
+    assert unknown_name.startswith("symcone: system 'qubit-a' expects certificates ")
+    assert f"c{escaped}d" in unknown_name
+
+
 def test_malformed_environment_default_is_usage_error():
     # argparse checks the choices of --format on given values only, not on
     # defaults

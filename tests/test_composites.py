@@ -13,6 +13,7 @@ from oracle import (
     quat_multiply,
     sampled_factorization,
     sampled_tensor_lmap,
+    sampled_unit_factor_products,
     spin_qubit_isomorphism,
 )
 from symcone import (
@@ -52,7 +53,7 @@ from symcone.modelfile import parse_model_text
 from symcone.models import evaluate, model_from_tests, pure_state_of, uniform_state
 from symcone.runner import RunConfig, run_model_spec
 from symcone.spectral import canonical_frame, eigenvalues_batch, random_jordan_frame
-from test_algebra import ALL_FAMILIES
+from test_algebra import ALL_FAMILIES, bump_constant
 
 ATOL = 1e-10
 
@@ -325,18 +326,44 @@ def test_factorization_witness_replays_the_worst_residual(quabit_pair):
     assert abs(lhs - rhs) / (1.0 + abs(rhs)) == pytest.approx(cert.worst_residual, abs=1e-12)
 
 
-def test_unit_factor_product_identities(qubit_pair, rebit_pair, quabit_pair):
-    assert check_unit_factor_products(qubit_pair, samples=100, seed=115).passed
-    assert check_unit_factor_products(rebit_pair, samples=100, seed=116).passed
-    assert not check_unit_factor_products(quabit_pair, samples=100, seed=117).passed
+def test_unit_factor_product_identities():
+    # the sampled identities agree with the basis verdict on each composite
+    for fam, na, nb, passes in (
+        ("complex", 2, 2, True),
+        ("real", 2, 2, True),
+        ("quaternion", 2, 2, False),
+        ("complex", 4, 2, True),
+        ("real", 6, 3, True),
+    ):
+        cs = _composite(fam, na, nb)
+        cert = check_unit_factor_products(cs)
+        assert cert.passed is passes, fam
+        dim_a, dim_b = cs.part_a.algebra.dim, cs.part_b.algebra.dim
+        assert cert.samples == (dim_a + dim_b) * dim_a * dim_b
+        scores = sampled_unit_factor_products(cs, samples=100, seed=115)
+        assert bool(max(s.max() for s in scores) <= cert.tol) is passes, fam
 
 
-# at seed 0 the first identity sets the worst residual, at seed 117 the second
-@pytest.mark.parametrize("seed,first_is_worst", [(0, True), (117, False)])
-def test_unit_factor_witness_replays_the_worst_residual(quabit_pair, seed, first_is_worst):
-    cs = quabit_pair
-    cert = check_unit_factor_products(cs, samples=100, seed=seed)
+@pytest.mark.parametrize("first_is_worst", [True, False])
+def test_unit_factor_witness_replays_the_worst_residual(monkeypatch, first_is_worst):
+    if first_is_worst:
+        # both identities break by 1/2 on the quabit pair; a tie reports the
+        # first
+        cs = _composite("quaternion", 2, 2)
+    else:
+        # O_01 o O_01 -> D_0 on complex 4: O_01 joins the carrier indices
+        # (0, 0) and (0, 1), which differ only in the second factor, so only
+        # products against u_A see the bump
+        cs = _composite("complex", 2, 2)
+        bump_constant(
+            monkeypatch, cs.carrier, lambda sc: (sc.I == 4) & (sc.J == 4) & (sc.K == 0)
+        )
+    cert = check_unit_factor_products(cs)
+    assert not cert.passed
     first, second, third = (np.array(x) for x in cert.witnesses)
+    # a basis triple
+    for x in (first, second, third):
+        assert sorted(x) == [0.0] * (x.size - 1) + [1.0]
     u_a, u_b = unit(cs.part_a.algebra), unit(cs.part_b.algebra)
     right, left = (cert.details[f"{side}_unit_residual"] for side in ("right", "left"))
     assert (right >= left) == first_is_worst
@@ -533,6 +560,25 @@ def test_lmap_forms_one_carrier_operator_per_basis_element(monkeypatch):
     monkeypatch.setattr(composites, "_left_mult_matrix", counted)
     tensor_lmap_check(cs)
     assert sum(on_carrier) == cs.part_a.algebra.dim + cs.part_b.algebra.dim
+
+
+def test_lmap_and_unit_factor_checks_share_one_basis_pass(monkeypatch):
+    cs = _composite("real", 3, 2)
+    left_mult = composites._left_mult_matrix
+    calls = []
+
+    def counted(sc, x):
+        calls.append(sc)
+        return left_mult(sc, x)
+
+    monkeypatch.setattr(composites, "_left_mult_matrix", counted)
+    # one carrier and one part operator per basis element of either side,
+    # formed by whichever check runs first
+    per_pass = 2 * (cs.part_a.algebra.dim + cs.part_b.algebra.dim)
+    check_unit_factor_products(cs)
+    assert len(calls) == per_pass
+    tensor_lmap_check(cs)
+    assert len(calls) == per_pass
 
 
 def test_pair_coords_broadcasts_one_row_against_a_batch(qubit_pair):

@@ -4,7 +4,9 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import symcone
@@ -17,13 +19,15 @@ MODULES = ["symcone"] + [
 # the model-file writer and the descriptor text parser, which no caller
 # needed, the algebra-record reader, now the model-file reader's own, the
 # hand-built spin 3 to complex 2 map, now a test oracle: the qubit witness
-# computes the rank from the products, and the canonical regular element,
-# whose frame canonical_frame now writes down
+# computes the rank from the products, the canonical regular element,
+# whose frame canonical_frame now writes down, and the sampled cores of laws
+# now decided on the basis, kept as test oracles
 REMOVED = {
     "symcone.algebra": [
         "parse_descriptor",
         "record_to_descriptor",
         "_trace_associativity_core",
+        "_formal_reality_core",
     ],
     "symcone.modelfile": ["spec_to_record", "serialize_model_spec"],
     "symcone.composites": ["spin_qubit_isomorphism"],
@@ -65,6 +69,8 @@ FIXED_POLICY_SIGNATURES = {
     ("composites", "factorization_check"): ["cs", "seed"],
     ("composites", "qubit_witness"): ["theory"],
     ("composites", "tensor_lmap_check"): ["cs", "seed", "tol"],
+    ("composites", "check_unit_factor_products"): ["cs", "seed", "tol"],
+    ("algebra", "certify_formal_reality"): ["algebra", "seed", "tol"],
     ("algebra", "unit_law_residuals"): ["algebra"],
     ("algebra", "trace_associativity_residuals"): ["algebra"],
     ("models", "model_from_tests"): ["algebra", "tests"],
@@ -80,3 +86,15 @@ def test_fixed_policies_are_not_parameters(module, name):
         target = getattr(target, part)
     params = list(inspect.signature(target).parameters)
     assert params == FIXED_POLICY_SIGNATURES[module, name]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the library-only names stay public because this snippet documents them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["report"].max_deviation < 1e-12
+    got = symcone.evaluate(namespace["state"], namespace["model"].tests[0])
+    np.testing.assert_allclose(got, [0.5, 0.5], atol=1e-12)
