@@ -762,9 +762,7 @@ def _trace_form_gaps(sc: _Constants, gram: np.ndarray) -> np.ndarray:
     return np.abs(gaps) / (1.0 + norms.prod(axis=0))
 
 
-def certify_formal_reality(
-    algebra: AlgebraDescriptor, seed: int = 0, tol: float = 1e-9
-) -> ConeCertificate:
+def certify_formal_reality(algebra: AlgebraDescriptor, tol: float = 1e-9) -> ConeCertificate:
     """Formal reality through tr(x o y) = <x, y>, decided on the basis pairs.
 
     The identity gives tr(x o x) = |x|^2 > 0 for every x != 0 once every
@@ -776,7 +774,6 @@ def certify_formal_reality(
     are bilinear, so the gaps, each scored over 1 + |b_I| |b_J|, decide the
     identity; ``samples`` counts the pairs with a nonzero side. Only outputs
     with u[K] != 0 enter the trace: trace associativity checks the others.
-    The seed is reported only.
     """
     ctx = _context(algebra)
     sc, gram, u = ctx.constants, ctx.gram, ctx.unit_coords
@@ -792,7 +789,6 @@ def certify_formal_reality(
         check_name="formal_reality",
         passed=worst <= tol and bool(np.all(gram > 0)),
         samples=codes.size,
-        seed=seed,
         tol=tol,
         worst_residual=worst,
     )

@@ -14,16 +14,18 @@ class ConeCertificate:
     basis cases of a check decided on the basis. ``worst_residual`` is the
     extreme value the check observed (sign convention per check; more
     negative or larger means worse), and ``witnesses`` holds coordinate
-    vectors of any violating samples so a failure is always concrete and
-    replayable with the recorded seed.
+    vectors of any violating samples, so a failure is always concrete: a
+    sampled witness replays from ``seed``, the seed the check drew from, and
+    a basis-decided one is a tuple of basis elements. ``seed`` is None when
+    the check drew nothing.
     """
 
     check_name: str
     passed: bool
     samples: int
-    seed: int
     tol: float
     worst_residual: float
+    seed: int | None = None
     witnesses: list[list[float]] = field(default_factory=list)
     details: dict[str, Any] = field(default_factory=dict)
 
@@ -32,7 +34,7 @@ class ConeCertificate:
             "check": self.check_name,
             "passed": bool(self.passed),
             "samples": int(self.samples),
-            "seed": int(self.seed),
+            "seed": None if self.seed is None else int(self.seed),
             "tol": float(self.tol),
             "worst_residual": float(self.worst_residual),
             "witnesses": [[float(v) for v in w] for w in self.witnesses],

@@ -206,7 +206,7 @@ def product_test(cs: CompositeSystem, test_a, test_b) -> tuple[Element, ...]:
     )
 
 
-def local_tomography_audit(cs: CompositeSystem, seed: int = 0) -> ConeCertificate:
+def local_tomography_audit(cs: CompositeSystem) -> ConeCertificate:
     """Exact dimension count: the composite is locally tomographic when the
     carrier dimension equals the product of part dimensions and the
     embedding has full product rank."""
@@ -217,7 +217,6 @@ def local_tomography_audit(cs: CompositeSystem, seed: int = 0) -> ConeCertificat
         check_name="local_tomography",
         passed=cs.locally_tomographic,
         samples=0,
-        seed=seed,
         tol=0.0,
         worst_residual=float(abs(cs.carrier.dim - product) + (product - cs.embed_rank)),
         details={
@@ -255,9 +254,7 @@ def _pair_stacks(
         yield cs.pair_coords(rows_a[i], rows_b[j])
 
 
-def product_tests_check(
-    cs: CompositeSystem, tol: float = 1e-9, seed: int = 0
-) -> ConeCertificate:
+def product_tests_check(cs: CompositeSystem, tol: float = 1e-9) -> ConeCertificate:
     """Product tests must consist of carrier effects resolving the unit.
 
     An outcome scores its least eigenvalue, negated and relative to
@@ -290,7 +287,6 @@ def product_tests_check(
         check_name="product_tests_resolve_unit",
         passed=worst <= tol,
         samples=len(outcomes[0]) * len(outcomes[1]),
-        seed=seed,
         tol=tol,
         worst_residual=worst,
         witnesses=[list(witness)] if worst > tol else [],
@@ -343,7 +339,7 @@ def nonsignaling_check(
     )
 
 
-def factorization_check(cs: CompositeSystem, seed: int = 0) -> ConeCertificate:
+def factorization_check(cs: CompositeSystem) -> ConeCertificate:
     """Trace pairings of pair products factor into part pairings:
     <a x b, c x d> = <a, c><b, d>.
 
@@ -352,8 +348,7 @@ def factorization_check(cs: CompositeSystem, seed: int = 0) -> ConeCertificate:
     embedded basis pairs must equal the Kronecker product of the parts'
     Gram matrices, which are diagonal. Each entry scores its gap relative to
     1 + |<e_i, e_k><f_j, f_l>|, against FACTORIZATION_TOL; a failing
-    certificate's witness is the quadruple of the worst entry. The seed is
-    reported only.
+    certificate's witness is the quadruple of the worst entry.
     """
     dim_b = cs.part_b.algebra.dim
     gram_a = _context(cs.part_a.algebra).gram
@@ -373,7 +368,6 @@ def factorization_check(cs: CompositeSystem, seed: int = 0) -> ConeCertificate:
         check_name="pairing_factorization",
         passed=worst <= FACTORIZATION_TOL,
         samples=rel.size,
-        seed=seed,
         tol=FACTORIZATION_TOL,
         worst_residual=worst,
         witnesses=witnesses,
@@ -432,9 +426,7 @@ def tensor_adjoint_check(
     )
 
 
-def tensor_lmap_check(
-    cs: CompositeSystem, seed: int = 0, tol: float = 1e-9
-) -> ConeCertificate:
+def tensor_lmap_check(cs: CompositeSystem, tol: float = 1e-9) -> ConeCertificate:
     """Multiplication by an embedded one-sided element acts factorwise.
 
     On the embedded subspace, L(a x u) composed with the embedding must
@@ -443,7 +435,7 @@ def tensor_lmap_check(
     operator; otherwise the identity is only tested on the embedded
     subspace and the certificate says so in its name. Both sides are linear
     in a, so the basis elements of each factor decide the identity; each
-    scores its largest gap over 1 + max|e_i| = 2. The seed is reported only.
+    scores its largest gap over 1 + max|e_i| = 2.
     """
     worst = max(side[0] for side in cs._unit_factor_pass)
     name = "tensor_lmap" if cs.locally_tomographic else "tensor_lmap_embedded"
@@ -451,15 +443,12 @@ def tensor_lmap_check(
         check_name=name,
         passed=worst <= tol,
         samples=cs.part_a.algebra.dim + cs.part_b.algebra.dim,
-        seed=seed,
         tol=tol,
         worst_residual=worst,
     )
 
 
-def check_unit_factor_products(
-    cs: CompositeSystem, seed: int = 0, tol: float = 1e-9
-) -> ConeCertificate:
+def check_unit_factor_products(cs: CompositeSystem, tol: float = 1e-9) -> ConeCertificate:
     """Products against one-sided units act on a single factor:
     (a x u) o (b x v) = (a o b) x v and (u x v) o (a x w) = a x (v o w).
 
@@ -468,7 +457,7 @@ def check_unit_factor_products(
     counts them. They are the columns of the gaps that ``tensor_lmap_check``
     reads, from the same basis pass. On failure the witness is the basis
     triple that sets the worst residual: (a, b, v) for the first identity
-    and (v, a, w) for the second. The seed is reported only."""
+    and (v, a, w) for the second."""
     (_, res1, factors1), (_, res2, factors2) = cs._unit_factor_pass
     worst = max(res1, res2)
     witnesses = []
@@ -479,7 +468,6 @@ def check_unit_factor_products(
         check_name="unit_factor_products",
         passed=worst <= tol,
         samples=(dim_a + dim_b) * dim_a * dim_b,
-        seed=seed,
         tol=tol,
         worst_residual=worst,
         witnesses=witnesses,

@@ -224,9 +224,7 @@ def evaluate(state: State, test) -> np.ndarray:
     return np.array([trace_form(state.representer, x) for x in test])
 
 
-def certify_unital_sharp(
-    model: ProbModel, tol: float = 1e-9, seed: int = 0
-) -> ConeCertificate:
+def certify_unital_sharp(model: ProbModel, tol: float = 1e-9) -> ConeCertificate:
     """Each pooled outcome attains probability one on exactly one state.
 
     An outcome is unital when its largest eigenvalue is 1; the states
@@ -247,7 +245,6 @@ def certify_unital_sharp(
         check_name="unital_sharp_outcomes",
         passed=n_sharp == len(model.outcomes),
         samples=len(model.outcomes),
-        seed=seed,
         tol=tol,
         worst_residual=float(gaps.max()),
         witnesses=[list(coords[failing[0]])] if failing.size else [],
@@ -255,9 +252,7 @@ def certify_unital_sharp(
     )
 
 
-def check_unital_outcomes_primitive(
-    model: ProbModel, tol: float = 1e-9, seed: int = 0
-) -> ConeCertificate:
+def check_unital_outcomes_primitive(model: ProbModel, tol: float = 1e-9) -> ConeCertificate:
     """In a uniform model every unital outcome must be a primitive idempotent.
 
     Precondition (raises when violated): the uniform state weights each test
@@ -286,7 +281,6 @@ def check_unital_outcomes_primitive(
         check_name="uniform_unital_outcomes_primitive",
         passed=failing.size == 0 and worst <= tol * rank,
         samples=len(model.outcomes),
-        seed=seed,
         tol=tol,
         worst_residual=worst,
         witnesses=[list(coords[failing[0]])] if failing.size else [],

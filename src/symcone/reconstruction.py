@@ -218,9 +218,7 @@ def structure_lie_basis(algebra: AlgebraDescriptor) -> LieAlgebraBasis:
     return result
 
 
-def check_unit_stabilizer_split(
-    lie: LieAlgebraBasis, tol: float = 1e-9, seed: int = 0
-) -> ConeCertificate:
+def check_unit_stabilizer_split(lie: LieAlgebraBasis, tol: float = 1e-9) -> ConeCertificate:
     """Skew generators are exactly the unit stabilizer, both directions.
 
     Forward: every skew basis operator kills the unit. Converse: the kernel
@@ -242,7 +240,6 @@ def check_unit_stabilizer_split(
         check_name="unit_stabilizer_split",
         passed=passed,
         samples=lie.basis.shape[0],
-        seed=seed,
         tol=tol,
         worst_residual=max(skew_res, converse_res),
         details={

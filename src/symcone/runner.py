@@ -16,15 +16,15 @@ belong to the selected suites, in table order: plain systems the algebra,
 cone, kv (reconstruction) and model suites plus a qubit-witness note in
 the composite suite; composite systems only the composite suite, since
 their interesting content is the embedding. A system's certificates draw
-from a seed fixed by its index, so the systems are independent: the
-second phase runs them either in this process or in forked workers, to
-which this process hands the systems in input order as the workers come
-free, and the results are put back in input order; a worker that dies is
-a fault of the system it held, raised like any other. A certificate whose
-failure is marked expected in the input flips its contribution to the
-exit code. Reports contain no timestamps, machine identifiers or worker
-counts, so identical input and configuration give byte-identical
-structured output.
+from a seed fixed by its index (a certificate that drew nothing reports
+it too), so the systems are independent: the second phase runs them
+either in this process or in forked workers, to which this process hands
+the systems in input order as the workers come free, and the results are
+put back in input order; a worker that dies is a fault of the system it
+held, raised like any other. A certificate whose failure is marked
+expected in the input flips its contribution to the exit code. Reports
+contain no timestamps, machine identifiers or worker counts, so identical
+input and configuration give byte-identical structured output.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class _Check:
     run: Callable[[Any, RunConfig, int], ConeCertificate | str | None]
 
 
-def _law(name: str, residuals: np.ndarray, cfg: RunConfig, seed: int) -> ConeCertificate:
+def _law(name: str, residuals: np.ndarray, cfg: RunConfig) -> ConeCertificate:
     """Certificate of an algebra law: the worst of its residuals, one per
     sampled draw, basis element or basis triple."""
     worst = float(np.max(residuals))
@@ -125,7 +125,6 @@ def _law(name: str, residuals: np.ndarray, cfg: RunConfig, seed: int) -> ConeCer
         check_name=name,
         passed=worst <= cfg.tol,
         samples=len(residuals),
-        seed=seed,
         tol=cfg.tol,
         worst_residual=worst,
     )
@@ -138,7 +137,6 @@ def _structure_dims(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertific
         check_name="structure_dims",
         passed=iso.invertible and lie.split_residual == 0.0,
         samples=int(lie.basis.shape[0]),
-        seed=seed,
         tol=cfg.tol,
         worst_residual=lie.split_residual,
         details={**lie.dims, "evaluation_condition": iso.condition_number},
@@ -189,7 +187,6 @@ def _uniform_state_values(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCe
         check_name="uniform_state_values",
         passed=worst <= tol,
         samples=len(model.tests),
-        seed=seed,
         tol=tol,
         worst_residual=worst,
         details={"pooled_primitive_outcomes": len(primitive)},
@@ -200,7 +197,7 @@ def _unital_outcomes_primitive(
     model: ProbModel, cfg: RunConfig, seed: int
 ) -> ConeCertificate | str:
     try:
-        return check_unital_outcomes_primitive(model, tol=cfg.tol, seed=seed)
+        return check_unital_outcomes_primitive(model, tol=cfg.tol)
     except ValueError as exc:
         return str(exc)
 
@@ -231,16 +228,15 @@ def _qubit_witness(model: ProbModel, cfg: RunConfig, seed: int) -> ConeCertifica
 _CHECKS = (
     _Check("jordan_identity", "algebra", MODEL, lambda m, cfg, seed: _law(
         "jordan_identity", jordan_identity_residuals(m.algebra, cfg.samples, seed=seed),
-        cfg, seed)),
+        cfg)),
     _Check("commutativity", "algebra", MODEL, lambda m, cfg, seed: _law(
-        "commutativity", commutativity_residuals(m.algebra, cfg.samples, seed=seed),
-        cfg, seed)),
+        "commutativity", commutativity_residuals(m.algebra, cfg.samples, seed=seed), cfg)),
     _Check("unit_law", "algebra", MODEL, lambda m, cfg, seed: _law(
-        "unit_law", unit_law_residuals(m.algebra), cfg, seed)),
+        "unit_law", unit_law_residuals(m.algebra), cfg)),
     _Check("trace_associativity", "algebra", MODEL, lambda m, cfg, seed: _law(
-        "trace_associativity", trace_associativity_residuals(m.algebra), cfg, seed)),
+        "trace_associativity", trace_associativity_residuals(m.algebra), cfg)),
     _Check("formal_reality", "algebra", MODEL, lambda m, cfg, seed: certify_formal_reality(
-        m.algebra, seed=seed, tol=cfg.tol)),
+        m.algebra, tol=cfg.tol)),
     _Check("self_duality", "cone", MODEL, lambda m, cfg, seed: check_self_duality(
         m.algebra, samples=cfg.samples, seed=seed, tol=cfg.tol)),
     _Check("membership_agreement", "cone", MODEL, lambda m, cfg, seed: (
@@ -253,8 +249,7 @@ _CHECKS = (
         m.algebra, samples=cfg.samples, seed=seed + 3, tol=cfg.tol)),
     _Check("structure_dims", "kv", MODEL, _structure_dims),
     _Check("unit_stabilizer_split", "kv", MODEL, lambda m, cfg, seed: (
-        check_unit_stabilizer_split(
-            structure_lie_basis(m.algebra), tol=cfg.tol, seed=seed))),
+        check_unit_stabilizer_split(structure_lie_basis(m.algebra), tol=cfg.tol))),
     _Check("sym_bracket_in_skew", "kv", MODEL, lambda m, cfg, seed: check_p_bracket(
         structure_lie_basis(m.algebra), samples=min(cfg.samples, 50), seed=seed,
         tol=cfg.tol)),
@@ -263,7 +258,7 @@ _CHECKS = (
         m.algebra, samples=min(cfg.samples, 40), seed=seed, tol=cfg.tol)),
     _Check("uniform_state_values", "model", MODEL, _uniform_state_values),
     _Check("unital_sharp_outcomes", "model", MODEL, lambda m, cfg, seed: (
-        certify_unital_sharp(m, tol=cfg.tol, seed=seed))),
+        certify_unital_sharp(m, tol=cfg.tol))),
     _Check("uniform_unital_outcomes_primitive", "model", MODEL, _unital_outcomes_primitive),
     _Check("primitive_pairing_bounds", "model", MODEL, lambda m, cfg, seed: (
         check_cauchy_schwarz(
@@ -273,21 +268,21 @@ _CHECKS = (
             m.algebra, samples=min(cfg.samples, 20), seed=seed, tol=cfg.tol))),
     _Check("qubit_witness", "composite", MODEL, _qubit_witness),
     _Check("local_tomography", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        local_tomography_audit(cs, seed=seed))),
+        local_tomography_audit(cs))),
     _Check("product_tests_resolve_unit", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        product_tests_check(cs, tol=cfg.tol, seed=seed))),
+        product_tests_check(cs, tol=cfg.tol))),
     _Check("nonsignaling_marginals", "composite", COMPOSITE, lambda cs, cfg, seed: (
         nonsignaling_check(cs, tol=max(cfg.tol, MARGINAL_TOL_FLOOR), seed=seed))),
     _Check("pairing_factorization", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        factorization_check(cs, seed=seed))),
+        factorization_check(cs))),
     _Check("unit_factor_products", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        check_unit_factor_products(cs, seed=seed, tol=cfg.tol))),
+        check_unit_factor_products(cs, tol=cfg.tol))),
     # one check, reported under the name that says whether the composite is
     # locally tomographic
     _Check("tensor_lmap", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        tensor_lmap_check(cs, seed=seed, tol=cfg.tol) if cs.locally_tomographic else None)),
+        tensor_lmap_check(cs, tol=cfg.tol) if cs.locally_tomographic else None)),
     _Check("tensor_lmap_embedded", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        None if cs.locally_tomographic else tensor_lmap_check(cs, seed=seed, tol=cfg.tol))),
+        None if cs.locally_tomographic else tensor_lmap_check(cs, tol=cfg.tol))),
     _Check("tensor_adjoint", "composite", COMPOSITE, lambda cs, cfg, seed: (
         tensor_adjoint_check(cs, samples=min(cfg.samples, 10), seed=seed, tol=cfg.tol)
         if cs.locally_tomographic
@@ -316,6 +311,10 @@ class RunConfig:
             raise ValueError(
                 f"unknown suites {unknown}; available: {', '.join(SUITES)}"
             )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if isinstance(self.samples, bool) or not isinstance(self.samples, int):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -580,6 +579,8 @@ def run_model_spec(
                 continue
             outcome = check.run(subject, cfg, seed)
             if isinstance(outcome, ConeCertificate):
+                if outcome.seed is None:
+                    outcome.seed = seed
                 certs.append(_cert_entry(outcome, check.suite, spec.systems[index].expect))
             elif outcome is not None:
                 certs.append(_skip_entry(check.name, check.suite, outcome))

@@ -165,7 +165,7 @@ def test_criterion_05_tomography_dimension_table():
 def test_criterion_06_unit_factor_product_identities():
     worst = 0.0
     for fam, na, nb in (("complex", 2, 2), ("complex", 2, 3), ("real", 2, 2)):
-        cert = check_unit_factor_products(_pair(fam, na, nb, 207), seed=207, tol=1e-9)
+        cert = check_unit_factor_products(_pair(fam, na, nb, 207), tol=1e-9)
         assert cert.passed, (fam, na, nb, cert.worst_residual)
         worst = max(worst, cert.worst_residual)
     _verdict(6, "unit-factor-products", worst <= 1e-9, f"worst {worst:.3e}")
@@ -175,7 +175,7 @@ def test_criterion_06_unit_factor_product_identities():
 def test_criterion_07_trace_form_factorization():
     worst = 0.0
     for fam, na, nb in (("complex", 2, 2), ("complex", 2, 3), ("real", 2, 2)):
-        cert = factorization_check(_pair(fam, na, nb, 208), seed=208)
+        cert = factorization_check(_pair(fam, na, nb, 208))
         assert cert.tol == 1e-10
         assert cert.passed, (fam, na, nb, cert.worst_residual)
         worst = max(worst, cert.worst_residual)
@@ -215,9 +215,9 @@ def test_criterion_09_model_properties():
         for test in model.tests:
             gap = float(np.abs(evaluate(state, test) - 1.0 / desc.rank).max())
             worst_uniform = max(worst_uniform, gap)
-        sharp = certify_unital_sharp(model, seed=210)
+        sharp = certify_unital_sharp(model)
         assert sharp.passed, (desc, sharp.details)
-        primitive = check_unital_outcomes_primitive(model, seed=210)
+        primitive = check_unital_outcomes_primitive(model)
         assert primitive.passed, (desc, primitive.details)
         assert primitive.details["non_unital_outcomes"] == 0
         cs = check_cauchy_schwarz(desc, samples=1000, seed=210)

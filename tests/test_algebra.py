@@ -304,11 +304,11 @@ def test_formal_reality_random_pairs(desc):
     # the sampled trace-form route agrees with the basis-pair certificate
     pairs = np.random.default_rng(27).standard_normal((20, 2, desc.dim))
     assert sampled_formal_reality(desc, pairs[:, 0], pairs[:, 1], 1e-9).all()
-    cert = certify_formal_reality(desc, seed=27)
+    cert = certify_formal_reality(desc)
     assert cert.passed and cert.worst_residual < 1e-15
     # every off-diagonal output has a zero trace, so only the pairs (I, I)
     # have a nonzero side
-    assert (cert.samples, cert.seed, cert.tol) == (desc.dim, 27, 1e-9)
+    assert (cert.samples, cert.seed, cert.tol) == (desc.dim, None, 1e-9)
 
 
 def test_a_bumped_trace_constant_fails_formal_reality(monkeypatch):

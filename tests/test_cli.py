@@ -218,6 +218,25 @@ def test_tol_must_be_finite_and_positive(monkeypatch, capsys, via, value):
     assert "tol must be a finite positive number" in captured.err
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("seed", -1, "seed must be a nonnegative integer, got -1"),
+        ("seed", 1.5, "seed must be a nonnegative integer, got 1.5"),
+        ("seed", True, "seed must be a nonnegative integer, got True"),
+        ("samples", 2.5, "samples must be an integer, got 2.5"),
+        ("samples", True, "samples must be an integer, got True"),
+    ],
+)
+def test_run_config_rejects_what_a_run_cannot_draw_from(field, value, message):
+    # the command's parser rejects these first; from the library, each one
+    # failed inside numpy in the first sampled certificate, but for the bool
+    # seed, which ran and was reported as true
+    with pytest.raises(ValueError) as exc:
+        RunConfig(**{field: value})
+    assert str(exc.value) == message
+
+
 def test_environment_overrides_match_flags(tmp_path):
     base = _run("--input", "spin-vs-qubit", "--format", "structured", "--seed", "9")
     env = dict(os.environ)
@@ -799,6 +818,29 @@ def test_run_model_spec_forks_to_the_same_report(fork_model, no_worker_left):
         assert _within(60, lambda: run_model_spec(spec, cfg, jobs=jobs)) == serial
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         run_model_spec(spec, cfg, jobs=0)
+
+
+def test_report_seeds_are_the_system_seeds(no_worker_left):
+    # a certificate reports its system's seed, --seed + 1000 x its position,
+    # plus its row's offset; a certificate that drew nothing reports it too,
+    # and the qubit witness reports --seed
+    desk = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "desk.json"
+    spec = parse_model_text(desk.read_text(encoding="utf-8"))
+    offsets = {"membership_agreement": 1, "homogeneity_transport": 2, "order_unit": 3}
+    cfg = RunConfig(seed=7)
+    for jobs in (1, 2):
+        report = _within(60, lambda: run_model_spec(spec, cfg, jobs=jobs))
+        got, want = [], []
+        for index, system in enumerate(report["systems"]):
+            for cert in system["certificates"]:
+                if cert["status"] == "skipped":
+                    continue
+                got.append((system["name"], cert["check"], cert["seed"]))
+                seed = 7 + 1000 * index + offsets.get(cert["check"], 0)
+                want.append((system["name"], cert["check"],
+                             7 if cert["check"] == "qubit_witness" else seed))
+        assert len(got) == report["summary"]["certificates"] == 153
+        assert got == want
 
 
 def test_sampler_error_in_a_worker_is_usage_error(monkeypatch, capsys, no_worker_left):

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import symcone
+from symcone.certificates import ConeCertificate
 from symcone.modelfile import ModelFileSpec
 
 MODULES = ["symcone"] + [
@@ -62,20 +64,33 @@ def test_model_file_spec_keeps_no_schema_version():
 FIXED_POLICY_SIGNATURES = {
     ("reconstruction", "lie_closure"): ["generators"],
     ("reconstruction", "ReconstructionReport.passed"): ["self"],
-    ("reconstruction", "check_exp_preserves_cone"): ["algebra", "lie", "samples", "seed", "tol"],
-    ("cone", "check_membership_agreement"): ["algebra", "samples", "seed", "tol"],
-    ("cone", "check_homogeneity"): ["algebra", "samples", "seed", "directions"],
-    ("models", "check_cauchy_schwarz"): ["algebra", "samples", "seed"],
-    ("composites", "factorization_check"): ["cs", "seed"],
     ("composites", "qubit_witness"): ["theory"],
-    ("composites", "tensor_lmap_check"): ["cs", "seed", "tol"],
-    ("composites", "check_unit_factor_products"): ["cs", "seed", "tol"],
-    ("algebra", "certify_formal_reality"): ["algebra", "seed", "tol"],
     ("algebra", "unit_law_residuals"): ["algebra"],
     ("algebra", "trace_associativity_residuals"): ["algebra"],
     ("models", "model_from_tests"): ["algebra", "tests"],
     ("models", "state_from_coords"): ["model", "coords"],
     ("models", "pure_state_of"): ["model", "e"],
+    # every public check that returns a certificate; a check that draws
+    # nothing takes no seed
+    ("algebra", "certify_formal_reality"): ["algebra", "tol"],
+    ("cone", "check_self_duality"): ["algebra", "samples", "seed", "tol", "transform"],
+    ("cone", "check_membership_agreement"): ["algebra", "samples", "seed", "tol"],
+    ("cone", "check_homogeneity"): ["algebra", "samples", "seed", "directions"],
+    ("cone", "check_order_unit"): ["algebra", "samples", "seed", "tol"],
+    ("reconstruction", "check_unit_stabilizer_split"): ["lie", "tol"],
+    ("reconstruction", "check_p_bracket"): ["lie", "samples", "seed", "tol"],
+    ("reconstruction", "check_exp_preserves_cone"): ["algebra", "lie", "samples", "seed", "tol"],
+    ("models", "certify_unital_sharp"): ["model", "tol"],
+    ("models", "check_unital_outcomes_primitive"): ["model", "tol"],
+    ("models", "check_cauchy_schwarz"): ["algebra", "samples", "seed"],
+    ("models", "check_reversible_stabilizer"): ["algebra", "samples", "seed", "tol"],
+    ("composites", "local_tomography_audit"): ["cs"],
+    ("composites", "product_tests_check"): ["cs", "tol"],
+    ("composites", "nonsignaling_check"): ["cs", "states", "tol", "seed"],
+    ("composites", "factorization_check"): ["cs"],
+    ("composites", "tensor_adjoint_check"): ["cs", "samples", "seed", "tol"],
+    ("composites", "tensor_lmap_check"): ["cs", "tol"],
+    ("composites", "check_unit_factor_products"): ["cs", "tol"],
 }
 
 
@@ -86,6 +101,59 @@ def test_fixed_policies_are_not_parameters(module, name):
         target = getattr(target, part)
     params = list(inspect.signature(target).parameters)
     assert params == FIXED_POLICY_SIGNATURES[module, name]
+
+
+def test_every_certificate_signature_is_pinned():
+    # a new check declares its parameters in the table above
+    checks = [
+        (module.removeprefix("symcone."), name)
+        for module in MODULES
+        for name, fn in inspect.getmembers(importlib.import_module(module), inspect.isfunction)
+        if fn.__module__ == module
+        and not name.startswith("_")
+        and inspect.signature(fn).return_annotation in ("ConeCertificate", ConeCertificate)
+    ]
+    assert len(checks) == 19
+    assert [check for check in checks if check not in FIXED_POLICY_SIGNATURES] == []
+
+
+def test_checks_that_draw_nothing_report_no_seed():
+    from symcone.algebra import certify_formal_reality
+    from symcone.composites import (
+        candidate_composite,
+        check_unit_factor_products,
+        factorization_check,
+        local_tomography_audit,
+        product_tests_check,
+        tensor_lmap_check,
+    )
+    from symcone.cone import check_order_unit
+    from symcone.models import (
+        certify_unital_sharp,
+        check_unital_outcomes_primitive,
+        make_model,
+    )
+    from symcone.reconstruction import check_unit_stabilizer_split, structure_lie_basis
+
+    qubit = symcone.make_algebra("complex", 2)
+    model = make_model(qubit, count=2, seed=1)
+    cs = candidate_composite(model, model)
+    certs = [
+        certify_formal_reality(qubit),
+        check_unit_stabilizer_split(structure_lie_basis(qubit)),
+        certify_unital_sharp(model),
+        check_unital_outcomes_primitive(model),
+        local_tomography_audit(cs),
+        product_tests_check(cs),
+        factorization_check(cs),
+        tensor_lmap_check(cs),
+        check_unit_factor_products(cs),
+    ]
+    for cert in certs:
+        assert cert.passed and cert.seed is None, cert.check_name
+        assert '"seed": null' in json.dumps(cert.to_dict())
+    # a check that draws reports the seed it drew from
+    assert check_order_unit(qubit, samples=10, seed=5).seed == 5
 
 
 def test_readme_library_quick_start_runs(capsys):
