@@ -33,11 +33,10 @@ from .algebra import (
     format_descriptor,
     from_matrix,
     make_algebra,
-    trace_of,
 )
 from .certificates import ConeCertificate
-from .cone import _cone_image, _point_transports, random_interior_point
-from .models import ProbModel, State, _outcome_rows, make_model, uniform_state
+from .cone import _cone_image, _point_transports
+from .models import ProbModel, State, _outcome_rows, make_model
 from .reconstruction import STRUCTURE_RANK_TOL, _close_span
 from .spectral import _frames, eigenvalues_batch
 
@@ -254,6 +253,24 @@ def _pair_stacks(
         yield cs.pair_coords(rows_a[i], rows_b[j])
 
 
+def _worst_pair(
+    cs: CompositeSystem,
+    jobs: tuple[tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]], ...],
+) -> tuple[float, np.ndarray | None]:
+    """The worst score of every pair (rows_a[i], rows_b[j]) over the jobs
+    (rows_a, rows_b, score), scored a pair stack at a time, and the carrier
+    coordinates of the pair that sets it (None while no score is positive)."""
+    worst = 0.0
+    witness = None
+    for rows_a, rows_b, score in jobs:
+        for stack in _pair_stacks(cs, rows_a, rows_b):
+            scores = score(stack)
+            i = int(np.argmax(scores))
+            if scores[i] > worst:
+                worst, witness = float(scores[i]), stack[i]
+    return worst, witness
+
+
 def product_tests_check(cs: CompositeSystem, tol: float = 1e-9) -> ConeCertificate:
     """Product tests must consist of carrier effects resolving the unit.
 
@@ -275,14 +292,7 @@ def product_tests_check(cs: CompositeSystem, tol: float = 1e-9) -> ConeCertifica
     def unit_gaps(stack: np.ndarray) -> np.ndarray:
         return np.abs(stack - u).max(axis=1) / (1.0 + cs.carrier.rank)
 
-    worst = 0.0
-    witness = None
-    for rows, score in ((outcomes, outcome_scores), (sums, unit_gaps)):
-        for stack in _pair_stacks(cs, *rows):
-            scores = score(stack)
-            i = int(np.argmax(scores))
-            if scores[i] > worst:
-                worst, witness = float(scores[i]), stack[i]
+    worst, witness = _worst_pair(cs, ((*outcomes, outcome_scores), (*sums, unit_gaps)))
     return ConeCertificate(
         check_name="product_tests_resolve_unit",
         passed=worst <= tol,
@@ -293,49 +303,39 @@ def product_tests_check(cs: CompositeSystem, tol: float = 1e-9) -> ConeCertifica
     )
 
 
-def nonsignaling_check(
-    cs: CompositeSystem,
-    states: list[State] | None = None,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> ConeCertificate:
+def nonsignaling_check(cs: CompositeSystem, tol: float = 1e-10) -> ConeCertificate:
     """Marginal outcome probabilities do not depend on the far-side test.
 
-    Runs over every pair of tests of the far side, for each supplied carrier
-    state (uniform plus an interior sample by default, plus the maximally
-    entangled state when the carrier is complex with equal parts).
+    Under a carrier state w, a near outcome a and a far test F have the
+    marginal sum_{b in F} w(a x b) = w(a x S_F), with S_F the sum of F's
+    outcomes; it must equal w(a x u) for the far unit u. The gap is linear
+    in w, so its largest size over every carrier state is the largest
+    |eigenvalue| of the carrier element a x (S_F - u). One eigenvalue pass
+    over every near outcome and far test, for each side as the near one,
+    decides the row; it reads exactly 0 when each far test sums to the unit.
+    Any two far tests' marginals then differ by at most twice the residual.
+    A failing certificate's witness is the carrier coordinates of the
+    element that sets the residual.
     """
-    if states is None:
-        states = [uniform_state(cs.carrier_model)]
-        w = random_interior_point(cs.carrier, seed=seed + 1)
-        states.append(State(cs.carrier_model, Element(cs.carrier, w.coords / trace_of(w))))
-        if (
-            cs.carrier.family is Family.COMPLEX_HERM
-            and cs.part_a.algebra.size == cs.part_b.algebra.size
-            and cs.part_a.algebra.dim > 1
-        ):
-            states.append(maximally_entangled_state(cs))
-    gram = _context(cs.carrier).gram
-    n_a, n_b = len(cs.part_a.tests), len(cs.part_b.tests)
-    far_pairs = n_a * (n_a - 1) // 2 + n_b * (n_b - 1) // 2
     rows, sums = _side_rows(cs)
-    worst = 0.0
-    for state in states:
-        wvec = cs.embed.T @ (gram * state.representer.coords)
-        wmat = wvec.reshape(cs.part_a.algebra.dim, cs.part_b.algebra.dim)
-        # marginals of each outcome of side A across the tests of side B
-        # (one column each), and vice versa
-        for margins in (rows[0] @ wmat @ sums[1].T, rows[1] @ wmat.T @ sums[0].T):
-            worst = max(worst, float(np.max(margins.max(axis=1) - margins.min(axis=1))))
-    pairs = len(states) * (n_a * n_b * (n_b - 1) // 2 + n_b * n_a * (n_a - 1) // 2)
+    gap_a, gap_b = (
+        total - _context(part.algebra).unit_coords
+        for total, part in zip(sums, (cs.part_a, cs.part_b))
+    )
+
+    def spreads(stack: np.ndarray) -> np.ndarray:
+        return np.abs(eigenvalues_batch(cs.carrier, stack)).max(axis=1)
+
+    worst, witness = _worst_pair(cs, ((rows[0], gap_b, spreads), (gap_a, rows[1], spreads)))
+    n_a, n_b = len(gap_a), len(gap_b)
     return ConeCertificate(
         check_name="nonsignaling_marginals",
         passed=worst <= tol,
-        samples=pairs,
-        seed=seed,
+        samples=len(rows[0]) * n_b + n_a * len(rows[1]),
         tol=tol,
         worst_residual=worst,
-        details={"states": len(states), "far_test_pairs": far_pairs},
+        witnesses=[list(witness)] if worst > tol else [],
+        details={"far_test_pairs": n_a * (n_a - 1) // 2 + n_b * (n_b - 1) // 2},
     )
 
 

@@ -272,7 +272,7 @@ _CHECKS = (
     _Check("product_tests_resolve_unit", "composite", COMPOSITE, lambda cs, cfg, seed: (
         product_tests_check(cs, tol=cfg.tol))),
     _Check("nonsignaling_marginals", "composite", COMPOSITE, lambda cs, cfg, seed: (
-        nonsignaling_check(cs, tol=max(cfg.tol, MARGINAL_TOL_FLOOR), seed=seed))),
+        nonsignaling_check(cs, tol=max(cfg.tol, MARGINAL_TOL_FLOOR)))),
     _Check("pairing_factorization", "composite", COMPOSITE, lambda cs, cfg, seed: (
         factorization_check(cs))),
     _Check("unit_factor_products", "composite", COMPOSITE, lambda cs, cfg, seed: (
@@ -303,6 +303,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.suites, (tuple, list)) or not all(
+            isinstance(s, str) for s in self.suites
+        ):
+            raise ValueError(f"suites must be a sequence of suite names, got {self.suites!r}")
         self.suites = tuple(self.suites)
         if not self.suites:
             raise ValueError("suite list must not be empty")
@@ -317,8 +321,12 @@ class RunConfig:
             raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be a finite positive number, got {self.tol:g}")
+        if (
+            isinstance(self.tol, bool)
+            or not isinstance(self.tol, (int, float))
+            or not (math.isfinite(self.tol) and self.tol > 0.0)
+        ):
+            raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
 
 
 def _cert_entry(

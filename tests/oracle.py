@@ -6,9 +6,10 @@ direct way of building structure constants: every pair of basis matrices
 that share an index multiplied and symmetrized, with the nonzero
 coordinates of each product kept. It also holds the minimal-polynomial
 spectral decomposition, which needs nothing family-specific beyond the
-Jordan product, the Pauli map from spin 3 onto complex 2, and the sampled
+Jordan product, the Pauli map from spin 3 onto complex 2, the sampled
 forms of formal reality, of trace associativity and of the composites'
-multiplication-operator, unit-factor and pairing-factorization identities.
+multiplication-operator, unit-factor and pairing-factorization identities,
+and the marginals of given composite states, outcome by outcome.
 """
 
 import numpy as np
@@ -33,9 +34,10 @@ from symcone.algebra import (
     from_matrix,
     make_algebra,
     norm,
+    trace_form,
     unit,
 )
-from symcone.composites import _embedded_lifts
+from symcone.composites import _embedded_lifts, product_effect
 from symcone.spectral import SpectralDecomposition, _group_indices
 
 
@@ -325,3 +327,28 @@ def sampled_factorization(cs, samples: int = 500, seed: int = 0) -> np.ndarray:
     lhs = np.sum(cs.pair_coords(A, B) * gram_c * cs.pair_coords(C, D), axis=1)
     rhs = np.sum(A * gram_a * C, axis=1) * np.sum(B * gram_b * D, axis=1)
     return np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
+
+
+def marginal_gaps(cs, states) -> tuple[float, float]:
+    """Non-signaling read off the given carrier states, one outcome at a
+    time: for each state w, near outcome a (of either side) and far test F,
+    the marginal sum_{b in F} w(a x b) of the probabilities of the product
+    outcomes. Returns the largest gap between a marginal and w(a x u) for
+    the far unit u, and the largest gap between the marginals of two far
+    tests of one near outcome."""
+    cases = []  # per near outcome: its pair with the far unit, and with each far test
+    for near, far, pair in (
+        (cs.part_a, cs.part_b, lambda a, b: product_effect(cs, a, b)),
+        (cs.part_b, cs.part_a, lambda b, a: product_effect(cs, a, b)),
+    ):
+        u = unit(far.algebra)
+        for a in (x for test in near.tests for x in test):
+            cases.append((pair(a, u), [[pair(a, b) for b in test] for test in far.tests]))
+    unit_gap = pair_gap = 0.0
+    for state in states:
+        w = state.representer
+        for with_unit, tests in cases:
+            margins = np.array([sum(trace_form(w, x) for x in test) for test in tests])
+            unit_gap = max(unit_gap, float(np.abs(margins - trace_form(w, with_unit)).max()))
+            pair_gap = max(pair_gap, float(np.ptp(margins)))
+    return unit_gap, pair_gap

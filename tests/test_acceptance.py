@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracle import spin_qubit_isomorphism
+from oracle import marginal_gaps, spin_qubit_isomorphism
 from symcone import (
     Element,
     jordan_product,
@@ -185,6 +185,9 @@ def test_criterion_07_trace_form_factorization():
 
 def test_criterion_08_nonsignaling():
     cs = _pair("complex", 2, 2, 209)
+    cert = nonsignaling_check(cs, tol=1e-10)
+    # the residual bounds every carrier state's marginal gaps; read off
+    # these states one outcome at a time, up to the oracle's rounding
     rng = np.random.default_rng(209)
     states = [
         product_state(cs, uniform_state(cs.part_a), uniform_state(cs.part_b)),
@@ -196,14 +199,17 @@ def test_criterion_08_nonsignaling():
         product_state(cs, random_state(cs.part_a, rng), random_state(cs.part_b, rng)),
         maximally_entangled_state(cs),
     ]
-    cert = nonsignaling_check(cs, states=states, tol=1e-10, seed=209)
+    unit_gap, pair_gap = marginal_gaps(cs, states)
+    bounded = unit_gap <= cert.worst_residual + 1e-14
+    bounded = bounded and pair_gap <= 2.0 * cert.worst_residual + 1e-14
     pairs = cert.details["far_test_pairs"]
-    ok = cert.passed and pairs >= 10
+    ok = cert.passed and pairs >= 10 and bounded
     _verdict(
         8, "nonsignaling", ok, f"worst {cert.worst_residual:.3e}, {pairs} test pairs"
     )
     assert pairs >= 10
     assert cert.passed, cert.worst_residual
+    assert bounded, (unit_gap, pair_gap, cert.worst_residual)
 
 
 def test_criterion_09_model_properties():

@@ -226,12 +226,16 @@ def test_tol_must_be_finite_and_positive(monkeypatch, capsys, via, value):
         ("seed", True, "seed must be a nonnegative integer, got True"),
         ("samples", 2.5, "samples must be an integer, got 2.5"),
         ("samples", True, "samples must be an integer, got True"),
+        ("suites", "algebra", "suites must be a sequence of suite names, got 'algebra'"),
+        ("tol", "1e-9", "tol must be a finite positive number, got '1e-9'"),
+        ("tol", True, "tol must be a finite positive number, got True"),
     ],
 )
 def test_run_config_rejects_what_a_run_cannot_draw_from(field, value, message):
-    # the command's parser rejects these first; from the library, each one
-    # failed inside numpy in the first sampled certificate, but for the bool
-    # seed, which ran and was reported as true
+    # the command's parser rejects these first; from the library, the seed
+    # and samples failed inside numpy in the first sampled certificate, a
+    # string of suites was split into letters, a string tol raised a bare
+    # TypeError, and the bools ran and were reported as true
     with pytest.raises(ValueError) as exc:
         RunConfig(**{field: value})
     assert str(exc.value) == message

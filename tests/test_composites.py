@@ -6,10 +6,13 @@ directly (with numpy, and for quaternions with symmetrized entry products)
 so the einsum-based embedding has an independent oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracle import (
+    marginal_gaps,
     quat_multiply,
     sampled_factorization,
     sampled_tensor_lmap,
@@ -50,12 +53,29 @@ from symcone.composites import (
 from symcone.demos import demo_text
 from symcone.hypercomplex import embed_quat_matrix
 from symcone.modelfile import parse_model_text
-from symcone.models import evaluate, model_from_tests, pure_state_of, uniform_state
-from symcone.runner import RunConfig, run_model_spec
-from symcone.spectral import canonical_frame, eigenvalues_batch, random_jordan_frame
+from symcone.models import (
+    ProbModel,
+    State,
+    _dedup_outcomes,
+    evaluate,
+    model_from_tests,
+    pure_state_of,
+    random_state,
+    uniform_state,
+)
+from symcone.runner import _CHECKS, COMPOSITE, RunConfig, _build_model
+from symcone.spectral import (
+    canonical_frame,
+    eigenvalues_batch,
+    random_jordan_frame,
+    spectral_decompose,
+)
 from test_algebra import ALL_FAMILIES, bump_constant
 
 ATOL = 1e-10
+# how far rounding may carry marginal_gaps' outcome-by-outcome sums past
+# the exact gaps
+MARGINAL_ROUNDING = 1e-14
 
 
 def _composite(fam, na, nb, seed=0):
@@ -447,37 +467,97 @@ def test_canonical_product_test_is_evaluable(qubit_pair):
 
 def test_nonsignaling_certificates(qubit_pair, rebit_pair, quabit_pair):
     for cs in (qubit_pair, rebit_pair, quabit_pair):
-        cert = nonsignaling_check(cs, seed=119)
-        assert cert.passed, cert.details
+        cert = nonsignaling_check(cs)
+        assert cert.passed, cert.worst_residual
+        assert cert.seed is None and cert.witnesses == []
         # count=2 models carry 3 tests per side: 2 * C(3, 2) distinct pairs
-        assert cert.details["far_test_pairs"] == 6
+        assert cert.details == {"far_test_pairs": 6}
+        # 6 near outcomes times 3 far tests, each side near once
+        assert cert.samples == 36
 
 
-def test_nonsignaling_holds_for_arbitrary_carrier_states(qubit_pair):
-    # Not just product and entangled states: any normalized carrier state
-    # has well-defined marginals.
-    from symcone.models import random_state
+def _signaling_pair(qubit_pair, shrink=1e-3):
+    """The qubit pair with one outcome of one of side B's tests shrunk, so
+    that test sums to u - shrink x: under every state its marginals fall
+    short of every other test's, and every gap element a x (S_F - u) of the
+    check is negative semidefinite."""
+    tests = list(qubit_pair.part_b.tests)
+    x, y = tests[1]
+    tests[1] = (Element(x.algebra, (1.0 - shrink) * x.coords), y)
+    part_b = ProbModel(x.algebra, tuple(tests), _dedup_outcomes(tuple(tests)))
+    return dataclasses.replace(qubit_pair, part_b=part_b)
 
+
+def _assert_residual_bounds_marginals(cs, extra_states=()):
+    """The certificate's residual bounds the marginal gaps of 100 random
+    carrier states, 10 product states and ``extra_states``."""
     rng = np.random.default_rng(124)
-    states = [random_state(qubit_pair.carrier_model, rng) for _ in range(100)]
-    cert = nonsignaling_check(qubit_pair, states=states, seed=124)
-    assert cert.passed
-    assert cert.details["states"] == 100
-    assert cert.worst_residual < 1e-10
-
-
-@pytest.mark.parametrize("demo,states", [("qubit-pair", 3), ("rebit-pair", 2), ("quabit-pair", 2)])
-def test_nonsignaling_adds_the_bell_state_to_complex_pairs(demo, states):
-    # the uniform state, an interior state and, on a complex carrier with
-    # parts of equal size, the maximally entangled state
-    report = run_model_spec(parse_model_text(demo_text(demo)), RunConfig(suites=("composite",)))
-    (cert,) = [
-        cert
-        for system in report["systems"]
-        for cert in system["certificates"]
-        if cert["check"] == "nonsignaling_marginals"
+    states = [random_state(cs.carrier_model, rng) for _ in range(100)]
+    states += [
+        product_state(cs, random_state(cs.part_a, rng), random_state(cs.part_b, rng))
+        for _ in range(10)
     ]
-    assert cert["details"]["states"] == states
+    cert = nonsignaling_check(cs)
+    unit_gap, pair_gap = marginal_gaps(cs, [*states, *extra_states])
+    # the oracle adds probabilities one at a time, so it carries rounding
+    # of its own
+    assert unit_gap <= cert.worst_residual + MARGINAL_ROUNDING
+    assert pair_gap <= 2.0 * cert.worst_residual + MARGINAL_ROUNDING
+
+
+def test_nonsignaling_holds_for_arbitrary_carrier_states(qubit_pair, rebit_pair, quabit_pair):
+    _assert_residual_bounds_marginals(qubit_pair, [maximally_entangled_state(qubit_pair)])
+    _assert_residual_bounds_marginals(rebit_pair)
+    _assert_residual_bounds_marginals(quabit_pair)
+
+
+def test_nonsignaling_fails_on_a_signaling_composite(qubit_pair):
+    # the marginal gap w(E(a x (S_F - u))) is linear in the embedding E, so
+    # moving an embedding column cannot make a composite signal while its
+    # part tests resolve the unit
+    embed = qubit_pair.embed.copy()
+    embed[:, 5] += 0.3
+    assert nonsignaling_check(dataclasses.replace(qubit_pair, embed=embed)).passed
+    # a far test that does not resolve the unit does
+    cs = _signaling_pair(qubit_pair)
+    cert = nonsignaling_check(cs)
+    assert not cert.passed
+    assert cert.worst_residual > 1e-4
+    (witness,) = cert.witnesses
+    lam = eigenvalues_batch(cs.carrier, np.array([witness]))
+    np.testing.assert_allclose(np.abs(lam).max(), cert.worst_residual, rtol=1e-12)
+    # the supremum is attained: the state on the witness's eigenspace of
+    # largest |eigenvalue| has a marginal that far from the unit's
+    dec = spectral_decompose(Element(cs.carrier, np.array(witness)))
+    top = dec.idempotents[int(np.argmax(np.abs(dec.eigenvalues)))]
+    state = State(cs.carrier_model, Element(cs.carrier, top.coords / trace_of(top)))
+    unit_gap, _ = marginal_gaps(cs, [state])
+    np.testing.assert_allclose(unit_gap, cert.worst_residual, rtol=1e-9)
+    # and it bounds the gaps of other states, which fall short of it
+    _assert_residual_bounds_marginals(cs)
+
+
+def test_composite_suite_draws_only_in_tensor_adjoint(monkeypatch):
+    built = []
+    for demo in ("qubit-pair", "rebit-pair", "quabit-pair"):
+        spec = parse_model_text(demo_text(demo))
+        models = {
+            s.name: _build_model(s, i) for i, s in enumerate(spec.systems) if not s.is_composite
+        }
+        for s in spec.systems:
+            if s.is_composite:
+                built.append(candidate_composite(*(models[p] for p in s.composite_parts)))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a composite row drew")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    cfg = RunConfig()
+    rows = [c for c in _CHECKS if c.kind == COMPOSITE and c.name != "tensor_adjoint"]
+    assert len(rows) == 7
+    for cs in built:
+        for row in rows:
+            row.run(cs, cfg, 0)
 
 
 def test_maximally_entangled_state_matches_matrix_oracle(qubit_pair):

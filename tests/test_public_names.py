@@ -86,7 +86,7 @@ FIXED_POLICY_SIGNATURES = {
     ("models", "check_reversible_stabilizer"): ["algebra", "samples", "seed", "tol"],
     ("composites", "local_tomography_audit"): ["cs"],
     ("composites", "product_tests_check"): ["cs", "tol"],
-    ("composites", "nonsignaling_check"): ["cs", "states", "tol", "seed"],
+    ("composites", "nonsignaling_check"): ["cs", "tol"],
     ("composites", "factorization_check"): ["cs"],
     ("composites", "tensor_adjoint_check"): ["cs", "samples", "seed", "tol"],
     ("composites", "tensor_lmap_check"): ["cs", "tol"],
@@ -124,6 +124,7 @@ def test_checks_that_draw_nothing_report_no_seed():
         check_unit_factor_products,
         factorization_check,
         local_tomography_audit,
+        nonsignaling_check,
         product_tests_check,
         tensor_lmap_check,
     )
@@ -145,6 +146,7 @@ def test_checks_that_draw_nothing_report_no_seed():
         check_unital_outcomes_primitive(model),
         local_tomography_audit(cs),
         product_tests_check(cs),
+        nonsignaling_check(cs),
         factorization_check(cs),
         tensor_lmap_check(cs),
         check_unit_factor_products(cs),
