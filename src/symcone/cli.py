@@ -226,7 +226,17 @@ def console() -> NoReturn:
     thread); symcone registers no ``atexit`` work that this would skip. An
     exception or ``SystemExit`` out of ``main()``, such as a usage error,
     takes the ordinary exit.
+
+    The command keeps OpenSSL out of its process. numpy's random module
+    imports ``secrets``, whose ``hmac`` and ``hashlib`` load ``_hashlib``
+    and with it libcrypto, 3.3 MB of the process's resident set; every
+    generator in symcone has an explicit seed, so nothing draws OS entropy
+    or hashes. Marking ``_hashlib`` absent before the first draw makes both
+    modules fall back to CPython's builtin hashes. Only this process does
+    so: ``import symcone`` and ``main(argv)`` leave ``sys.modules`` as they
+    find it.
     """
+    sys.modules.setdefault("_hashlib", None)
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

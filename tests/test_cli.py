@@ -754,6 +754,47 @@ def test_console_skips_the_interpreter_teardown(no_worker_left):
     assert proc.stdout.split() == list(DEMO_NAMES)
 
 
+def test_console_keeps_openssl_out_of_its_process(no_worker_left):
+    # Seeded generators draw no OS entropy, so numpy's random module runs on
+    # CPython's builtin hashes; loading _hashlib would map libcrypto.
+    script = (
+        "import sys\n"
+        "import symcone.cli as cli\n"
+        "run = cli.main\n"
+        "def main():\n"
+        "    code = run()\n"
+        "    print(sys.modules.get('_hashlib', 'absent'), 'numpy.random' in sys.modules)\n"
+        "    return code\n"
+        "cli.main = main\n"
+        "sys.argv = ['symcone', '--input', 'qubit-pair', '--format', 'structured']\n"
+        "cli.console()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "None True"
+
+
+def test_library_calls_leave_hashlib_importable():
+    # Only the command's own process blocks _hashlib; importing symcone and
+    # calling main(argv) leave sys.modules as they find it.
+    script = (
+        "import sys\n"
+        "import symcone.cli\n"
+        "print('_hashlib' in sys.modules)\n"
+        "code = symcone.cli.main(['--input', 'qubit-pair', '--format', 'structured'])\n"
+        "print(sys.modules.get('_hashlib', 'absent') is not None, 'numpy.random' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "True True")
+
+
 def test_installed_command_is_the_console_entry():
     tomllib = pytest.importorskip("tomllib")
     from pathlib import Path
