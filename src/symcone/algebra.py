@@ -671,9 +671,13 @@ def quadratic_representation(a: Element) -> LinearOperator:
 
 
 def _quadratic_batch(sc: _Constants, xs: np.ndarray) -> np.ndarray:
-    """Stack of quadratic representations P(x) = 2 L_x^2 - L_{x o x}."""
+    """Stack of quadratic representations P(x) = 2 L_x^2 - L_{x o x},
+    formed in place on L_x^2: three dim^2 stacks and the kernel's terms."""
     left = _left_mult_batch(sc, xs)
-    return 2.0 * left @ left - _left_mult_batch(sc, _square_batch(sc, xs))
+    quad = left @ left
+    quad *= 2.0
+    quad -= _left_mult_batch(sc, _square_batch(sc, xs))
+    return quad
 
 
 def random_element(

@@ -42,6 +42,13 @@ class ConeCertificate:
         }
 
 
+def _require_draws(count: int, name: str = "samples") -> None:
+    """Refuse a sampled check that would draw nothing: over no draws it
+    certifies nothing, so it must not pass."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def _plain(value: Any) -> Any:
     """Recursively coerce numpy scalars and arrays into JSON-safe values."""
     import numpy as np

@@ -34,8 +34,8 @@ from .algebra import (
     from_matrix,
     make_algebra,
 )
-from .certificates import ConeCertificate
-from .cone import _cone_image, _point_transports
+from .certificates import ConeCertificate, _require_draws
+from .cone import _cone_image, _transports
 from .models import ProbModel, State, _outcome_rows, make_model
 from .reconstruction import STRUCTURE_RANK_TOL, _close_span
 from .spectral import _frames, eigenvalues_batch
@@ -63,12 +63,24 @@ FACTORIZATION_TOL = 1e-10
 
 @dataclass
 class CompositeSystem:
+    """Two part models, a carrier algebra and the embedding of pairs of part
+    coordinates into carrier coordinates. Everything else is derived from
+    these on first use, so a replaced embedding brings its own rank."""
+
     part_a: ProbModel
     part_b: ProbModel
     carrier: AlgebraDescriptor
-    carrier_model: ProbModel
     embed: np.ndarray  # (dim_carrier, dim_a * dim_b)
-    embed_rank: int
+
+    @functools.cached_property
+    def embed_rank(self) -> int:
+        sv = np.linalg.svd(self.embed, compute_uv=False)
+        return int((sv > STRUCTURE_RANK_TOL).sum())
+
+    @functools.cached_property
+    def carrier_model(self) -> ProbModel:
+        """The carrier's model: one test, the carrier's canonical frame."""
+        return make_model(self.carrier, count=0)
 
     @property
     def locally_tomographic(self) -> bool:
@@ -163,8 +175,7 @@ def candidate_composite(part_a: ProbModel, part_b: ProbModel) -> CompositeSystem
 
     A trivial (one-dimensional) part leaves the other algebra as carrier.
     Mixed families, spin factors, octonionic algebras and direct sums have
-    no same-family matrix carrier and are rejected. The carrier's model
-    holds one test, the carrier's canonical frame.
+    no same-family matrix carrier and are rejected.
     """
     A = part_a.algebra
     B = part_b.algebra
@@ -184,9 +195,7 @@ def candidate_composite(part_a: ProbModel, part_b: ProbModel) -> CompositeSystem
             )
         carrier = make_algebra(A.family, A.size * B.size)
         embed = _kron_columns(A, B)
-    sv = np.linalg.svd(embed, compute_uv=False)
-    rank = int((sv > STRUCTURE_RANK_TOL).sum())
-    return CompositeSystem(part_a, part_b, carrier, make_model(carrier, count=0), embed, rank)
+    return CompositeSystem(part_a, part_b, carrier, embed)
 
 
 def product_effect(cs: CompositeSystem, a: Element, b: Element) -> Element:
@@ -386,6 +395,7 @@ def tensor_adjoint_check(
     [0.5, 2]. The adjoint is also verified to preserve the carrier cone on
     sampled squares.
     """
+    _require_draws(samples)
     if not cs.locally_tomographic:
         raise ValueError("adjoint lifting needs a locally tomographic composite")
     rng = np.random.default_rng(seed)
@@ -395,7 +405,7 @@ def tensor_adjoint_check(
     for part, lift in zip((cs.part_a.algebra, cs.part_b.algebra), _embedded_lifts(cs)):
         frames = _frames(part, 2 * samples, rng)
         lams = rng.uniform(0.5, 2.0, size=(2 * samples, part.rank))
-        roots = _point_transports(part, frames, lams)[1]
+        roots = _transports(part, frames, np.sqrt(lams))
         sides.append((part, roots[0::2] @ roots[1::2], lift))
     inv_embed = np.linalg.inv(cs.embed)
     worst = 0.0

@@ -26,7 +26,7 @@ from .algebra import (
     trace_of,
     unit,
 )
-from .certificates import ConeCertificate
+from .certificates import ConeCertificate, _require_draws
 from .cone import cone_contains
 from .spectral import (
     _frames,
@@ -303,6 +303,7 @@ def check_cauchy_schwarz(
     The distance identity |e - f|^2 = 2 (1 - <e, f>) pins the equality case
     to e = f; its sampled residual is reported alongside the bounds.
     """
+    _require_draws(samples)
     ctx = _context(algebra)
     n_frames = max(2, (samples // max(algebra.rank, 1)) + 1)
     pool = frame_pool(algebra, n_frames, seed=seed)
@@ -343,6 +344,7 @@ def check_reversible_stabilizer(
 ) -> ConeCertificate:
     """Skew generators exponentiate to metric isometries fixing the uniform
     state; symmetric generators demonstrably do neither."""
+    _require_draws(samples)
     ctx = _context(algebra)
     # looked up on the module, so a basis substituted there is the one used
     lie = reconstruction.structure_lie_basis(algebra)

@@ -36,7 +36,7 @@ from .algebra import (
     _metric_exp,
     _trace_form_gaps,
 )
-from .certificates import ConeCertificate
+from .certificates import ConeCertificate, _require_draws
 from .cone import _cone_image
 
 __all__ = [
@@ -254,6 +254,7 @@ def check_p_bracket(
     lie: LieAlgebraBasis, samples: int = 50, seed: int = 0, tol: float = 1e-9
 ) -> ConeCertificate:
     """Commutators of symmetric generators land in the skew part."""
+    _require_draws(samples)
     rng = np.random.default_rng(seed)
     p = lie.sym_basis.shape[0]
     d = lie.algebra.dim
@@ -305,6 +306,7 @@ def reconstruct_product(
     table with the native constants, so any mass off that pattern counts
     against the verdict there.
     """
+    _require_draws(samples)
     ctx = _context(algebra)
     if lie is None:
         lie = structure_lie_basis(algebra)
@@ -361,6 +363,7 @@ def check_exp_preserves_cone(
     EXP_GENERATOR_MAGNITUDE. The exponentials come from the eigenvectors of
     the metric-scaled generators, accurate to rounding; a generator's
     departure from metric symmetry counts against the certificate."""
+    _require_draws(samples)
     if lie is None:
         lie = structure_lie_basis(algebra)
     p, d = lie.sym_basis.shape[0], algebra.dim

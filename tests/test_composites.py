@@ -115,6 +115,21 @@ def test_dimension_table(qubit_pair, rebit_pair, quabit_pair):
     assert not quabit_pair.locally_tomographic
 
 
+def test_replaced_embedding_brings_its_own_rank(qubit_pair):
+    # the rank and the carrier model are derived from the four fields, so a
+    # composite rebuilt with one embedding column zeroed has rank 15 and is
+    # no longer locally tomographic
+    embed = qubit_pair.embed.copy()
+    embed[:, 0] = 0.0
+    cs = dataclasses.replace(qubit_pair, embed=embed)
+    assert cs.embed_rank == 15 and not cs.locally_tomographic
+    assert not local_tomography_audit(cs).passed
+    with pytest.raises(ValueError, match="locally tomographic"):
+        tensor_adjoint_check(cs)
+    assert qubit_pair.embed_rank == 16 and qubit_pair.locally_tomographic
+    assert [f.name for f in dataclasses.fields(cs)] == ["part_a", "part_b", "carrier", "embed"]
+
+
 def _quat_kron(a, b):
     """Kronecker product of quaternionic matrices, entries (x y + y x) / 2."""
     x, y = a[:, None, :, None], b[None, :, None, :]

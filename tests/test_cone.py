@@ -26,7 +26,7 @@ from symcone.algebra import _context, _square_batch
 from symcone.cone import (
     PSD_TOL,
     _cone_image,
-    _point_transports,
+    _transports,
     adjoint,
     automorphism_to_point,
     boundary_margin,
@@ -174,7 +174,9 @@ def test_batched_transports_match_elementwise_quadratic_representation(desc):
     rng = np.random.default_rng(68)
     frames = _frames(desc, 3, rng)
     lams = rng.uniform(0.5, 2.0, size=(3, desc.rank))
-    points, forward, inverse = _point_transports(desc, frames, lams)
+    points = np.einsum("sr,srd->sd", lams, frames)
+    forward = _transports(desc, frames, np.sqrt(lams))
+    inverse = _transports(desc, frames, 1.0 / np.sqrt(lams))
     for w, g, g_inv in zip(points, forward, inverse):
         dec = spectral_decompose(Element(desc, w))
         root = sum(np.sqrt(lam) * e.coords for lam, e in zip(dec.eigenvalues, dec.idempotents))
@@ -288,9 +290,8 @@ def test_screened_cone_image_matches_full_eigensolve(desc):
     # cone, and on a perturbation of them that pushes some squares out.
     rng = np.random.default_rng(72)
     frames = _frames(desc, 12, rng)
-    lams = rng.uniform(0.5, 2.0, size=(12, desc.rank))
-    _, forward, inverse = _point_transports(desc, frames, lams)
-    transports = np.stack([forward, inverse], axis=1)
+    roots = np.sqrt(rng.uniform(0.5, 2.0, size=(12, desc.rank)))
+    transports = np.stack([_transports(desc, frames, r) for r in (roots, 1.0 / roots)], axis=1)
     pushed = transports + 0.8 * rng.standard_normal(transports.shape) / desc.dim
     xs = rng.standard_normal((12, 30, desc.dim))
     for ops, leaves in ((transports, False), (pushed, True)):
@@ -327,16 +328,17 @@ def test_homogeneity_images_rarely_reach_the_eigensolver(desc, monkeypatch):
     [
         ("albert", 3, 4.0),
         ("quaternion", 3, 3.9),
-        ("real", 8, 3.6),
-        ("complex", 4, 3.5),
+        ("real", 8, 2.2),
+        ("complex", 4, 2.7),
         ("spin", 10, 3.0),
     ],
 )
 def test_homogeneity_memory_stays_below_the_unscreened_peak(family, size, peak_mb):
-    # Images are formed and screened a chunk at a time, and a chunk's points
-    # are counted by every array they hold: operators, draws, squares and
-    # images. Chunks sized by operators and draws alone peaked at 4.2-4.7 MiB
-    # on each of these, above every bound.
+    # One loop forms and screens the images a chunk at a time, and a chunk's
+    # points are counted by every array they hold at the peak of either
+    # phase. Chunks sized by operators and draws alone peaked at 4.2-4.7 MiB
+    # on each of these, above every bound; real 8 and complex 4 peaked at
+    # 2.9 and 2.7 MiB while a second loop cut each chunk's images again.
     desc = make_algebra(family, size)
     check_homogeneity(desc, 2)  # build the cached context first
     tracemalloc.start()
@@ -346,6 +348,24 @@ def test_homogeneity_memory_stays_below_the_unscreened_peak(family, size, peak_m
     finally:
         tracemalloc.stop()
     assert peak <= peak_mb * 2**20
+
+
+def test_homogeneity_memory_does_not_grow_as_directions_fall():
+    # The budget counts the transport phase, which holds about 6 dim^2 per
+    # point whatever the directions: a chunk of many points at one direction
+    # peaked at 3.5 MiB on real 8 when only operators and draws were counted,
+    # above the 2.9 MiB of 100 directions.
+    desc = make_algebra("real", 8)
+    check_homogeneity(desc, 2)  # build the cached context first
+    peaks = []
+    for directions in (1, 100):
+        tracemalloc.start()
+        try:
+            check_homogeneity(desc, 100, directions=directions)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 HOMOGENEITY_CHUNK_FAMILIES = [("albert", 3), ("spin", 10), ("complex", 4)]

@@ -158,6 +158,43 @@ def test_checks_that_draw_nothing_report_no_seed():
     assert check_order_unit(qubit, samples=10, seed=5).seed == 5
 
 
+# every public check that draws, and the one draw count that is not ``samples``
+SAMPLED_CHECKS = [
+    (module, name, "samples")
+    for (module, name), params in FIXED_POLICY_SIGNATURES.items()
+    if "samples" in params
+] + [
+    ("reconstruction", "reconstruct_product", "samples"),
+    ("cone", "check_homogeneity", "directions"),
+]
+
+
+@pytest.mark.parametrize("module,name,count", SAMPLED_CHECKS)
+def test_sampled_checks_refuse_zero_draws(monkeypatch, module, name, count):
+    # over no draws a check certifies nothing; it raises before it draws
+    from symcone.composites import candidate_composite
+    from symcone.models import make_model
+    from symcone.reconstruction import structure_lie_basis
+
+    qubit = symcone.make_algebra("complex", 2)
+    model = make_model(qubit, count=2, seed=1)
+    subjects = {
+        "algebra": qubit,
+        "lie": structure_lie_basis(qubit),
+        "cs": candidate_composite(model, model),
+    }
+    check = getattr(importlib.import_module(f"symcone.{module}"), name)
+    subject = subjects[next(iter(inspect.signature(check).parameters))]
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=f"^{count} must be at least 1, got 0$"):
+        check(subject, **{count: 0})
+    assert len(SAMPLED_CHECKS) == 11
+
+
 def test_readme_library_quick_start_runs(capsys):
     # the library-only names stay public because this snippet documents them
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
